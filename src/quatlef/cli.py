@@ -7,7 +7,8 @@ Exact rationals serialise as "p/q" strings everywhere; floats appear only
 in the explicitly requested numeric cross-check with a stated tolerance.
 
 Exit codes: 0 success, 2 validation error, 3 torsion necessary condition
-failed without the assume-torsion-free override, 1 verification failure.
+failed without the assume-torsion-free override, 1 verification failure or
+a broken internal invariant.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import verify as verify_mod
-from .errors import QuatlefError, TorsionError, ValidationError
+from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
 from .exact import format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
@@ -133,6 +134,11 @@ def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
     return QuaternionAlgebra(field, ram, ram_real)
 
 
+def _setting(args) -> tuple[TotallyRealField, QuaternionAlgebra, Ideal]:
+    field = _parse_field(args.field)
+    return field, _parse_algebra(args, field), _parse_level(field, args.level)
+
+
 def _parse_level(field: TotallyRealField, spec) -> Ideal:
     spec = str(spec).strip()
     if spec.isdigit():
@@ -175,6 +181,8 @@ def _apply_config(args: argparse.Namespace) -> None:
         return
     with open(args.config, encoding="utf-8") as handle:
         data = json.load(handle)
+    if not isinstance(data, dict):
+        raise ValidationError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
@@ -183,6 +191,11 @@ def _apply_config(args: argparse.Namespace) -> None:
             # list forms of the algebra spec normalise to the flag strings
             key = "ram" if key == "ram_primes" else key
             value = ",".join(str(entry) for entry in value)
+        elif not isinstance(value, (str, int, float, type(None))):
+            raise ValidationError(
+                f"config key {key!r} must be a string, number or boolean,"
+                f" not {type(value).__name__}"
+            )
         current = getattr(args, key, None)
         if current is None or (key == "split" and current is False):
             setattr(args, key, value)
@@ -197,11 +210,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: tuple[str, ...] | list[str], rows: list[list[str]]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
@@ -209,16 +218,46 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buffer.getvalue()
 
 
-def _algebra_dict(algebra: QuaternionAlgebra) -> dict:
-    return {
-        "ram_finite": [str(p) for p in algebra.ram_finite],
-        "ram_real": algebra.ram_real_count,
-        "signed_reduced_discriminant": algebra.signed_reduced_discriminant(),
-    }
+def _emit_report(
+    args, payload: dict, rows: list[list[str]], header=("key", "value")
+) -> int:
+    """Write the JSON payload, or the command's CSV rows under --format csv."""
+    if args.format == "csv":
+        _emit(args, _csv_text(header, rows))
+    else:
+        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return 0
 
 
-def _level_dict(level: Ideal) -> dict:
-    return {"factors": str(level), "norm": level.norm()}
+def _payload(args, field, algebra=None, level=None, report=None, **fields) -> dict:
+    """The JSON payload of one command: its name and field, then the
+    algebra and level blocks, then a closed-form report's value, factors,
+    warnings and zero reason, then the command's own fields."""
+    payload = {"command": args.command, "field": field.describe()}
+    if algebra is not None:
+        payload["algebra"] = {
+            "ram_finite": [str(p) for p in algebra.ram_finite],
+            "ram_real": algebra.ram_real_count,
+            "signed_reduced_discriminant": algebra.signed_reduced_discriminant(),
+        }
+        payload["level"] = {"factors": str(level), "norm": level.norm()}
+    if report is not None:
+        payload["n"] = report.n
+        payload["value"] = format_rational(report.value)
+        payload["factors"] = {
+            "two_power": format_rational(report.two_power),
+            "level_norm_power": report.level_norm_power,
+            "discriminant_power": report.disc_power,
+            "m_factors": [format_rational(m) for m in report.m_factors],
+        }
+        payload["warnings"] = list(report.warnings)
+        payload["zero_reason"] = report.zero_reason
+    payload.update(fields)
+    return payload
+
+
+def _trace_w(args) -> Fraction:
+    return parse_rational(args.trace_w) if args.trace_w else Fraction(1)
 
 
 def _cmd_zeta(args) -> int:
@@ -230,85 +269,46 @@ def _cmd_zeta(args) -> int:
         {"j": j, "value": format_rational(dedekind_zeta_neg(field, j))}
         for j in range(1, jmax + 1)
     ]
-    if args.format == "csv":
-        rows = [[str(v["j"]), v["value"]] for v in values]
-        _emit(args, _csv_text(["j", "zeta_1_minus_2j"], rows))
-    else:
-        payload = {"command": "zeta", "field": field.describe(), "values": values}
-        _emit(args, _json_text(payload))
-    return 0
+    rows = [[str(v["j"]), v["value"]] for v in values]
+    payload = _payload(args, field, values=values)
+    return _emit_report(args, payload, rows, ("j", "zeta_1_minus_2j"))
 
 
-def _build_input(args, field, algebra, level) -> LefschetzInput:
-    trace = parse_rational(args.trace_w) if args.trace_w else Fraction(1)
-    return LefschetzInput(
+def _cmd_lefschetz(args) -> int:
+    field, algebra, level = _setting(args)
+    inp = LefschetzInput(
         field=field,
         algebra=algebra,
         n=int(args.n),
         level=level,
-        trace_w=trace,
+        trace_w=_trace_w(args),
         assume_torsion_free=bool(args.assume_torsion_free),
     )
-
-
-def _cmd_lefschetz(args) -> int:
-    field = _parse_field(args.field)
-    algebra = _parse_algebra(args, field)
-    level = _parse_level(field, args.level)
-    report = lefschetz_number(_build_input(args, field, algebra, level))
-    payload = {
-        "command": "lefschetz",
-        "field": field.describe(),
-        "algebra": _algebra_dict(algebra),
-        "level": _level_dict(level),
-        "n": report.n,
-        "trace_w": format_rational(report.trace_w),
-        "value": format_rational(report.value),
-        "factors": {
-            "two_power": format_rational(report.two_power),
-            "level_norm_power": report.level_norm_power,
-            "discriminant_power": report.disc_power,
-            "m_factors": [format_rational(m) for m in report.m_factors],
-        },
-        "warnings": list(report.warnings),
-        "zero_reason": report.zero_reason,
-    }
-    if args.format == "csv":
-        rows = [["value", format_rational(report.value)], ["n", str(report.n)]]
-        rows += [["warning", w] for w in report.warnings]
-        _emit(args, _csv_text(["key", "value"], rows))
-    else:
-        _emit(args, _json_text(payload))
-    return 0
+    report = lefschetz_number(inp)
+    payload = _payload(
+        args, field, algebra, level, report, trace_w=format_rational(report.trace_w)
+    )
+    rows = [["value", format_rational(report.value)], ["n", str(report.n)]]
+    rows += [["warning", w] for w in report.warnings]
+    return _emit_report(args, payload, rows)
 
 
 def _cmd_euler_char(args) -> int:
-    field = _parse_field(args.field)
-    algebra = _parse_algebra(args, field)
-    level = _parse_level(field, args.level)
+    field, algebra, level = _setting(args)
     signature = _parse_signature(args.signature)
     n = int(args.n)
     report = euler_char_fixed_component(
         algebra, n, level, signature, bool(args.assume_torsion_free)
     )
-    payload = {
-        "command": "euler-char",
-        "field": field.describe(),
-        "algebra": _algebra_dict(algebra),
-        "level": _level_dict(level),
-        "n": report.n,
-        "signature": str(report.signature_class),
-        "binomial_factor": report.binomial_factor,
-        "value": format_rational(report.value),
-        "factors": {
-            "two_power": format_rational(report.two_power),
-            "level_norm_power": report.level_norm_power,
-            "discriminant_power": report.disc_power,
-            "m_factors": [format_rational(m) for m in report.m_factors],
-        },
-        "warnings": list(report.warnings),
-        "zero_reason": report.zero_reason,
-    }
+    payload = _payload(
+        args,
+        field,
+        algebra,
+        level,
+        report,
+        signature=str(report.signature_class),
+        binomial_factor=report.binomial_factor,
+    )
     if args.adelic_terms:
         terms = int(args.adelic_terms)
         numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
@@ -317,68 +317,45 @@ def _cmd_euler_char(args) -> int:
             "terms": terms,
             "rel_tolerance": _ADELIC_REL_TOL,
         }
-    if args.format == "csv":
-        rows = [
-            ["value", format_rational(report.value)],
-            ["signature", str(report.signature_class)],
-        ]
-        _emit(args, _csv_text(["key", "value"], rows))
-    else:
-        _emit(args, _json_text(payload))
-    return 0
+    rows = [
+        ["value", format_rational(report.value)],
+        ["signature", str(report.signature_class)],
+    ]
+    return _emit_report(args, payload, rows)
 
 
 def _cmd_index(args) -> int:
-    field = _parse_field(args.field)
-    algebra = _parse_algebra(args, field)
-    level = _parse_level(field, args.level)
+    field, algebra, level = _setting(args)
     value = congruence_index(algebra, int(args.n), level)
-    if args.format == "csv":
-        _emit(args, _csv_text(["key", "value"], [["index", str(value)]]))
-    else:
-        payload = {
-            "command": "index",
-            "field": field.describe(),
-            "algebra": _algebra_dict(algebra),
-            "level": _level_dict(level),
-            "n": int(args.n),
-            "index": value,
-        }
-        _emit(args, _json_text(payload))
-    return 0
+    payload = _payload(args, field, algebra, level, n=int(args.n), index=value)
+    return _emit_report(args, payload, [["index", str(value)]])
 
 
 def _cmd_genus(args) -> int:
-    field = _parse_field(args.field)
-    algebra = _parse_algebra(args, field)
-    level = _parse_level(field, args.level)
+    field, algebra, level = _setting(args)
     report = genus_fuchsian(algebra, level, bool(args.assume_torsion_free))
     weights = (
         [int(w) for w in str(args.weights).split(",")] if args.weights else []
     )
     dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
-    payload = {
-        "command": "genus",
-        "field": field.describe(),
-        "algebra": _algebra_dict(algebra),
-        "level": _level_dict(level),
-        "genus": report.genus,
-        "b1": report.b1,
-        "chi": report.chi,
-        "cusp_form_dims": dims,
-        "warnings": list(report.warnings),
-    }
-    if args.format == "csv":
-        rows = [
-            ["genus", str(report.genus)],
-            ["b1", str(report.b1)],
-            ["chi", str(report.chi)],
-        ]
-        rows += [[f"dim_weight_{k}", str(v)] for k, v in sorted(dims.items())]
-        _emit(args, _csv_text(["key", "value"], rows))
-    else:
-        _emit(args, _json_text(payload))
-    return 0
+    payload = _payload(
+        args,
+        field,
+        algebra,
+        level,
+        genus=report.genus,
+        b1=report.b1,
+        chi=report.chi,
+        cusp_form_dims=dims,
+        warnings=list(report.warnings),
+    )
+    rows = [
+        ["genus", str(report.genus)],
+        ["b1", str(report.b1)],
+        ["chi", str(report.chi)],
+    ]
+    rows += [[f"dim_weight_{k}", str(v)] for k, v in sorted(dims.items())]
+    return _emit_report(args, payload, rows)
 
 
 def _cmd_table(args) -> int:
@@ -388,7 +365,7 @@ def _cmd_table(args) -> int:
     lo, hi = int(lo_text), int(hi_text or lo_text)
     if hi - lo + 1 > _TABLE_ROW_CAP:
         raise ValidationError(f"level range exceeds the {_TABLE_ROW_CAP} row cap")
-    trace = parse_rational(args.trace_w) if args.trace_w else Fraction(1)
+    trace = _trace_w(args)
     n_size = int(args.n)
     header = [
         "level",
@@ -574,6 +551,9 @@ def main(argv: list[str] | None = None) -> int:
     except TorsionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
+    except InvariantError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     except (QuatlefError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

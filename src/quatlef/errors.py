@@ -28,3 +28,8 @@ class SearchSpaceError(ValidationError):
 
 class ExternalFieldError(ValidationError):
     """An external field descriptor is missing required table data."""
+
+
+class InvariantError(QuatlefError):
+    """A computed value broke a law it must satisfy, such as a sign law or
+    integrality; unlike ``assert``, the check also runs under ``python -O``."""

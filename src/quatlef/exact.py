@@ -20,7 +20,6 @@ from math import comb, gcd, pi, sqrt
 from .errors import ValidationError
 
 __all__ = [
-    "Rational",
     "SymbolicScalar",
     "bernoulli",
     "bernoulli_poly_eval",
@@ -28,10 +27,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
 ]
-
-#: Alias documenting the carrier type for exact rationals.
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or plain ``"p"``) into an exact rational."""

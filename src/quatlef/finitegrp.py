@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import SearchSpaceError, ValidationError
+from .errors import InvariantError, SearchSpaceError, ValidationError
 from .numberfield import factorize, is_prime
 
 __all__ = [
@@ -49,7 +49,8 @@ def _cap(states: int) -> None:
 
 
 def _as_int(value: Fraction) -> int:
-    assert value.denominator == 1, f"expected an integer, got {value}"
+    if value.denominator != 1:
+        raise InvariantError(f"expected an integer, got {value}")
     return value.numerator
 
 

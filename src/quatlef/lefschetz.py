@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from . import finitegrp
-from .errors import NotFuchsianError, TorsionError, ValidationError
+from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
 from .exact import SymbolicScalar
 from .numberfield import (
     Ideal,
@@ -139,18 +139,17 @@ class LefschetzInput:
         _validate_setting(self.algebra, self.n, self.level)
 
 
-@dataclass(frozen=True)
-class LefschetzReport:
-    """Value of the closed form plus its factor-by-factor breakdown.
+@dataclass(frozen=True, kw_only=True)
+class _ClosedFormReport:
+    """Value of a closed form plus its factor-by-factor breakdown.
 
     The value always equals two_power * level_norm_power * disc_power
-    * trace_w * prod(m_factors) exactly; when the base field has a
-    complex place every m factor is zero and zero_reason says so.
+    * scale * prod(m_factors) exactly; when the base field has a complex
+    place every m factor is zero and zero_reason says so.
     """
 
     value: Fraction
     n: int
-    trace_w: Fraction
     two_power: Fraction
     level_norm_power: int
     disc_power: int
@@ -160,33 +159,34 @@ class LefschetzReport:
 
     def factor_product(self) -> Fraction:
         product = self.two_power * self.level_norm_power * self.disc_power
-        product *= self.trace_w
+        product *= self._scale
         for m in self.m_factors:
             product *= m
         return product
 
 
-@dataclass(frozen=True)
-class EulerCharReport:
-    """Euler characteristic of one fixed-point component with breakdown."""
+@dataclass(frozen=True, kw_only=True)
+class LefschetzReport(_ClosedFormReport):
+    """The Lefschetz number; its scale is trace_w."""
 
-    value: Fraction
-    n: int
+    trace_w: Fraction
+
+    @property
+    def _scale(self) -> Fraction:
+        return self.trace_w
+
+
+@dataclass(frozen=True, kw_only=True)
+class EulerCharReport(_ClosedFormReport):
+    """Euler characteristic of one fixed-point component; its scale is
+    binomial_factor = prod_v C(n, p_v)."""
+
     signature_class: SignatureClass
     binomial_factor: int
-    two_power: Fraction
-    level_norm_power: int
-    disc_power: int
-    m_factors: tuple[Fraction, ...]
-    warnings: tuple[str, ...] = ()
-    zero_reason: str | None = None
 
-    def factor_product(self) -> Fraction:
-        product = self.two_power * self.level_norm_power * self.disc_power
-        product *= self.binomial_factor
-        for m in self.m_factors:
-            product *= m
-        return product
+    @property
+    def _scale(self) -> int:
+        return self.binomial_factor
 
 
 @dataclass(frozen=True)
@@ -199,13 +199,19 @@ class GenusReport:
     warnings: tuple[str, ...] = ()
 
 
-def _validate_setting(algebra: QuaternionAlgebra, n: int, level: Ideal) -> None:
+def _check_level(algebra: QuaternionAlgebra, level: Ideal, n: int = 1) -> None:
+    """Checks shared by every closed form: n >= 1 and a proper level ideal
+    of the algebra's field."""
     if n < 1:
         raise ValidationError("matrix size n must be >= 1")
     if level.field != algebra.field:
         raise ValidationError("level ideal lives in a different field")
     if level.is_unit:
         raise ValidationError("level must be a proper ideal")
+
+
+def _validate_setting(algebra: QuaternionAlgebra, n: int, level: Ideal) -> None:
+    _check_level(algebra, level, n)
     if algebra.is_totally_definite() and n < 2:
         raise ValidationError(
             "totally definite algebras need n >= 2 (strong approximation)"
@@ -239,10 +245,7 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     """Local factor M(j) of the closed form; see the module docstring."""
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
-    if level.field != algebra.field:
-        raise ValidationError("level ideal lives in a different field")
-    if level.is_unit:
-        raise ValidationError("level must be a proper ideal")
+    _check_level(algebra, level)
     value = dedekind_zeta_neg(algebra.field, j)
     for prime, _exp in level.factors:
         value *= 1 - Fraction(1, prime.norm ** (2 * j))
@@ -252,42 +255,72 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     return value
 
 
+def _closed_form(
+    report_type: type[_ClosedFormReport],
+    algebra: QuaternionAlgebra,
+    n: int,
+    level: Ideal,
+    assume_torsion_free: bool,
+    two_exp: int,
+    scale: Fraction | int,
+    **fields,
+) -> _ClosedFormReport:
+    """The one closed form behind both report types:
+    2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) scale prod_j M(j).
+
+    Zero when the base field has a complex place. Otherwise the product
+    before scaling is nonzero of sign (-1)^(s n(n+1)/2), which is checked.
+    The extra fields go to the report unchanged.
+    """
+    warnings = _torsion_gate(level, assume_torsion_free)
+    two_power = Fraction(1, 2**two_exp)
+    level_norm_power = level.norm() ** (n * (2 * n + 1))
+    disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
+    zero_reason = None
+    if algebra.field.is_totally_real:
+        m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
+        value = two_power * level_norm_power * disc_power
+        for m in m_factors:
+            value *= m
+        expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
+        if value == 0 or (value > 0) != (expected_sign > 0):
+            raise InvariantError(
+                f"sign law violated: closed-form product {value},"
+                f" expected sign {expected_sign}"
+            )
+        value *= scale
+    else:
+        m_factors = (Fraction(0),) * n
+        value = Fraction(0)
+        zero_reason = ZERO_COMPLEX_PLACE
+    return report_type(
+        value=value,
+        n=n,
+        two_power=two_power,
+        level_norm_power=level_norm_power,
+        disc_power=disc_power,
+        m_factors=m_factors,
+        warnings=warnings,
+        zero_reason=zero_reason,
+        **fields,
+    )
+
+
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
     """Closed form for the Lefschetz number of the symplectic involution.
 
     Zero exactly when the base field has a complex place or trace_w is 0;
     otherwise 2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr prod_j M(j).
     """
-    warnings = _torsion_gate(inp.level, inp.assume_torsion_free)
-    n, algebra = inp.n, inp.algebra
-    two_power = Fraction(1, 2**algebra.r)
-    level_norm_power = inp.level.norm() ** (n * (2 * n + 1))
-    disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
-    if not inp.field.is_totally_real:
-        return LefschetzReport(
-            value=Fraction(0),
-            n=n,
-            trace_w=inp.trace_w,
-            two_power=two_power,
-            level_norm_power=level_norm_power,
-            disc_power=disc_power,
-            m_factors=(Fraction(0),) * n,
-            warnings=warnings,
-            zero_reason=ZERO_COMPLEX_PLACE,
-        )
-    m_factors = tuple(m_factor(j, inp.level, algebra) for j in range(1, n + 1))
-    value = two_power * level_norm_power * disc_power * inp.trace_w
-    for m in m_factors:
-        value *= m
-    return LefschetzReport(
-        value=value,
-        n=n,
+    return _closed_form(
+        LefschetzReport,
+        inp.algebra,
+        inp.n,
+        inp.level,
+        inp.assume_torsion_free,
+        inp.algebra.r,
+        inp.trace_w,
         trace_w=inp.trace_w,
-        two_power=two_power,
-        level_norm_power=level_norm_power,
-        disc_power=disc_power,
-        m_factors=m_factors,
-        warnings=warnings,
     )
 
 
@@ -345,43 +378,17 @@ def euler_char_fixed_component(
     """
     _validate_setting(algebra, n, level)
     _validate_class(algebra, n, signature_class)
-    warnings = _torsion_gate(level, assume_torsion_free)
-    r = algebra.r
-    two_power = Fraction(1, 2 ** (n * r))
-    level_norm_power = level.norm() ** (n * (2 * n + 1))
-    disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
     binomial = signature_class.binomial_factor(n)
-    if not algebra.field.is_totally_real:
-        return EulerCharReport(
-            value=Fraction(0),
-            n=n,
-            signature_class=signature_class,
-            binomial_factor=binomial,
-            two_power=two_power,
-            level_norm_power=level_norm_power,
-            disc_power=disc_power,
-            m_factors=(Fraction(0),) * n,
-            warnings=warnings,
-            zero_reason=ZERO_COMPLEX_PLACE,
-        )
-    m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
-    value = two_power * level_norm_power * disc_power * binomial
-    for m in m_factors:
-        value *= m
-    expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
-    assert value != 0 and (value > 0) == (expected_sign > 0), (
-        f"sign law violated: chi = {value}, expected sign {expected_sign}"
-    )
-    return EulerCharReport(
-        value=value,
-        n=n,
+    return _closed_form(
+        EulerCharReport,
+        algebra,
+        n,
+        level,
+        assume_torsion_free,
+        n * algebra.r,
+        binomial,
         signature_class=signature_class,
         binomial_factor=binomial,
-        two_power=two_power,
-        level_norm_power=level_norm_power,
-        disc_power=disc_power,
-        m_factors=m_factors,
-        warnings=warnings,
     )
 
 
@@ -406,12 +413,7 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     Product over the level's primes of the lifted local group orders; the
     result is an integer by construction.
     """
-    if level.field != algebra.field:
-        raise ValidationError("level ideal lives in a different field")
-    if level.is_unit:
-        raise ValidationError("level must be a proper ideal")
-    if n < 1:
-        raise ValidationError("matrix size n must be >= 1")
+    _check_level(algebra, level, n)
     ram = set(algebra.ram_finite)
     index = 1
     for prime, exponent in level.factors:
@@ -430,7 +432,7 @@ def genus_fuchsian(
     g = 1 + 2^(-degree) N(level)^3 |d(D) zeta_F(-1)|
     prod_{P | level} (1 - N(P)^-2) prod_{P ramified, P not | level}
     (1 - N(P)^-1), and b1 = 2g. The Euler characteristic 2 - 2g must agree
-    with the n = 1 closed form at trace 1, which is asserted.
+    with the n = 1 closed form at trace 1, which is checked.
     """
     field = algebra.field
     if not field.is_totally_real:
@@ -439,8 +441,9 @@ def genus_fuchsian(
         raise NotFuchsianError(
             "algebra must be a division algebra split at exactly one real place"
         )
-    _validate_setting(algebra, 1, level)
-    warnings = _torsion_gate(level, assume_torsion_free)
+    # validates the setting and gates torsion before the genus formula runs
+    inp = LefschetzInput(field, algebra, 1, level, Fraction(1), assume_torsion_free)
+    closed = lefschetz_number(inp)
     g = Fraction(1, 2**field.degree) * level.norm() ** 3
     g *= abs(
         Fraction(algebra.signed_reduced_discriminant())
@@ -452,21 +455,15 @@ def genus_fuchsian(
         if level.valuation(prime) == 0:
             g *= 1 - Fraction(1, prime.norm)
     g += 1
-    assert g.denominator == 1, f"genus came out non-integral: {g}"
+    if g.denominator != 1:
+        raise InvariantError(f"genus came out non-integral: {g}")
     genus = g.numerator
-    closed = lefschetz_number(
-        LefschetzInput(
-            field=field,
-            algebra=algebra,
-            n=1,
-            level=level,
-            trace_w=Fraction(1),
-            assume_torsion_free=assume_torsion_free,
+    if closed.value != 2 - 2 * genus:
+        raise InvariantError(
+            "genus formula disagrees with the closed form:"
+            f" chi={closed.value}, g={genus}"
         )
-    ).value
-    assert closed == 2 - 2 * genus, (
-        f"genus formula disagrees with the closed form: chi={closed}, g={genus}"
-    )
+    warnings = closed.warnings
     if genus < 2 and check_torsion_necessary(level):
         warnings = warnings + (
             f"genus {genus} is below 2 although the torsion check passed",
@@ -560,10 +557,10 @@ def euler_char_adelic_numeric(
     if terms < 10**4:
         raise ValidationError("need at least 10^4 series terms")
     _validate_setting(algebra, n, level)
-    _validate_class(algebra, n, signature_class)
     d = n * (2 * n + 1)
     dim_x = fixed_point_space_dim(algebra, n, signature_class)
-    assert dim_x % 2 == 0
+    if dim_x % 2:
+        raise InvariantError(f"fixed-point space dimension {dim_x} is odd")
     sign = (-1) ** (dim_x // 2)
     disc_factor = float(field.abs_discriminant) ** (d / 2)
     weyl = weyl_quotient(n, algebra.s, signature_class)

@@ -284,16 +284,33 @@ class TotallyRealField:
 
     @classmethod
     def from_descriptor(cls, data: dict) -> "TotallyRealField":
+        if not isinstance(data, dict):
+            raise ValidationError("descriptor must be a JSON object")
         unknown = set(data) - _DESCRIPTOR_KEYS
         if unknown:
             raise ValidationError(f"unknown descriptor keys: {sorted(unknown)}")
         for key in ("degree", "abs_discriminant", "num_real_places"):
             if key not in data:
                 raise ValidationError(f"descriptor missing key {key!r}")
-        zeta_neg = tuple(parse_rational(v) for v in data.get("zeta_neg", ()))
+            if not isinstance(data[key], (int, str)):
+                raise ValidationError(f"descriptor key {key!r} must be an integer")
+        zeta_table = data.get("zeta_neg", [])
+        if not isinstance(zeta_table, (list, tuple)):
+            raise ValidationError("descriptor zeta_neg must be a list")
+        zeta_neg = tuple(parse_rational(v) for v in zeta_table)
+        table = data.get("splitting", {})
+        if not isinstance(table, dict) or not all(
+            isinstance(pairs, (list, tuple))
+            and all(isinstance(pair, (list, tuple)) for pair in pairs)
+            and all(len(pair) == 2 for pair in pairs)
+            and all(isinstance(x, (int, str)) for pair in pairs for x in pair)
+            for pairs in table.values()
+        ):
+            raise ValidationError(
+                "descriptor splitting must map each prime to a list of [f, e] pairs"
+            )
         splitting = {
-            int(p): [tuple(pair) for pair in pairs]
-            for p, pairs in data.get("splitting", {}).items()
+            int(p): [tuple(pair) for pair in pairs] for p, pairs in table.items()
         }
         return cls.external(
             degree=int(data["degree"]),

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quatlef import finitegrp
 from quatlef.cli import main
 
@@ -416,6 +418,12 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert code == 2
     assert "unknown config keys" in err
 
+    path.write_text(json.dumps({"n": [1]}), encoding="utf-8")
+    argv = ["lefschetz", "--config", str(path), "--field", "q", "--split", "--level", "3"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.splitlines() == ["error: config key 'n' must be a string, number or boolean, not list"]
+
 
 def test_missing_required_flag(capsys):
     code, _, err = run_cli(capsys, ["lefschetz", "--field", "q", "--split"])
@@ -461,3 +469,34 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["values"][0]["value"] == "-1/12"
+
+
+# zeta_Q(-1) = -1/12 replaced by +1/12 breaks the sign law of the closed form
+_TAMPERED_ZETA = (
+    "import sys; from fractions import Fraction; import quatlef.lefschetz as lef;"
+    " lef.dedekind_zeta_neg = lambda field, j: Fraction(1, 12);"
+    " from quatlef.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["genus", "--field", "q", "--ram", "2,3", "--level", "5"],
+        ["euler-char", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"],
+    ],
+)
+def test_invariant_guard_holds_under_optimize(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _TAMPERED_ZETA, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: sign law violated")

@@ -1,0 +1,122 @@
+"""Byte-for-byte contract of the command line.
+
+``tests/golden/corpus.json`` holds the exit code, stdout and stderr of
+every invocation in ``CASES``. A refactor must reproduce all three
+exactly; a deliberate change of output re-records the corpus with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and shows the new bytes in its diff. An argv entry starting with ``@/``
+names a fixture file in ``tests/golden/``.
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from quatlef.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CORPUS = GOLDEN / "corpus.json"
+
+# one algebra per base field that is valid there, and a Fuchsian one for genus
+_FIELDS = {
+    "q": ("q", ["--ram", "2,3"], "1", "5", "", ["--ram", "2,3"]),
+    "quad5": ("quad:5", ["--ram-real", "2"], "2", "3", "2,0;2,0", ["--ram", "2", "--ram-real", "1"]),
+    "quad2": ("quad:2", ["--ram", "2", "--ram-real", "1"], "2", "3", "0,2", ["--ram", "2", "--ram-real", "1"]),
+    "ext5": ("external:@/q5.json", ["--ram-real", "2"], "2", "11", "2,0;0,2", ["--ram", "2", "--ram-real", "1"]),
+}
+
+
+def _field_cases() -> dict[str, list[str]]:
+    cases = {}
+    for tag, (field, algebra, n, level, signature, fuchsian) in _FIELDS.items():
+        # the descriptor has two zeta values and splitting data above 2, 5, 11
+        jmax, levels = ("2", "10:11") if tag == "ext5" else ("3", "2:12")
+        setting = ["--field", field, *algebra, "--n", n, "--level", level]
+        for fmt in ("json", "csv"):
+            cases[f"zeta-{tag}-{fmt}"] = ["zeta", "--field", field, "--jmax", jmax, "--format", fmt]
+            cases[f"lefschetz-{tag}-{fmt}"] = ["lefschetz", *setting, "--format", fmt]
+            cases[f"euler-char-{tag}-{fmt}"] = [
+                "euler-char", *setting, "--signature", signature, "--format", fmt
+            ]
+            cases[f"index-{tag}-{fmt}"] = ["index", *setting, "--format", fmt]
+            cases[f"genus-{tag}-{fmt}"] = [
+                "genus", "--field", field, *fuchsian, "--level", level,
+                "--weights", "2,4,6", "--format", fmt,
+            ]
+        cases[f"table-{tag}"] = ["table", "--field", field, *algebra, "--n", n, "--levels", levels]
+    return cases
+
+
+CASES = {
+    **_field_cases(),
+    "lefschetz-trace-w": ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5", "--trace-w=-1/2"],
+    "lefschetz-hilbert": ["lefschetz", "--field", "q", "--hilbert=-1,-3", "--n", "2", "--level", "5"],
+    "lefschetz-prime-level": ["lefschetz", "--field", "quad:5", "--split", "--n", "1", "--level", "11:1:1:a^2,3:2:1"],
+    "lefschetz-torsion-override": ["lefschetz", "--field", "q", "--split", "--n", "2", "--level", "2", "--assume-torsion-free"],
+    "lefschetz-config": ["lefschetz", "--config", "@/config.json"],
+    "lefschetz-complex-place": ["lefschetz", "--field", "external:@/imaginary.json", "--split", "--n", "2", "--level", "3"],
+    "euler-char-complex-place": ["euler-char", "--field", "external:@/imaginary.json", "--split", "--n", "1", "--level", "5"],
+    "euler-char-adelic": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature", "2,0;2,0", "--adelic-terms", "10000"],
+    "table-complex-place": ["table", "--field", "external:@/imaginary.json", "--split", "--n", "1", "--levels", "2:6"],
+    "table-split-n2": ["table", "--field", "q", "--split", "--n", "2", "--levels", "3:9", "--trace-w", "3"],
+    "table-fuchsian-quad5": ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "1", "--levels", "3:9"],
+    "verify": ["verify"],
+    "verify-suites": ["verify", "--suite", "volumes,binomial"],
+    "err-torsion": ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "2"],
+    "err-torsion-genus": ["genus", "--field", "q", "--ram", "2,3", "--level", "2"],
+    "err-parity": ["lefschetz", "--field", "q", "--ram", "2", "--n", "1", "--level", "5"],
+    "err-field-spec": ["zeta", "--field", "r", "--jmax", "2"],
+    "err-jmax": ["zeta", "--field", "q", "--jmax", "0"],
+    "err-level-spec": ["index", "--field", "quad:5", "--split", "--n", "1", "--level", "11:2:1"],
+    "err-missing-flag": ["euler-char", "--field", "q", "--split", "--level", "3"],
+    "err-conflicting-algebra": ["index", "--field", "q", "--split", "--ram", "2,3", "--n", "1", "--level", "5"],
+    "err-not-fuchsian": ["genus", "--field", "q", "--split", "--level", "5"],
+    "err-definite-n1": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "1", "--level", "3"],
+    "err-signature": ["euler-char", "--field", "q", "--ram", "2,3", "--n", "2", "--level", "5", "--signature", "1,1"],
+    "err-external-zeta": ["lefschetz", "--field", "external:@/q5.json", "--ram-real", "2", "--n", "3", "--level", "11"],
+    "err-external-prime": ["index", "--field", "external:@/q5.json", "--split", "--n", "1", "--level", "3"],
+    "err-trace-w": ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3", "--trace-w", "x"],
+    "err-table-cap": ["table", "--field", "q", "--split", "--n", "1", "--levels", "2:20002"],
+    "err-verify-suite": ["verify", "--suite", "nope"],
+}
+
+
+def run_case(argv: list[str]) -> dict:
+    argv = [arg.replace("@/", f"{GOLDEN}/") for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _corpus() -> dict:
+    return json.loads(CORPUS.read_text(encoding="utf-8"))
+
+
+def test_corpus_covers_every_case():
+    assert sorted(_corpus()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    recorded = _corpus()[name]
+    assert recorded["argv"] == CASES[name]
+    got = run_case(CASES[name])
+    assert got["exit"] == recorded["exit"]
+    assert got["stdout"] == recorded["stdout"]
+    assert got["stderr"] == recorded["stderr"]
+
+
+if __name__ == "__main__":
+    corpus = {name: {"argv": argv, **run_case(argv)} for name, argv in CASES.items()}
+    CORPUS.write_text(json.dumps(corpus, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.stdout.write(f"recorded {len(corpus)} cases in {CORPUS}\n")

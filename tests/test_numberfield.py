@@ -251,6 +251,9 @@ class TestExternalField:
         bad = dict(self.DESCRIPTOR, splitting={"3": [[1, 1]]})
         with pytest.raises(ValidationError):
             TotallyRealField.from_descriptor(bad)
+        bad = dict(self.DESCRIPTOR, splitting={"5": [1, 2]})
+        with pytest.raises(ValidationError, match="list of \\[f, e\\] pairs"):
+            TotallyRealField.from_descriptor(bad)
 
     def test_bad_zeta_sign_rejected(self):
         bad = dict(self.DESCRIPTOR, zeta_neg=["-1/30"])

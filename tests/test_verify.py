@@ -1,0 +1,12 @@
+"""Every check of every ``quatlef verify`` suite passes."""
+
+import pytest
+
+from quatlef import verify
+
+
+@pytest.mark.parametrize("suite", list(verify.SUITES))
+def test_verify_suite_passes(suite):
+    checks = verify.SUITES[suite]()
+    assert checks
+    assert [(name, detail) for name, ok, detail in checks if not ok] == []
