@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -46,7 +47,6 @@ from .numberfield import (
 from .quaternion import QuaternionAlgebra, hilbert_ramification_q
 
 _TABLE_ROW_CAP = 10**4
-_ADELIC_REL_TOL = 1e-5
 
 _CONFIG_KEYS = {
     "field",
@@ -68,6 +68,9 @@ _CONFIG_KEYS = {
     "out",
     "suite",
 }
+
+# config keys whose flags argparse converts with ``type=int``
+_INT_CONFIG_KEYS = {"n", "jmax", "ram_real", "adelic_terms"}
 
 
 def _parse_field(spec) -> TotallyRealField:
@@ -196,6 +199,14 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"config key {key!r} must be a string, number or boolean,"
                 f" not {type(value).__name__}"
             )
+        elif key in _INT_CONFIG_KEYS and value is not None:
+            # the flag's own conversion of its text: 1.5 and true are rejected
+            try:
+                value = int(str(value))
+            except ValueError:
+                raise ValidationError(
+                    f"config key {key!r} must be an integer, not {json.dumps(value)}"
+                ) from None
         current = getattr(args, key, None)
         if current is None or (key == "split" and current is False):
             setattr(args, key, value)
@@ -315,7 +326,7 @@ def _cmd_euler_char(args) -> int:
         payload["adelic_numeric"] = {
             "value": numeric,
             "terms": terms,
-            "rel_tolerance": _ADELIC_REL_TOL,
+            "rel_tolerance": verify_mod.ADELIC_REL_TOL,
         }
     rows = [
         ["value", format_rational(report.value)],
@@ -462,7 +473,10 @@ def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    ``main`` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="quatlef",
         description=(
@@ -540,8 +554,7 @@ _REQUIRED = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
         for key in _REQUIRED[args.command]:

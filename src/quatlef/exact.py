@@ -3,8 +3,8 @@
 Carriers for every exact quantity in the package: arbitrary-precision
 rationals (plain ``fractions.Fraction`` values, always reduced, positive
 denominator, no rounding), the Bernoulli machinery behind zeta values at
-negative odd integers, and a closed symbolic scalar ``q * pi^k * sqrt(m)``
-used for compact-group volumes and discriminant square roots.
+negative odd integers, and a closed symbolic scalar ``q * pi^k`` used for
+compact-group volumes.
 
 No floating point enters this module; floats appear only in the explicitly
 numeric cross-check paths elsewhere.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, pi, sqrt
+from math import comb, pi
 
 from .errors import ValidationError
 
@@ -86,65 +86,28 @@ def riemann_zeta_neg(j: int) -> Fraction:
     return -bernoulli(2 * j) / (2 * j)
 
 
-def _extract_square(m: int) -> tuple[int, int]:
-    """Split m >= 1 as m = s^2 * m0 with m0 squarefree; return (s, m0)."""
-    s, m0, d = 1, 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            count = 0
-            while m % d == 0:
-                m //= d
-                count += 1
-            s *= d ** (count // 2)
-            if count % 2:
-                m0 *= d
-        d += 1 if d == 2 else 2
-    return s, m0 * m
-
-
 @dataclass(frozen=True)
 class SymbolicScalar:
-    """Exact scalar of the closed form ``coeff * pi^pi_exp * sqrt(radicand)``.
+    """Exact scalar of the closed form ``coeff * pi^pi_exp``.
 
-    The radicand is kept squarefree (square parts are pulled into the
-    coefficient on construction) and zero is canonical: coeff 0 forces
-    pi_exp 0 and radicand 1. Multiplication is closed because the product
-    of two square roots again has a single squarefree radicand. Equality
-    and hashing compare the three normalised fields.
+    Zero is canonical: coeff 0 forces pi_exp 0. Equality and hashing
+    compare the two normalised fields.
     """
 
     coeff: Fraction
     pi_exp: int = 0
-    radicand: int = 1
 
     def __post_init__(self) -> None:
         coeff = Fraction(self.coeff)
-        if self.radicand < 1:
-            raise ValidationError("radicand must be a positive integer")
-        square, squarefree = _extract_square(self.radicand)
-        coeff *= square
-        pi_exp = int(self.pi_exp)
-        if coeff == 0:
-            pi_exp, squarefree = 0, 1
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exp", pi_exp)
-        object.__setattr__(self, "radicand", squarefree)
-
-    @classmethod
-    def from_rational(cls, value: Fraction | int) -> "SymbolicScalar":
-        return cls(Fraction(value))
+        object.__setattr__(self, "pi_exp", int(self.pi_exp) if coeff else 0)
 
     def __mul__(self, other: "SymbolicScalar | Fraction | int") -> "SymbolicScalar":
         if isinstance(other, (int, Fraction)):
-            other = SymbolicScalar.from_rational(other)
+            other = SymbolicScalar(Fraction(other))
         elif not isinstance(other, SymbolicScalar):
             return NotImplemented
-        g = gcd(self.radicand, other.radicand)
-        return SymbolicScalar(
-            self.coeff * other.coeff * g,
-            self.pi_exp + other.pi_exp,
-            (self.radicand // g) * (other.radicand // g),
-        )
+        return SymbolicScalar(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
 
     __rmul__ = __mul__
 
@@ -152,37 +115,18 @@ class SymbolicScalar:
         """Multiplicative inverse; raises ZeroDivisionError on zero."""
         if self.coeff == 0:
             raise ZeroDivisionError("cannot invert the zero scalar")
-        return SymbolicScalar(
-            1 / (self.coeff * self.radicand), -self.pi_exp, self.radicand
-        )
+        return SymbolicScalar(1 / self.coeff, -self.pi_exp)
 
     def __pow__(self, exponent: int) -> "SymbolicScalar":
         if not isinstance(exponent, int):
             return NotImplemented
-        if exponent == 0:
-            return SymbolicScalar(Fraction(1))
-        base = self if exponent > 0 else self.inverse()
+        base = self if exponent >= 0 else self.inverse()
         k = abs(exponent)
-        coeff = base.coeff**k * base.radicand ** (k // 2)
-        return SymbolicScalar(coeff, base.pi_exp * k, base.radicand if k % 2 else 1)
+        return SymbolicScalar(base.coeff**k, base.pi_exp * k)
 
     @property
     def is_rational(self) -> bool:
-        return self.pi_exp == 0 and self.radicand == 1
+        return self.pi_exp == 0
 
     def to_float(self) -> float:
-        return float(self.coeff) * pi**self.pi_exp * sqrt(self.radicand)
-
-    def __str__(self) -> str:
-        if self.coeff == 0:
-            return "0"
-        parts = []
-        if self.coeff != 1 or (self.pi_exp == 0 and self.radicand == 1):
-            parts.append(format_rational(self.coeff))
-        if self.pi_exp == 1:
-            parts.append("pi")
-        elif self.pi_exp:
-            parts.append(f"pi^{self.pi_exp}")
-        if self.radicand != 1:
-            parts.append(f"sqrt({self.radicand})")
-        return "*".join(parts)
+        return float(self.coeff) * pi**self.pi_exp

@@ -198,16 +198,12 @@ def _quadratic_extension(q: int):
     Uses the lexicographically first irreducible monic quadratic, so the
     construction is deterministic. Elements are encoded as a + b*x -> a + q*b.
     """
-    poly = None
-    for b in range(q):
-        for c in range(q):
-            if all((t * t + b * t + c) % q for t in range(q)):
-                poly = (b, c)
-                break
-        if poly:
-            break
-    assert poly is not None
-    b, c = poly
+    b, c = next(
+        (b, c)
+        for b in range(q)
+        for c in range(q)
+        if all((t * t + b * t + c) % q for t in range(q))
+    )
     q2 = q * q
     mul = [[0] * q2 for _ in range(q2)]
     for z1 in range(q2):

@@ -404,9 +404,6 @@ class Ideal:
             total *= prime.norm**exponent
         return total
 
-    def primes(self) -> tuple[PrimeIdeal, ...]:
-        return tuple(prime for prime, _ in self.factors)
-
     def valuation(self, prime: PrimeIdeal) -> int:
         for candidate, exponent in self.factors:
             if candidate == prime:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, pi
+from types import SimpleNamespace
 
 from . import finitegrp, lefschetz, numberfield
 from .lefschetz import (
@@ -56,15 +57,29 @@ def _fields() -> dict[str, TotallyRealField]:
     }
 
 
+def _fixtures() -> SimpleNamespace:
+    """The algebras over Q and Q(sqrt(5)), the level (3) and the signature
+    class that several suites share."""
+    fields = _fields()
+    q, q5 = fields["Q"], fields["Q(sqrt(5))"]
+    primes = tuple(numberfield.split_prime(q, p)[0] for p in (2, 3))
+    return SimpleNamespace(
+        q=q,
+        split=QuaternionAlgebra(q, (), 0),
+        ram23=QuaternionAlgebra(q, primes, 0),
+        hamilton=QuaternionAlgebra(q5, (), 2),
+        level3=ideal_from_integer(q5, 3),
+        cls=SignatureClass(((2, 0), (2, 0))),
+    )
+
+
 def _algebras_for(field: TotallyRealField) -> list[tuple[str, QuaternionAlgebra]]:
     """Split, a {2,3}-style ramified algebra, and a Hamilton-type algebra."""
     out = [("split", QuaternionAlgebra(field, (), 0))]
     if field.kind == "rationals":
-        primes = tuple(
-            numberfield.split_prime(field, p)[0] for p in (2, 3)
-        )
-        out.append(("ram23", QuaternionAlgebra(field, primes, 0)))
-        out.append(("hamilton", QuaternionAlgebra(field, primes[:1], 1)))
+        ram23 = _fixtures().ram23
+        out.append(("ram23", ram23))
+        out.append(("hamilton", QuaternionAlgebra(field, ram23.ram_finite[:1], 1)))
     else:
         out.append(("hamilton", QuaternionAlgebra(field, (), 2)))
         prime2 = numberfield.split_prime(field, 2)[0]
@@ -300,8 +315,8 @@ def suite_finite_orders() -> list[Check]:
 
 
 def suite_index() -> list[Check]:
-    field = TotallyRealField.rationals()
-    split = QuaternionAlgebra(field, (), 0)
+    fx = _fixtures()
+    field, split = fx.q, fx.split
     checks = []
     for n_mod in (2, 3, 4, 5, 6):
         level = ideal_from_integer(field, n_mod)
@@ -325,11 +340,8 @@ def suite_index() -> list[Check]:
 
 
 def suite_lefschetz() -> list[Check]:
-    field = TotallyRealField.rationals()
-    split = QuaternionAlgebra(field, (), 0)
-    ram23 = QuaternionAlgebra(
-        field, tuple(numberfield.split_prime(field, p)[0] for p in (2, 3)), 0
-    )
+    fx = _fixtures()
+    field, split, ram23 = fx.q, fx.split, fx.ram23
     checks = []
     for n_mod in (3, 4, 5, 6, 7):
         value = lefschetz_number(
@@ -345,13 +357,9 @@ def suite_lefschetz() -> list[Check]:
         checks.append(_eq(f"genus(ram23, ({n_mod}))", report.genus, want_g))
         checks.append(_eq(f"b1(ram23, ({n_mod}))", report.b1, 2 * want_g))
         checks.append(_eq(f"chi=2-2g ({n_mod})", report.chi, value))
-    q5 = TotallyRealField.real_quadratic(5)
-    hamilton = QuaternionAlgebra(q5, (), 2)
-    level3 = ideal_from_integer(q5, 3)
-    cls = SignatureClass(((2, 0), (2, 0)))
-    chi = euler_char_fixed_component(hamilton, 2, level3, cls).value
+    chi = euler_char_fixed_component(fx.hamilton, 2, fx.level3, fx.cls).value
     checks.append(_eq("chi(Hamilton/Q(sqrt5)), n=2, (3)", chi, Fraction(119556)))
-    inp = LefschetzInput(q5, hamilton, 2, level3)
+    inp = LefschetzInput(fx.hamilton.field, fx.hamilton, 2, fx.level3)
     checks.append(
         _eq(
             "decomposition 4*chi",
@@ -454,19 +462,15 @@ def suite_volumes() -> list[Check]:
             SymbolicScalar(Fraction(32, 45), 12),
         ),
     ]
-    field = TotallyRealField.rationals()
-    split = QuaternionAlgebra(field, (), 0)
-    ram23 = QuaternionAlgebra(
-        field, tuple(numberfield.split_prime(field, p)[0] for p in (2, 3)), 0
-    )
-    q5 = TotallyRealField.real_quadratic(5)
-    hamilton = QuaternionAlgebra(q5, (), 2)
+    fx = _fixtures()
     checks += [
-        _eq("mf split n=1", lefschetz.global_modulus_factor(split, 1), Fraction(2)),
-        _eq("mf ram23 n=1", lefschetz.global_modulus_factor(ram23, 1), Fraction(1, 3)),
+        _eq("mf split n=1", lefschetz.global_modulus_factor(fx.split, 1), Fraction(2)),
+        _eq(
+            "mf ram23 n=1", lefschetz.global_modulus_factor(fx.ram23, 1), Fraction(1, 3)
+        ),
         _eq(
             "mf Hamilton n=2",
-            lefschetz.global_modulus_factor(hamilton, 2),
+            lefschetz.global_modulus_factor(fx.hamilton, 2),
             Fraction(16),
         ),
     ]
@@ -474,11 +478,8 @@ def suite_volumes() -> list[Check]:
 
 
 def suite_adelic(terms: int = DEFAULT_TERMS) -> list[Check]:
-    field = TotallyRealField.rationals()
-    split = QuaternionAlgebra(field, (), 0)
-    ram23 = QuaternionAlgebra(
-        field, tuple(numberfield.split_prime(field, p)[0] for p in (2, 3)), 0
-    )
+    fx = _fixtures()
+    field, split, ram23 = fx.q, fx.split, fx.ram23
     empty = SignatureClass(())
     checks = []
     cases = [(split, 1, n_mod) for n_mod in (3, 4, 5, 6, 7)]
@@ -495,12 +496,8 @@ def suite_adelic(terms: int = DEFAULT_TERMS) -> list[Check]:
                 ADELIC_REL_TOL,
             )
         )
-    q5 = TotallyRealField.real_quadratic(5)
-    hamilton = QuaternionAlgebra(q5, (), 2)
-    level3 = ideal_from_integer(q5, 3)
-    cls = SignatureClass(((2, 0), (2, 0)))
-    exact = euler_char_fixed_component(hamilton, 2, level3, cls).value
-    numeric = euler_char_adelic_numeric(hamilton, 2, level3, cls, terms)
+    exact = euler_char_fixed_component(fx.hamilton, 2, fx.level3, fx.cls).value
+    numeric = euler_char_adelic_numeric(fx.hamilton, 2, fx.level3, fx.cls, terms)
     checks.append(
         _close("adelic Hamilton/Q(sqrt5) n=2", numeric, float(exact), ADELIC_REL_TOL)
     )

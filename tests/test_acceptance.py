@@ -1,215 +1,58 @@
-"""Acceptance suite: one test and one printed pass/fail line per criterion.
+"""Acceptance criteria, each stated as the ``quatlef verify`` checks that pin it.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as
-they are produced. Every comparison is exact unless a tolerance is stated
-in the assertion itself.
+``quatlef verify`` prints the pass counts of every suite; the checks named
+here are listed, with their inputs, in ``quatlef.verify``.
 """
 
-from fractions import Fraction
 
-from quatlef.finitegrp import (
-    brute_force_ramified_sl1,
-    brute_force_sl,
-    brute_force_sp,
-    brute_force_unitary,
-    ramified_local_order,
-    sl_order,
-    sp_order,
-    unitary_order,
-)
-from quatlef.lefschetz import (
-    LefschetzInput,
-    SignatureClass,
-    congruence_index,
-    euler_char_adelic_numeric,
-    euler_char_fixed_component,
-    genus_fuchsian,
-    h1_signature_classes,
-    lefschetz_number,
-    lefschetz_via_decomposition,
-    vol_sp_compact,
-)
-from quatlef.numberfield import (
-    TotallyRealField,
-    dedekind_zeta_neg,
-    ideal_from_integer,
-    split_prime,
-)
-from quatlef.quaternion import QuaternionAlgebra
-from quatlef.exact import SymbolicScalar
-from quatlef.verify import decomposition_grid
-
-Q = TotallyRealField.rationals()
-Q5 = TotallyRealField.real_quadratic(5)
-SPLIT = QuaternionAlgebra(Q, (), 0)
-RAM23 = QuaternionAlgebra(Q, tuple(split_prime(Q, p)[0] for p in (2, 3)), 0)
-HAM5 = QuaternionAlgebra(Q5, (), 2)
-
-ADELIC_TERMS = 10**6
-ADELIC_REL_TOL = 1e-5
+def test_criterion_1_classical_sl2(verified):
+    # L(Q, split, n=1, (N)) = -|SL_2(Z/N)|/12 against enumeration
+    verified("lefschetz", *(f"L(split, n=1, ({n}))" for n in range(3, 8)))
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE criterion {criterion}: {status} ({detail})")
-    assert ok, f"criterion {criterion}: {detail}"
+def test_criterion_2_shimura_curve_coherence(verified):
+    # ram {2,3}: level (5) gives L=-20, g=11, b1=22; level (7) L=-56, g=29
+    for n in (5, 7):
+        verified(
+            "lefschetz",
+            f"L(ram23, ({n}))",
+            f"genus(ram23, ({n}))",
+            f"b1(ram23, ({n}))",
+            f"chi=2-2g ({n})",
+        )
 
 
-def test_criterion_1_classical_sl2():
-    results = {}
-    for n_mod in (3, 4, 5, 6, 7):
-        value = lefschetz_number(
-            LefschetzInput(Q, SPLIT, 1, ideal_from_integer(Q, n_mod))
-        ).value
-        results[n_mod] = (value, Fraction(-brute_force_sl(2, n_mod), 12))
-    ok = all(got == want for got, want in results.values())
-    spot = results[3][0] == -2 and results[4][0] == -4 and results[5][0] == -10
-    report(
-        1,
-        ok and spot,
-        "L(Q, split, n=1, (N)) = -|SL_2(Z/N)|/12 for N in 3..7: "
-        + ", ".join(f"N={n}: {got}" for n, (got, _want) in sorted(results.items())),
+def test_criterion_3_quadratic_field_pipeline(verified):
+    verified("zeta", "zeta_Q(sqrt(5))(-1)", "zeta_Q(sqrt(5))(-3)")
+    verified(
+        "lefschetz",
+        "chi(Hamilton/Q(sqrt5)), n=2, (3)",
+        "decomposition 4*chi",
+        "closed form 478224",
     )
 
 
-def test_criterion_2_shimura_curve_coherence():
-    checks = []
-    for n_mod, want_l, want_g in ((5, -20, 11), (7, -56, 29)):
-        level = ideal_from_integer(Q, n_mod)
-        value = lefschetz_number(LefschetzInput(Q, RAM23, 1, level)).value
-        genus = genus_fuchsian(RAM23, level)
-        checks.append(value == want_l)
-        checks.append(genus.genus == want_g)
-        checks.append(genus.b1 == 2 * want_g)
-        checks.append(2 - 2 * genus.genus == value)
-    report(
-        2,
-        all(checks),
-        "ram {2,3}: level (5) gives L=-20, g=11, b1=22; level (7) gives L=-56, g=29",
-    )
+def test_criterion_4_decomposition_identity_on_grid(verified):
+    verified("decomposition")
 
 
-def test_criterion_3_quadratic_field_pipeline():
-    zeta_ok = dedekind_zeta_neg(Q5, 1) == Fraction(1, 30) and dedekind_zeta_neg(
-        Q5, 2
-    ) == Fraction(1, 60)
-    level3 = ideal_from_integer(Q5, 3)
-    cls = SignatureClass(((2, 0), (2, 0)))
-    chi = euler_char_fixed_component(HAM5, 2, level3, cls).value
-    inp = LefschetzInput(Q5, HAM5, 2, level3)
-    decomposed = lefschetz_via_decomposition(inp)
-    closed = lefschetz_number(inp).value
-    ok = zeta_ok and chi == 119556 and decomposed == 478224 and closed == decomposed
-    report(
-        3,
-        ok,
-        f"zeta(-1)=1/30, zeta(-3)=1/60, chi={chi}, sum={decomposed}, closed={closed}",
-    )
+def test_criterion_5_binomial_identity(verified):
+    verified("binomial")
 
 
-def test_criterion_4_decomposition_identity_on_grid():
-    grid = decomposition_grid()
-    mismatches = [
-        inp
-        for inp in grid
-        if lefschetz_via_decomposition(inp) != lefschetz_number(inp).value
-    ]
-    report(
-        4,
-        len(grid) >= 50 and not mismatches,
-        f"{len(grid)} inputs over Q, Q(sqrt5), Q(sqrt2); {len(mismatches)} mismatches",
-    )
+def test_criterion_6_finite_group_oracles(verified):
+    verified("finite-orders")
 
 
-def test_criterion_5_binomial_identity():
-    bad = []
-    for n in range(1, 7):
-        for r in range(0, 5):
-            total = sum(
-                cls.binomial_factor(n) for cls in h1_signature_classes(r, n)
-            )
-            if total != 2 ** (r * (n - 1)):
-                bad.append((n, r, total))
-    report(5, not bad, f"sum of binomials = 2^(r(n-1)) for n<=6, r<=4; bad={bad}")
+def test_criterion_7_index_formula(verified):
+    verified("index")
 
 
-def test_criterion_6_finite_group_oracles():
-    checks = []
-    for m, q in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2)):
-        checks.append(sl_order(m, q) == brute_force_sl(m, q))
-    for n, q in ((1, 2), (1, 3), (1, 5), (2, 2)):
-        checks.append(sp_order(n, q) == brute_force_sp(n, q))
-    checks.append(brute_force_sp(2, 2) == 720)
-    for q in (2, 3, 5):
-        checks.append(ramified_local_order(1, q) == brute_force_ramified_sl1(q))
-    for n, q in ((1, 2), (1, 3), (2, 2)):
-        checks.append(unitary_order(n, q) == brute_force_unitary(n, q))
-    report(
-        6,
-        all(checks),
-        f"{len(checks)} closed-form vs enumeration equalities, incl. Sp_2(F_2)=720",
-    )
+def test_criterion_8_adelic_cross_check(verified):
+    verified("volumes", "vol Sp(1)", "vol Sp(2)")
+    verified("adelic")
 
 
-def test_criterion_7_index_formula():
-    checks = []
-    for n_mod in (2, 3, 4, 5, 6):
-        level = ideal_from_integer(Q, n_mod)
-        checks.append(congruence_index(SPLIT, 1, level) == brute_force_sl(2, n_mod))
-    ram2 = QuaternionAlgebra(Q, (split_prime(Q, 2)[0],), 1)
-    checks.append(congruence_index(ram2, 1, ideal_from_integer(Q, 2)) == 12)
-    report(
-        7,
-        all(checks),
-        "index = |SL_2(Z/N)| for N in 2..6 split, and 12 for ramified-at-2 level (2)",
-    )
-
-
-def test_criterion_8_adelic_cross_check():
-    vol_ok = vol_sp_compact(1) == SymbolicScalar(Fraction(2), 2) and vol_sp_compact(
-        2
-    ) == SymbolicScalar(Fraction(8, 3), 6)
-    worst = 0.0
-    cases = [(SPLIT, 1, Q, n_mod, SignatureClass(())) for n_mod in (3, 4, 5, 6, 7)]
-    cases += [
-        (RAM23, 1, Q, 5, SignatureClass(())),
-        (RAM23, 1, Q, 7, SignatureClass(())),
-        (HAM5, 2, Q5, 3, SignatureClass(((2, 0), (2, 0)))),
-    ]
-    for algebra, n, field, n_mod, cls in cases:
-        level = ideal_from_integer(field, n_mod)
-        exact = float(euler_char_fixed_component(algebra, n, level, cls).value)
-        numeric = euler_char_adelic_numeric(algebra, n, level, cls, ADELIC_TERMS)
-        worst = max(worst, abs(numeric - exact) / abs(exact))
-    report(
-        8,
-        vol_ok and worst <= ADELIC_REL_TOL,
-        f"vol(Sp(1))=2pi^2, vol(Sp(2))=8pi^6/3; worst relative error {worst:.2e}"
-        f" <= {ADELIC_REL_TOL} over {len(cases)} inputs at {ADELIC_TERMS} terms",
-    )
-
-
-def test_criterion_9_sign_and_integrality_laws():
-    grid = decomposition_grid()
-    bad = []
-    for inp in grid:
-        value = lefschetz_number(inp).value
-        if value.denominator != 1:
-            bad.append(("non-integral L", inp))
-        expected_sign = (-1) ** (inp.algebra.s * inp.n * (inp.n + 1) // 2)
-        for cls in h1_signature_classes(inp.algebra.r, inp.n):
-            chi = euler_char_fixed_component(inp.algebra, inp.n, inp.level, cls).value
-            if chi == 0 or (chi > 0) != (expected_sign > 0):
-                bad.append(("sign law", inp))
-    zeta_bad = []
-    for field in (Q, Q5, TotallyRealField.real_quadratic(2)):
-        for j in range(1, 9):
-            value = dedekind_zeta_neg(field, j)
-            if value == 0 or (value > 0) != (j * field.degree % 2 == 0):
-                zeta_bad.append((field.describe(), j))
-    report(
-        9,
-        not bad and not zeta_bad,
-        f"{len(grid)} grid inputs: L integral, chi signs (-1)^(s n(n+1)/2),"
-        f" zeta signs (-1)^(j degree); violations: {bad[:2]} {zeta_bad[:2]}",
-    )
+def test_criterion_9_sign_and_integrality_laws(verified):
+    verified("signs")
+    verified("zeta")

