@@ -71,6 +71,8 @@ _CONFIG_KEYS = {
 
 # config keys whose flags argparse converts with ``type=int``
 _INT_CONFIG_KEYS = {"n", "jmax", "ram_real", "adelic_terms"}
+# config keys of ``store_true`` flags: only JSON true, false or null
+_BOOL_CONFIG_KEYS = {"split", "assume_torsion_free"}
 
 
 def _parse_field(spec) -> TotallyRealField:
@@ -199,6 +201,10 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"config key {key!r} must be a string, number or boolean,"
                 f" not {type(value).__name__}"
             )
+        elif key in _BOOL_CONFIG_KEYS and not isinstance(value, (bool, type(None))):
+            raise ValidationError(
+                f"config key {key!r} must be true or false, not {json.dumps(value)}"
+            )
         elif key in _INT_CONFIG_KEYS and value is not None:
             # the flag's own conversion of its text: 1.5 and true are rejected
             try:
@@ -320,6 +326,10 @@ def _cmd_euler_char(args) -> int:
         signature=str(report.signature_class),
         binomial_factor=report.binomial_factor,
     )
+    rows = [
+        ["value", format_rational(report.value)],
+        ["signature", str(report.signature_class)],
+    ]
     if args.adelic_terms:
         terms = int(args.adelic_terms)
         numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
@@ -328,10 +338,7 @@ def _cmd_euler_char(args) -> int:
             "terms": terms,
             "rel_tolerance": verify_mod.ADELIC_REL_TOL,
         }
-    rows = [
-        ["value", format_rational(report.value)],
-        ["signature", str(report.signature_class)],
-    ]
+        rows += [["adelic_numeric", repr(numeric)], ["adelic_terms", str(terms)]]
     return _emit_report(args, payload, rows)
 
 

@@ -19,10 +19,11 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from pathlib import Path
 
 from .errors import ExternalFieldError, ValidationError
-from .exact import bernoulli_poly_eval, parse_rational, riemann_zeta_neg
+from .exact import bernoulli, parse_rational, riemann_zeta_neg
 
 __all__ = [
     "PrimeIdeal",
@@ -440,18 +441,31 @@ def ideal_from_integer(field: TotallyRealField, n: int) -> Ideal:
 def gen_bernoulli(k: int, chi: QuadraticCharacter) -> Fraction:
     """Generalized Bernoulli number B_{k,chi} for a quadratic character.
 
-    B_{k,chi} = f^(k-1) * sum_{a=1}^{f} chi(a) B_k(a/f) with f the
-    conductor; it computes L(1-k, chi) = -B_{k,chi}/k.
+    By definition B_{k,chi} = f^(k-1) * sum_{a=1}^{f} chi(a) B_k(a/f) with
+    f the conductor; it computes L(1-k, chi) = -B_{k,chi}/k. Expanding
+    B_k(x) = sum_i C(k,i) B_i x^(k-i) gives
+
+        B_{k,chi} = sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
+        S_m = sum_{a=1}^{f} chi(a) a^m
+
+    (Washington, Introduction to Cyclotomic Fields, ch. 4). One pass over
+    the residues builds every power sum S_0..S_k in integer arithmetic, so
+    rationals enter only in the final k+1 terms.
     """
     if k < 1:
         raise ValidationError("generalized Bernoulli index must be >= 1")
     f = chi.conductor
-    total = Fraction(0)
+    sums = [0] * (k + 1)
     for a in range(1, f + 1):
-        value = chi(a)
-        if value:
-            total += value * bernoulli_poly_eval(k, Fraction(a, f))
-    return f ** (k - 1) * total
+        power = chi(a)
+        if power:
+            for m in range(k + 1):
+                sums[m] += power
+                power *= a
+    return sum(
+        comb(k, i) * bernoulli(i) * Fraction(f) ** (i - 1) * sums[k - i]
+        for i in range(k + 1)
+    )
 
 
 @lru_cache(maxsize=None)

@@ -431,6 +431,28 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     assert err.splitlines() == ["error: config key 'n' must be an integer, not 1.5"]
 
 
+def test_config_boolean_keys_reject_strings(capsys, tmp_path):
+    # a truthy string must not override the torsion gate (exit 3 otherwise)
+    path = tmp_path / "cfg.json"
+    config = {"field": "q", "assume_torsion_free": "false", "split": True, "n": 1, "level": "2"}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["lefschetz", "--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        "error: config key 'assume_torsion_free' must be true or false, not \"false\""
+    ]
+
+    path.write_text(json.dumps({**config, "assume_torsion_free": False, "split": "no"}), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["lefschetz", "--config", str(path)])
+    assert code == 2
+    assert err.splitlines() == ["error: config key 'split' must be true or false, not \"no\""]
+
+    path.write_text(json.dumps({**config, "assume_torsion_free": None}), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["lefschetz", "--config", str(path)])
+    assert code == 3
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_missing_required_flag(capsys):
     code, _, err = run_cli(capsys, ["lefschetz", "--field", "q", "--split"])
     assert code == 2

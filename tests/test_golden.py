@@ -63,9 +63,13 @@ CASES = {
     "lefschetz-complex-place": ["lefschetz", "--field", "external:@/imaginary.json", "--split", "--n", "2", "--level", "3"],
     "euler-char-complex-place": ["euler-char", "--field", "external:@/imaginary.json", "--split", "--n", "1", "--level", "5"],
     "euler-char-adelic": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature", "2,0;2,0", "--adelic-terms", "10000"],
+    "euler-char-adelic-csv": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature", "2,0;2,0", "--adelic-terms", "10000", "--format", "csv"],
     "table-complex-place": ["table", "--field", "external:@/imaginary.json", "--split", "--n", "1", "--levels", "2:6"],
     "table-split-n2": ["table", "--field", "q", "--split", "--n", "2", "--levels", "3:9", "--trace-w", "3"],
     "table-fuchsian-quad5": ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "1", "--levels", "3:9"],
+    # conductors at and beyond the top of the benchmark's zeta range
+    "zeta-quad10007-json": ["zeta", "--field", "quad:10007", "--jmax", "6"],
+    "zeta-quad4999-csv": ["zeta", "--field", "quad:4999", "--jmax", "8", "--format", "csv"],
     "verify": ["verify"],
     "verify-suites": ["verify", "--suite", "volumes,binomial"],
     "err-torsion": ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "2"],

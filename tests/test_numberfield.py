@@ -7,11 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatlef.errors import ExternalFieldError, ValidationError
+from quatlef.exact import bernoulli_poly_eval
 from quatlef.numberfield import (
     Ideal,
+    QuadraticCharacter,
     TotallyRealField,
     dedekind_zeta_neg,
     factorize,
+    gen_bernoulli,
     ideal_from_integer,
     is_fundamental_discriminant,
     is_prime,
@@ -59,6 +62,49 @@ def test_kronecker_multiplicative_and_periodic(disc, m, k):
         disc, m
     ) * kronecker_symbol(disc, k)
     assert kronecker_symbol(disc, m) == kronecker_symbol(disc, m + abs(disc))
+
+
+# every fundamental discriminant of conductor <= 60, both signs and the trivial 1
+SMALL_CHARACTERS = [
+    QuadraticCharacter(d) for d in range(-60, 61) if is_fundamental_discriminant(d)
+]
+
+
+def _definitional_gen_bernoulli(k, chi):
+    """f^(k-1) * sum_{a=1}^{f} chi(a) B_k(a/f), the definition of B_{k,chi}."""
+    f = chi.conductor
+    total = Fraction(0)
+    for a in range(1, f + 1):
+        value = chi(a)
+        if value:
+            total += value * bernoulli_poly_eval(k, Fraction(a, f))
+    return f ** (k - 1) * total
+
+
+def test_gen_bernoulli_matches_definition():
+    assert len(SMALL_CHARACTERS) == 40
+    for chi in SMALL_CHARACTERS:
+        for k in range(1, 11):
+            assert gen_bernoulli(k, chi) == _definitional_gen_bernoulli(k, chi), (chi, k)
+
+
+def test_gen_bernoulli_matches_sympy_polynomials():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    # k >= 2 only: sympy's B_1 is +1/2, but its B_k(x) for k >= 2 is the usual one
+    for k in range(2, 11):
+        # B_k(x) = (1/den) * sum_j num[j] x^j with integer num[j]
+        poly = sympy.Poly(sympy.bernoulli(k, x), x)
+        den = int(sympy.ilcm(*[c.q for c in poly.all_coeffs()]))
+        num = [int(c * den) for c in reversed(poly.all_coeffs())]
+        for chi in SMALL_CHARACTERS:
+            f = chi.conductor
+            # f^k * B_k(a/f) * den = sum_j num[j] a^j f^(k-j), an integer
+            total = sum(
+                chi(a) * sum(c * a**j * f ** (k - j) for j, c in enumerate(num))
+                for a in range(1, f + 1)
+            )
+            assert gen_bernoulli(k, chi) == Fraction(total, den * f), (chi, k)
 
 
 class TestSplitting:
