@@ -30,9 +30,9 @@ from .lefschetz import (
     check_torsion_necessary,
     congruence_index,
     euler_char_adelic_numeric,
+    euler_char_components,
     euler_char_fixed_component,
     genus_fuchsian,
-    h1_signature_classes,
     lefschetz_number,
     modular_form_dim,
 )
@@ -409,14 +409,13 @@ def _cmd_table(args) -> int:
         inp = LefschetzInput(
             field=field, algebra=algebra, n=n_size, level=level, trace_w=trace
         )
+        # first, so that the class cap rejects a row before any closed form
+        chis = [
+            format_rational(component.value)
+            for component in euler_char_components(algebra, n_size, level)
+        ]
         index = congruence_index(algebra, n_size, level)
         report = lefschetz_number(inp)
-        chis = [
-            format_rational(
-                euler_char_fixed_component(algebra, n_size, level, cls).value
-            )
-            for cls in h1_signature_classes(algebra.r, n_size)
-        ]
         genus_text = b1_text = ""
         if n_size == 1 and algebra.is_fuchsian() and field.is_totally_real:
             genus_report = genus_fuchsian(algebra, level)

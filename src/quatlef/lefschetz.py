@@ -13,6 +13,10 @@ The pieces, in the order they combine:
   real place, and ``euler_char_fixed_component`` evaluates each
   component's Euler characteristic; summing them against the trace must
   reproduce the closed form, which is the package's central identity.
+* ``euler_char_components`` evaluates every component of one setting at
+  once: the components differ only in the binomial prod_v C(n, p_v), so
+  the closed form runs once at scale 1 and each class scales that value.
+  ``euler_char_fixed_component`` goes through the same scaling step.
 * ``congruence_index``, ``genus_fuchsian``, ``modular_form_dim`` and the
   Betti-bound helpers are the downstream corollaries.
 * ``euler_char_adelic_numeric`` re-evaluates an Euler characteristic in
@@ -55,6 +59,7 @@ __all__ = [
     "h1_signature_classes",
     "weyl_quotient",
     "euler_char_fixed_component",
+    "euler_char_components",
     "lefschetz_via_decomposition",
     "congruence_index",
     "genus_fuchsian",
@@ -76,6 +81,9 @@ WARN_TORSION_OVERRIDDEN = (
     " group has 2-torsion; value computed formally under assume_torsion_free"
 )
 ZERO_COMPLEX_PLACE = "base field has a complex place"
+
+# most signature classes h1_signature_classes enumerates: (n//2 + 1)^r
+_MAX_CLASSES = 10**4
 
 
 @dataclass(frozen=True)
@@ -328,10 +336,15 @@ def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
     """All signature tuples ((p_v, q_v))_{v=1..r} with p+q = n, q even.
 
     There are (floor(n/2) + 1)^r of them, listed in lexicographic order
-    of the q values.
+    of the q values; more than _MAX_CLASSES is rejected.
     """
     if r < 0 or n < 1:
         raise ValidationError("need r >= 0 and n >= 1")
+    count = (n // 2 + 1) ** r
+    if count > _MAX_CLASSES:
+        raise ValidationError(
+            f"{count} signature classes exceed the cap of {_MAX_CLASSES}"
+        )
     classes = []
     choices = range(0, n + 1, 2)
     stack = [()]
@@ -362,6 +375,40 @@ def _validate_class(algebra: QuaternionAlgebra, n: int, cls: SignatureClass) -> 
             raise ValidationError("signature class does not match n")
 
 
+def _scaled_components(
+    algebra: QuaternionAlgebra,
+    n: int,
+    level: Ideal,
+    classes: list[SignatureClass],
+    assume_torsion_free: bool,
+) -> list[EulerCharReport]:
+    """One report per class: the closed form runs once at scale 1 (torsion
+    gate, M factors, sign law), then each class's binomial scales it."""
+    unit = _closed_form(
+        EulerCharReport,
+        algebra,
+        n,
+        level,
+        assume_torsion_free,
+        n * algebra.r,
+        1,
+        signature_class=SignatureClass(),
+        binomial_factor=1,
+    )
+    reports = []
+    for cls in classes:
+        binomial = cls.binomial_factor(n)
+        reports.append(
+            replace(
+                unit,
+                value=unit.value * binomial,
+                signature_class=cls,
+                binomial_factor=binomial,
+            )
+        )
+    return reports
+
+
 def euler_char_fixed_component(
     algebra: QuaternionAlgebra,
     n: int,
@@ -378,18 +425,23 @@ def euler_char_fixed_component(
     """
     _validate_setting(algebra, n, level)
     _validate_class(algebra, n, signature_class)
-    binomial = signature_class.binomial_factor(n)
-    return _closed_form(
-        EulerCharReport,
-        algebra,
-        n,
-        level,
-        assume_torsion_free,
-        n * algebra.r,
-        binomial,
-        signature_class=signature_class,
-        binomial_factor=binomial,
-    )
+    return _scaled_components(
+        algebra, n, level, [signature_class], assume_torsion_free
+    )[0]
+
+
+def euler_char_components(
+    algebra: QuaternionAlgebra,
+    n: int,
+    level: Ideal,
+    assume_torsion_free: bool = False,
+) -> list[EulerCharReport]:
+    """The reports of euler_char_fixed_component for every class of
+    h1_signature_classes(algebra.r, n), in that order, from one evaluation
+    of the closed form."""
+    _validate_setting(algebra, n, level)
+    classes = h1_signature_classes(algebra.r, n)
+    return _scaled_components(algebra, n, level, classes, assume_torsion_free)
 
 
 def lefschetz_via_decomposition(inp: LefschetzInput) -> Fraction:
@@ -398,13 +450,10 @@ def lefschetz_via_decomposition(inp: LefschetzInput) -> Fraction:
 
     Independent route: must agree with lefschetz_number exactly.
     """
-    total = Fraction(0)
-    for cls in h1_signature_classes(inp.algebra.r, inp.n):
-        report = euler_char_fixed_component(
-            inp.algebra, inp.n, inp.level, cls, inp.assume_torsion_free
-        )
-        total += report.value
-    return total * inp.trace_w
+    components = euler_char_components(
+        inp.algebra, inp.n, inp.level, inp.assume_torsion_free
+    )
+    return sum((report.value for report in components), Fraction(0)) * inp.trace_w
 
 
 def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:

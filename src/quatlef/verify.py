@@ -20,6 +20,7 @@ from .lefschetz import (
     LefschetzInput,
     SignatureClass,
     euler_char_adelic_numeric,
+    euler_char_components,
     euler_char_fixed_component,
     h1_signature_classes,
     lefschetz_number,
@@ -415,10 +416,8 @@ def suite_signs() -> list[Check]:
         if report.value.denominator != 1:
             bad_int.append(str(inp))
         expected = (-1) ** (inp.algebra.s * inp.n * (inp.n + 1) // 2)
-        for cls in h1_signature_classes(inp.algebra.r, inp.n):
-            chi = euler_char_fixed_component(
-                inp.algebra, inp.n, inp.level, cls
-            ).value
+        for component in euler_char_components(inp.algebra, inp.n, inp.level):
+            cls, chi = component.signature_class, component.value
             if chi == 0 or (chi > 0) != (expected > 0):
                 bad_sign.append(f"{inp} class {cls}")
             if lefschetz.fixed_point_space_dim(inp.algebra, inp.n, cls) % 2:

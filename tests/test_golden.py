@@ -67,6 +67,9 @@ CASES = {
     "table-complex-place": ["table", "--field", "external:@/imaginary.json", "--split", "--n", "1", "--levels", "2:6"],
     "table-split-n2": ["table", "--field", "q", "--split", "--n", "2", "--levels", "3:9", "--trace-w", "3"],
     "table-fuchsian-quad5": ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "1", "--levels", "3:9"],
+    # the class-sum path: 81 signature classes per row over Q(sqrt2, sqrt5)
+    "table-biquadratic-n4": ["table", "--field", "external:@/q_sqrt2_sqrt5.json", "--ram-real", "4", "--n", "4", "--levels", "3:4"],
+    "table-quad5-odd-n-trace": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "5", "--levels", "3:6", "--trace-w=-1/3"],
     # conductors at and beyond the top of the benchmark's zeta range
     "zeta-quad10007-json": ["zeta", "--field", "quad:10007", "--jmax", "6"],
     "zeta-quad4999-csv": ["zeta", "--field", "quad:4999", "--jmax", "8", "--format", "csv"],
@@ -87,6 +90,7 @@ CASES = {
     "err-external-prime": ["index", "--field", "external:@/q5.json", "--split", "--n", "1", "--level", "3"],
     "err-trace-w": ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3", "--trace-w", "x"],
     "err-table-cap": ["table", "--field", "q", "--split", "--n", "1", "--levels", "2:20002"],
+    "err-class-cap": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "200", "--levels", "3:3"],
     "err-verify-suite": ["verify", "--suite", "nope"],
 }
 

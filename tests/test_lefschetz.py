@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import comb, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from quatlef.lefschetz import (
     check_torsion_necessary,
     congruence_index,
     euler_char_adelic_numeric,
+    euler_char_components,
     euler_char_fixed_component,
     fixed_point_space_dim,
     genus_fuchsian,
@@ -27,6 +30,7 @@ from quatlef.lefschetz import (
 )
 from quatlef.numberfield import Ideal, TotallyRealField, ideal_from_integer, split_prime
 from quatlef.quaternion import QuaternionAlgebra
+from quatlef.verify import decomposition_grid
 
 Q = TotallyRealField.rationals()
 Q5 = TotallyRealField.real_quadratic(5)
@@ -34,6 +38,7 @@ Q5 = TotallyRealField.real_quadratic(5)
 SPLIT = QuaternionAlgebra(Q, (), 0)
 RAM23 = QuaternionAlgebra(Q, tuple(split_prime(Q, p)[0] for p in (2, 3)), 0)
 HAM5 = QuaternionAlgebra(Q5, (), 2)
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def level_q(n):
@@ -170,6 +175,11 @@ class TestSignatureClasses:
         with pytest.raises(ValidationError):
             SignatureClass(((2, 0), (2, 2)))
 
+    def test_class_cap_boundary(self):
+        assert len(h1_signature_classes(4, 18)) == 10**4
+        with pytest.raises(ValidationError, match="14641 signature classes"):
+            h1_signature_classes(4, 20)
+
 
 class TestWeylQuotient:
     def test_examples(self):
@@ -218,6 +228,66 @@ class TestEulerChar:
         inp = LefschetzInput(field, algebra, 2, level)
         assert lefschetz_number(inp).value == 0
         assert lefschetz_via_decomposition(inp) == 0
+
+
+_REPORT_FIELDS = (
+    "value",
+    "m_factors",
+    "two_power",
+    "level_norm_power",
+    "disc_power",
+    "warnings",
+    "zero_reason",
+    "signature_class",
+    "binomial_factor",
+)
+
+
+def _one_by_one(algebra, n, level, assume_torsion_free=False):
+    return [
+        euler_char_fixed_component(algebra, n, level, cls, assume_torsion_free)
+        for cls in h1_signature_classes(algebra.r, n)
+    ]
+
+
+def _assert_components_match(algebra, n, level, assume_torsion_free=False):
+    batch = euler_char_components(algebra, n, level, assume_torsion_free)
+    single = _one_by_one(algebra, n, level, assume_torsion_free)
+    assert [r.signature_class for r in batch] == h1_signature_classes(algebra.r, n)
+    for got, want in zip(batch, single, strict=True):
+        for name in _REPORT_FIELDS:
+            assert getattr(got, name) == getattr(want, name), name
+        cls = got.signature_class
+        assert got.binomial_factor == prod(comb(n, p) for p, _q in cls), str(cls)
+        assert got.value == got.factor_product()
+    return batch
+
+
+class TestEulerCharComponents:
+    """The batch equals euler_char_fixed_component class by class."""
+
+    def test_decomposition_grid(self):
+        for inp in decomposition_grid():
+            _assert_components_match(inp.algebra, inp.n, inp.level)
+
+    def test_complex_place_descriptor(self):
+        field = TotallyRealField.from_json_file(str(GOLDEN / "imaginary.json"))
+        algebra = QuaternionAlgebra(field, (), 0)
+        batch = _assert_components_match(algebra, 2, ideal_from_integer(field, 3))
+        assert [r.value for r in batch] == [0]
+
+    def test_level_dividing_two_overridden(self):
+        level2 = ideal_from_integer(Q5, 2)
+        batch = _assert_components_match(HAM5, 2, level2, assume_torsion_free=True)
+        assert len(batch) == 4
+        assert all(any("FAILED" in w for w in r.warnings) for r in batch)
+
+    def test_level_dividing_two_rejected(self):
+        level2 = ideal_from_integer(Q5, 2)
+        with pytest.raises(TorsionError):
+            euler_char_components(HAM5, 2, level2)
+        with pytest.raises(TorsionError):
+            _one_by_one(HAM5, 2, level2)
 
 
 class TestDecomposition:
