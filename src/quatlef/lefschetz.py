@@ -15,8 +15,14 @@ The pieces, in the order they combine:
   reproduce the closed form, which is the package's central identity.
 * ``euler_char_components`` evaluates every component of one setting at
   once: the components differ only in the binomial prod_v C(n, p_v), so
-  the closed form runs once at scale 1 and each class scales that value.
-  ``euler_char_fixed_component`` goes through the same scaling step.
+  the closed form runs once and each class's report is built directly as
+  that value times its binomial. ``euler_char_fixed_component`` goes
+  through the same step for its one class.
+* ``SignatureClass`` is a plain value. A class that comes from outside is
+  checked once, by ``_validate_class``, in the function that uses it
+  (``euler_char_fixed_component``, ``fixed_point_space_dim``,
+  ``weyl_quotient``); the classes of ``h1_signature_classes`` are valid by
+  construction and are not checked again.
 * ``congruence_index``, ``genus_fuchsian``, ``modular_form_dim`` and the
   Betti-bound helpers are the downstream corollaries.
 * ``euler_char_adelic_numeric`` re-evaluates an Euler characteristic in
@@ -31,9 +37,10 @@ concurrently; batch evaluation may run rows in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from itertools import product
+from math import comb, factorial, isfinite, prod
 
 from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
@@ -91,22 +98,11 @@ class SignatureClass:
     """Tuple of local signatures (p_v, q_v), one per ramified real place.
 
     Membership in the component-index set requires every q_v to be even;
-    all pairs must sum to the same matrix size n.
+    all pairs must sum to the same matrix size n. Construction checks
+    nothing: the functions that take a class check it (_validate_class).
     """
 
     signatures: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self) -> None:
-        sigs = tuple((int(p), int(q)) for p, q in self.signatures)
-        sums = {p + q for p, q in sigs}
-        if len(sums) > 1:
-            raise ValidationError("all signatures must sum to the same n")
-        for p, q in sigs:
-            if p < 0 or q < 0:
-                raise ValidationError("signature entries must be nonnegative")
-            if q % 2:
-                raise ValidationError(f"signature ({p},{q}) has odd q")
-        object.__setattr__(self, "signatures", sigs)
 
     def __len__(self) -> int:
         return len(self.signatures)
@@ -115,10 +111,7 @@ class SignatureClass:
         return iter(self.signatures)
 
     def binomial_factor(self, n: int) -> int:
-        value = 1
-        for p, _q in self.signatures:
-            value *= comb(n, p)
-        return value
+        return prod(comb(n, p) for p, _q in self.signatures)
 
     def __str__(self) -> str:
         return ";".join(f"{p},{q}" for p, q in self.signatures) or "-"
@@ -166,11 +159,8 @@ class _ClosedFormReport:
     zero_reason: str | None = None
 
     def factor_product(self) -> Fraction:
-        product = self.two_power * self.level_norm_power * self.disc_power
-        product *= self._scale
-        for m in self.m_factors:
-            product *= m
-        return product
+        start = self.two_power * self.level_norm_power * self.disc_power * self._scale
+        return prod(self.m_factors, start=start)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -264,21 +254,18 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
 
 
 def _closed_form(
-    report_type: type[_ClosedFormReport],
     algebra: QuaternionAlgebra,
     n: int,
     level: Ideal,
     assume_torsion_free: bool,
     two_exp: int,
-    scale: Fraction | int,
-    **fields,
-) -> _ClosedFormReport:
-    """The one closed form behind both report types:
-    2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) scale prod_j M(j).
+) -> tuple[dict, Fraction]:
+    """The one closed form behind both report types, before scaling:
+    2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j).
 
-    Zero when the base field has a complex place. Otherwise the product
-    before scaling is nonzero of sign (-1)^(s n(n+1)/2), which is checked.
-    The extra fields go to the report unchanged.
+    Returns the report fields shared by both types and the unscaled value.
+    Zero when the base field has a complex place; otherwise nonzero of
+    sign (-1)^(s n(n+1)/2), which is checked.
     """
     warnings = _torsion_gate(level, assume_torsion_free)
     two_power = Fraction(1, 2**two_exp)
@@ -287,22 +274,18 @@ def _closed_form(
     zero_reason = None
     if algebra.field.is_totally_real:
         m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
-        value = two_power * level_norm_power * disc_power
-        for m in m_factors:
-            value *= m
+        value = prod(m_factors, start=two_power * level_norm_power * disc_power)
         expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
         if value == 0 or (value > 0) != (expected_sign > 0):
             raise InvariantError(
                 f"sign law violated: closed-form product {value},"
                 f" expected sign {expected_sign}"
             )
-        value *= scale
     else:
         m_factors = (Fraction(0),) * n
         value = Fraction(0)
         zero_reason = ZERO_COMPLEX_PLACE
-    return report_type(
-        value=value,
+    shared = dict(
         n=n,
         two_power=two_power,
         level_norm_power=level_norm_power,
@@ -310,8 +293,8 @@ def _closed_form(
         m_factors=m_factors,
         warnings=warnings,
         zero_reason=zero_reason,
-        **fields,
     )
+    return shared, value
 
 
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
@@ -320,16 +303,10 @@ def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
     Zero exactly when the base field has a complex place or trace_w is 0;
     otherwise 2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr prod_j M(j).
     """
-    return _closed_form(
-        LefschetzReport,
-        inp.algebra,
-        inp.n,
-        inp.level,
-        inp.assume_torsion_free,
-        inp.algebra.r,
-        inp.trace_w,
-        trace_w=inp.trace_w,
+    shared, value = _closed_form(
+        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
     )
+    return LefschetzReport(value=value * inp.trace_w, trace_w=inp.trace_w, **shared)
 
 
 def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
@@ -345,34 +322,35 @@ def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
         raise ValidationError(
             f"{count} signature classes exceed the cap of {_MAX_CLASSES}"
         )
-    classes = []
-    choices = range(0, n + 1, 2)
-    stack = [()]
-    for _ in range(r):
-        stack = [prefix + (q,) for prefix in stack for q in choices]
-    for qs in stack:
-        classes.append(SignatureClass(tuple((n - q, q) for q in qs)))
-    return classes
+    return [
+        SignatureClass(tuple((n - q, q) for q in qs))
+        for qs in product(range(0, n + 1, 2), repeat=r)
+    ]
 
 
 def weyl_quotient(n: int, s: int, signature_class: SignatureClass) -> int:
     """Quotient of Weyl group orders: 2^(n*s) * prod_v C(n, p_v)."""
     if n < 1 or s < 0:
         raise ValidationError("need n >= 1 and s >= 0")
-    for p, q in signature_class:
-        if p + q != n:
-            raise ValidationError("signature class does not match n")
+    _validate_class(signature_class, n)
     return 2 ** (n * s) * signature_class.binomial_factor(n)
 
 
-def _validate_class(algebra: QuaternionAlgebra, n: int, cls: SignatureClass) -> None:
-    if len(cls) != algebra.r:
-        raise ValidationError(
-            f"signature class has {len(cls)} entries, expected {algebra.r}"
-        )
+def _validate_class(cls: SignatureClass, n: int, r: int | None = None) -> None:
+    """The one check of a signature class from outside, in this order:
+    equal sums, nonnegative entries, even q, r entries (when r is given)
+    and p + q = n."""
+    if len({p + q for p, q in cls}) > 1:
+        raise ValidationError("all signatures must sum to the same n")
     for p, q in cls:
-        if p + q != n:
-            raise ValidationError("signature class does not match n")
+        if p < 0 or q < 0:
+            raise ValidationError("signature entries must be nonnegative")
+        if q % 2:
+            raise ValidationError(f"signature ({p},{q}) has odd q")
+    if r is not None and len(cls) != r:
+        raise ValidationError(f"signature class has {len(cls)} entries, expected {r}")
+    if any(p + q != n for p, q in cls):
+        raise ValidationError("signature class does not match n")
 
 
 def _scaled_components(
@@ -382,31 +360,17 @@ def _scaled_components(
     classes: list[SignatureClass],
     assume_torsion_free: bool,
 ) -> list[EulerCharReport]:
-    """One report per class: the closed form runs once at scale 1 (torsion
-    gate, M factors, sign law), then each class's binomial scales it."""
-    unit = _closed_form(
-        EulerCharReport,
-        algebra,
-        n,
-        level,
-        assume_torsion_free,
-        n * algebra.r,
-        1,
-        signature_class=SignatureClass(),
-        binomial_factor=1,
-    )
-    reports = []
-    for cls in classes:
-        binomial = cls.binomial_factor(n)
-        reports.append(
-            replace(
-                unit,
-                value=unit.value * binomial,
-                signature_class=cls,
-                binomial_factor=binomial,
-            )
+    """One report per class: the closed form runs once (torsion gate, M
+    factors, sign law), then each report is that value times the class's
+    binomial."""
+    shared, unit = _closed_form(algebra, n, level, assume_torsion_free, n * algebra.r)
+    binomials = [cls.binomial_factor(n) for cls in classes]
+    return [
+        EulerCharReport(
+            value=unit * b, signature_class=cls, binomial_factor=b, **shared
         )
-    return reports
+        for cls, b in zip(classes, binomials)
+    ]
 
 
 def euler_char_fixed_component(
@@ -424,7 +388,7 @@ def euler_char_fixed_component(
     (-1)^(s n(n+1)/2).
     """
     _validate_setting(algebra, n, level)
-    _validate_class(algebra, n, signature_class)
+    _validate_class(signature_class, n, algebra.r)
     return _scaled_components(
         algebra, n, level, [signature_class], assume_torsion_free
     )[0]
@@ -544,7 +508,10 @@ def betti_growth_exponent(n: int) -> Fraction:
 def betti_lower_bound(inp: LefschetzInput) -> Fraction:
     """|closed form at trace 1|: a certified lower bound for the total
     Betti number of the congruence group."""
-    return abs(lefschetz_number(replace(inp, trace_w=Fraction(1))).value)
+    _shared, value = _closed_form(
+        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
+    )
+    return abs(value)
 
 
 def vol_sp_compact(n: int) -> SymbolicScalar:
@@ -576,7 +543,7 @@ def global_modulus_factor(algebra: QuaternionAlgebra, n: int) -> Fraction:
 def fixed_point_space_dim(algebra: QuaternionAlgebra, n: int, cls: SignatureClass) -> int:
     """Dimension s n(n+1) + sum_v 4 p_v q_v of the symmetric space of the
     twisted fixed-point group; always even."""
-    _validate_class(algebra, n, cls)
+    _validate_class(cls, n, algebra.r)
     dim = algebra.s * n * (n + 1)
     for p, q in cls:
         dim += 4 * p * q
@@ -599,6 +566,7 @@ def euler_char_adelic_numeric(
     modulus factor, and the local orders taken from the finite-group
     module; the convergent part of the local product is the zeta values
     at 2, 4, ..., 2n evaluated by truncated series (Tamagawa number 1).
+    A value that overflows a float is rejected.
     """
     field = algebra.field
     if field.kind not in ("rationals", "real-quadratic"):
@@ -611,10 +579,7 @@ def euler_char_adelic_numeric(
     if dim_x % 2:
         raise InvariantError(f"fixed-point space dimension {dim_x} is odd")
     sign = (-1) ** (dim_x // 2)
-    disc_factor = float(field.abs_discriminant) ** (d / 2)
     weyl = weyl_quotient(n, algebra.s, signature_class)
-    vol = vol_sp_compact(n).to_float() ** field.degree
-    modulus = float(global_modulus_factor(algebra, n))
     local_exact = Fraction(level.norm() ** d)
     for prime, _exp in level.factors:
         q = prime.norm
@@ -625,7 +590,16 @@ def euler_char_adelic_numeric(
             local_exact *= Fraction(
                 finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q)
             )
-    local = float(local_exact)
-    for j in range(1, n + 1):
-        local *= zeta_f_positive_even_numeric(field, j, terms)
-    return sign * disc_factor * weyl / vol / modulus * local
+    try:
+        disc_factor = float(field.abs_discriminant) ** (d / 2)
+        vol = vol_sp_compact(n).to_float() ** field.degree
+        modulus = float(global_modulus_factor(algebra, n))
+        local = float(local_exact)
+        for j in range(1, n + 1):
+            local *= zeta_f_positive_even_numeric(field, j, terms)
+        value = sign * disc_factor * weyl / vol / modulus * local
+    except OverflowError:
+        value = float("inf")
+    if not isfinite(value):
+        raise ValidationError(f"the float adelic value overflows at n = {n}")
+    return value

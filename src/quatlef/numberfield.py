@@ -514,6 +514,10 @@ def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
     return field.degree * terms ** (1 - 2 * j) / (2 * j - 1)
 
 
+# most series terms zeta_f_positive_even_numeric sums; 10^7 take 1-2 s
+_MAX_SERIES_TERMS = 10**7
+
+
 def zeta_f_positive_even_numeric(
     field: TotallyRealField, j: int, terms: int
 ) -> float:
@@ -528,6 +532,10 @@ def zeta_f_positive_even_numeric(
         raise ValidationError("zeta argument index must be >= 1")
     if terms < 100:
         raise ValidationError("need at least 100 series terms")
+    if terms > _MAX_SERIES_TERMS:
+        raise ValidationError(
+            f"{terms} series terms exceed the cap of {_MAX_SERIES_TERMS}"
+        )
     if field.kind == _KIND_RATIONALS:
         return _truncated_dirichlet(0, 2 * j, terms)
     if field.kind == _KIND_QUADRATIC:

@@ -485,6 +485,44 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
     assert "FAIL [finite-orders] sp_order(2,2)" in out
 
 
+# README's external descriptor of Q(sqrt5) against the native field: the
+# golden fixture holds two zeta values and the splitting above 2, 5 and 11
+_Q5_DESCRIPTOR = f"external:{REPO_ROOT / 'tests' / 'golden' / 'q5.json'}"
+_Q5_SETTING = ["--ram-real", "2", "--n", "2", "--level", "11"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--jmax", "2"],
+        ["lefschetz", *_Q5_SETTING, "--trace-w=-1/3"],
+        ["euler-char", *_Q5_SETTING, "--signature", "2,0;0,2"],
+        ["index", *_Q5_SETTING],
+        ["genus", "--ram", "2", "--ram-real", "1", "--level", "11", "--weights", "2,4"],
+    ],
+)
+def test_external_descriptor_matches_native_field(capsys, argv):
+    payloads = []
+    for field in ("quad:5", _Q5_DESCRIPTOR):
+        code, out, err = run_cli(capsys, [argv[0], "--field", field, *argv[1:]])
+        assert (code, err) == (0, "")
+        payloads.append(json.loads(out))
+    native, external = payloads
+    assert native.pop("field") != external.pop("field")
+    assert native == external
+
+
+def test_external_descriptor_table_matches_native_field(capsys):
+    tables = []
+    for field in ("quad:5", _Q5_DESCRIPTOR):
+        argv = ["table", "--field", field, "--ram-real", "2", "--n", "2", "--levels", "10:11"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert len(tables[0].splitlines()) == 3
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")

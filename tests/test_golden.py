@@ -86,6 +86,16 @@ CASES = {
     "err-not-fuchsian": ["genus", "--field", "q", "--split", "--level", "5"],
     "err-definite-n1": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "1", "--level", "3"],
     "err-signature": ["euler-char", "--field", "q", "--ram", "2,3", "--n", "2", "--level", "5", "--signature", "1,1"],
+    # bad signature classes, one fault each, then two faults at once
+    "err-signature-negative": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature=4,-2;2,0"],
+    "err-signature-mixed-sums": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature=2,0;2,2"],
+    "err-signature-wrong-n": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature=3,0;3,0"],
+    "err-signature-count": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature=2,0"],
+    "err-signature-two-faults": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3", "--signature=3,0"],
+    # the float adelic path: a float overflow and an infinite product, then the series cap
+    "err-adelic-overflow": ["euler-char", "--field", "q", "--split", "--n", "18", "--level", "3", "--adelic-terms", "10000"],
+    "err-adelic-infinite": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "12", "--level", "3", "--signature", "12,0;12,0", "--adelic-terms", "10000"],
+    "err-series-cap": ["euler-char", "--field", "q", "--split", "--n", "2", "--level", "3", "--adelic-terms", "100000000000"],
     "err-external-zeta": ["lefschetz", "--field", "external:@/q5.json", "--ram-real", "2", "--n", "3", "--level", "11"],
     "err-external-prime": ["index", "--field", "external:@/q5.json", "--split", "--n", "1", "--level", "3"],
     "err-trace-w": ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3", "--trace-w", "x"],

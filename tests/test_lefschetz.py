@@ -168,12 +168,18 @@ class TestSignatureClasses:
         )
 
     def test_odd_q_rejected(self):
-        with pytest.raises(ValidationError):
-            SignatureClass(((1, 1),))
+        cls = SignatureClass(((1, 1),))
+        with pytest.raises(ValidationError, match=r"signature \(1,1\) has odd q"):
+            euler_char_fixed_component(HAM5, 2, ideal_from_integer(Q5, 3), cls)
+        with pytest.raises(ValidationError, match=r"signature \(1,1\) has odd q"):
+            weyl_quotient(2, 1, cls)
 
     def test_mixed_sums_rejected(self):
-        with pytest.raises(ValidationError):
-            SignatureClass(((2, 0), (2, 2)))
+        cls = SignatureClass(((2, 0), (2, 2)))
+        with pytest.raises(ValidationError, match="all signatures must sum to the same n"):
+            euler_char_fixed_component(HAM5, 2, ideal_from_integer(Q5, 3), cls)
+        with pytest.raises(ValidationError, match="all signatures must sum to the same n"):
+            weyl_quotient(2, 1, cls)
 
     def test_class_cap_boundary(self):
         assert len(h1_signature_classes(4, 18)) == 10**4
@@ -438,3 +444,18 @@ class TestAdelicNumeric:
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValidationError):
             euler_char_adelic_numeric(RAM23, 1, level_q(5), SignatureClass(()), 100)
+
+    @pytest.mark.parametrize(
+        "algebra, n, signatures",
+        [
+            (SPLIT, 18, ()),  # the exact local factor is too large for a float
+            (HAM5, 30, ((30, 0), (28, 2))),  # so is |d_F|^(d/2)
+            (HAM5, 12, ((12, 0), (12, 0))),  # the float product is infinite
+        ],
+    )
+    def test_overflow_rejected(self, algebra, n, signatures):
+        level = ideal_from_integer(algebra.field, 3)
+        with pytest.raises(ValidationError, match=f"overflows at n = {n}"):
+            euler_char_adelic_numeric(
+                algebra, n, level, SignatureClass(signatures), 10**4
+            )

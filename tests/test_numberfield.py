@@ -243,6 +243,10 @@ class TestNumericZeta:
         with pytest.raises(ValidationError):
             zeta_f_positive_even_numeric(Q, 1, 50)
 
+    def test_too_many_terms_rejected(self):
+        with pytest.raises(ValidationError, match="10000001 series terms exceed"):
+            zeta_f_positive_even_numeric(Q, 1, 10**7 + 1)
+
 
 class TestExternalField:
     DESCRIPTOR = {
