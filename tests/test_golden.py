@@ -73,6 +73,9 @@ CASES = {
     # conductors at and beyond the top of the benchmark's zeta range
     "zeta-quad10007-json": ["zeta", "--field", "quad:10007", "--jmax", "6"],
     "zeta-quad4999-csv": ["zeta", "--field", "quad:4999", "--jmax", "8", "--format", "csv"],
+    # the generalized Bernoulli route at d = 1 mod 4 and at d = 2p (conductor 4d)
+    "zeta-quad4993-jmax8": ["zeta", "--field", "quad:4993", "--jmax", "8"],
+    "zeta-quad5006-csv": ["zeta", "--field", "quad:5006", "--jmax", "8", "--format", "csv"],
     "verify": ["verify"],
     "verify-suites": ["verify", "--suite", "volumes,binomial"],
     "err-torsion": ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "2"],
@@ -102,6 +105,12 @@ CASES = {
     "err-table-cap": ["table", "--field", "q", "--split", "--n", "1", "--levels", "2:20002"],
     "err-class-cap": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "200", "--levels", "3:3"],
     "err-verify-suite": ["verify", "--suite", "nope"],
+    # the conductor cap, checked before the squarefree test trial-divides d
+    "err-conductor-cap": ["zeta", "--field", "quad:100000007", "--jmax", "1"],
+    "err-conductor-cap-huge": ["zeta", "--field", "quad:1000000000000000003", "--jmax", "1"],
+    # a 19-digit prime level, then a level with two prime factors near 10^9
+    "lefschetz-large-prime-level": ["lefschetz", "--field", "q", "--split", "--n", "2", "--level", "1000000000000000003"],
+    "err-level-unfactored": ["index", "--field", "q", "--split", "--n", "2", "--level", "1000000016000000063"],
 }
 
 

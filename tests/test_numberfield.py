@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quatlef import numberfield
 from quatlef.errors import ExternalFieldError, ValidationError
-from quatlef.exact import bernoulli_poly_eval
+from quatlef.exact import bernoulli, bernoulli_poly_eval
 from quatlef.numberfield import (
     Ideal,
     QuadraticCharacter,
@@ -86,6 +87,55 @@ def test_gen_bernoulli_matches_definition():
     for chi in SMALL_CHARACTERS:
         for k in range(1, 11):
             assert gen_bernoulli(k, chi) == _definitional_gen_bernoulli(k, chi), (chi, k)
+
+
+def _per_residue_gen_bernoulli(k, chi):
+    """B_{k,chi} from power sums rebuilt by one pass over the residues per call."""
+    f = chi.conductor
+    sums = [0] * (k + 1)
+    for a in range(1, f + 1):
+        power = chi(a)
+        if power:
+            for m in range(k + 1):
+                sums[m] += power
+                power *= a
+    return sum(
+        math.comb(k, i) * bernoulli(i) * Fraction(f) ** (i - 1) * sums[k - i]
+        for i in range(k + 1)
+    )
+
+
+# every fundamental discriminant of conductor <= 200, both signs and the trivial 1
+CHARACTERS_200 = [
+    QuadraticCharacter(d) for d in range(-200, 201) if is_fundamental_discriminant(d)
+]
+# the uncached body, so that every call reads the power-sum table
+_table_gen_bernoulli = gen_bernoulli.__wrapped__
+
+
+def test_power_sum_table_matches_per_residue_sums():
+    assert len(CHARACTERS_200) == 123
+    for chi in CHARACTERS_200:
+        for k in range(1, 17):
+            assert _table_gen_bernoulli(k, chi) == _per_residue_gen_bernoulli(k, chi), (chi, k)
+
+
+def test_power_sum_table_in_non_monotone_order():
+    # interleaved characters, 8 and -8 sharing a conductor: a table grown
+    # for one must never answer another
+    chis = [QuadraticCharacter(d) for d in (5, -4, 8, -8, 5, 12, -3, 8)]
+    for k in (16, 2, 9, 1, 12):
+        for chi in chis:
+            assert _table_gen_bernoulli(k, chi) == _per_residue_gen_bernoulli(k, chi), (chi, k)
+
+
+def test_power_sum_table_holds_one_character():
+    chis = CHARACTERS_200[-50:]
+    for chi in chis:
+        assert _table_gen_bernoulli(6, chi) == _per_residue_gen_bernoulli(6, chi), chi
+    table = numberfield._power_table
+    assert table[0] == chis[-1]
+    assert sum(isinstance(item, QuadraticCharacter) for item in table) == 1
 
 
 def test_gen_bernoulli_matches_sympy_polynomials():
@@ -310,12 +360,74 @@ def test_real_quadratic_validation():
     with pytest.raises(ValidationError):
         TotallyRealField.real_quadratic(12)
     with pytest.raises(ValidationError):
+        TotallyRealField.real_quadratic(-5)
+    with pytest.raises(ValidationError):
         TotallyRealField.real_quadratic(1)
     assert Q5.abs_discriminant == 5
     assert Q2.abs_discriminant == 8
     assert TotallyRealField.real_quadratic(3).abs_discriminant == 12
 
 
+def test_conductor_cap_boundary():
+    # d = 1 mod 4 has conductor d, any other squarefree d has conductor 4d
+    assert TotallyRealField.real_quadratic(999997).abs_discriminant == 999997
+    assert TotallyRealField.real_quadratic(249999).abs_discriminant == 999996
+    for d, conductor in ((1000001, 1000001), (250003, 1000012)):
+        with pytest.raises(ValidationError, match=f"conductor {conductor} .* exceeds the cap"):
+            TotallyRealField.real_quadratic(d)
+    # checked before the squarefree test, which would trial-divide d
+    with pytest.raises(ValidationError, match="exceeds the cap"):
+        TotallyRealField.real_quadratic(10**18 + 3)
+
+
+def _trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(-2, 10**5):
+        assert is_prime(n) == _trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, then the least strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 1105, 41041, 3215031751):
+        assert not is_prime(n), n
+
+
+def test_is_prime_bound():
+    assert is_prime(10**18 + 3)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((10**9 + 7) * (10**9 + 9))
+    # the least strong pseudoprime to the first 13 prime bases is the bound
+    with pytest.raises(ValidationError, match="not proven"):
+        is_prime(3317044064679887385961981)
+
+
+def test_is_prime_matches_sympy_on_large_values():
+    sympy = pytest.importorskip("sympy")
+    for base in (10**12, 10**18, 3 * 10**24):
+        for n in range(base + 1, base + 400, 2):
+            assert is_prime(n) == bool(sympy.isprime(n)), n
+
+
 def test_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(1) == []
+    assert factorize(999999999999) == [(3, 3), (7, 1), (11, 1), (13, 1), (37, 1), (101, 1), (9901, 1)]
+
+
+def test_factorize_large_cofactors():
+    # a prime or a prime power beyond the trial-division bound is accepted
+    assert factorize(2 * (10**18 + 3)) == [(2, 1), (10**18 + 3, 1)]
+    assert factorize(3 * 1000003**2) == [(3, 1), (1000003, 2)]
+    assert factorize(1000003**3) == [(1000003, 3)]
+    with pytest.raises(ValidationError, match="cannot factor 1000000016000000063"):
+        factorize((10**9 + 7) * (10**9 + 9))
