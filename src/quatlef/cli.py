@@ -1,8 +1,9 @@
 """Command-line frontend.
 
 Subcommands: zeta, lefschetz, euler-char, index, genus, table, verify.
-Field, algebra and level specifications mirror the library constructors;
-a JSON config file can supply any flag, with explicit flags winning.
+Field, algebra and level specifications mirror the library constructors.
+Each flag is declared once, in ``_FLAGS``; a JSON config file can supply
+any flag through that flag's own checks, with explicit flags winning.
 Exact rationals serialise as "p/q" strings everywhere; floats appear only
 in the explicitly requested numeric cross-check with a stated tolerance.
 
@@ -48,31 +49,50 @@ from .quaternion import QuaternionAlgebra, hilbert_ramification_q
 
 _TABLE_ROW_CAP = 10**4
 
-_CONFIG_KEYS = {
-    "field",
-    "ram",
-    "ram_primes",
-    "split",
-    "hilbert",
-    "ram_real",
-    "n",
-    "level",
-    "levels",
-    "trace_w",
-    "assume_torsion_free",
-    "signature",
-    "adelic_terms",
-    "jmax",
-    "weights",
-    "format",
-    "out",
-    "suite",
-}
+_WITH_ALGEBRA = ("lefschetz", "euler-char", "index", "genus", "table")
+_WITH_FIELD = ("zeta", *_WITH_ALGEBRA)
 
-# config keys whose flags argparse converts with ``type=int``
-_INT_CONFIG_KEYS = {"n", "jmax", "ram_real", "adelic_terms"}
-# config keys of ``store_true`` flags: only JSON true, false or null
-_BOOL_CONFIG_KEYS = {"split", "assume_torsion_free"}
+# Every flag once, in usage order: (subcommands, flag, argparse keywords).
+# Each flag but --config is also a config key, checked against the same
+# keywords. Every default is None, so that a config value fills any flag not
+# given; ``required`` never reaches argparse but is checked after the merge.
+_FLAGS = (
+    (_WITH_FIELD, "--field", dict(required=True, help="base field: q, quad:<d>, or"
+                                  " external:<path to descriptor>")),
+    (_WITH_FIELD, "--config", dict(help="JSON config file mirroring the flags")),
+    (_WITH_FIELD, "--out", dict(help="write output to this path instead of stdout")),
+    (_WITH_ALGEBRA, "--ram", dict(help="comma list of ramified rational primes,"
+                                  " entries p or p:label")),
+    (_WITH_ALGEBRA, "--split", dict(action="store_true", default=None,
+                                    help="the split (matrix) algebra")),
+    (_WITH_ALGEBRA, "--hilbert", dict(help="presentation a,b over Q (i^2=a, j^2=b)")),
+    (_WITH_ALGEBRA, "--ram-real", dict(type=int, help="ramified real place count")),
+    (("zeta",), "--jmax", dict(type=int, required=True)),
+    (("lefschetz", "euler-char", "index", "table"), "--n",
+     dict(type=int, required=True)),
+    (("lefschetz", "euler-char", "index", "genus"), "--level", dict(required=True)),
+    (("table",), "--levels", dict(required=True, help="inclusive integer range lo:hi")),
+    (("zeta", "lefschetz", "euler-char", "index", "genus"), "--format",
+     dict(choices=("json", "csv"))),
+    (("lefschetz", "euler-char", "genus"), "--assume-torsion-free",
+     dict(action="store_true", default=None)),
+    (("lefschetz", "table"), "--trace-w", dict()),
+    (("euler-char",), "--signature",
+     dict(help="semicolon list of p,q pairs, one per place")),
+    (("euler-char",), "--adelic-terms",
+     dict(type=int, help="include the floating-point mass-formula cross-check")),
+    (("genus",), "--weights", dict(help="comma list of even weights")),
+    (("verify",), "--suite", dict(help="comma list of suite names")),
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+# config key -> its flag's keywords; ``ram_primes`` is another name for ``ram``
+_CONFIG = {_dest(flag): kwargs for _, flag, kwargs in _FLAGS if flag != "--config"}
+_CONFIG["ram_primes"] = _CONFIG["ram"]
 
 
 def _parse_field(spec) -> TotallyRealField:
@@ -188,24 +208,26 @@ def _apply_config(args: argparse.Namespace) -> None:
         data = json.load(handle)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - _CONFIG.keys()
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     for key, value in data.items():
+        spec = _CONFIG[key]
         if key in ("ram_primes", "ram", "hilbert") and isinstance(value, list):
             # list forms of the algebra spec normalise to the flag strings
-            key = "ram" if key == "ram_primes" else key
             value = ",".join(str(entry) for entry in value)
         elif not isinstance(value, (str, int, float, type(None))):
             raise ValidationError(
                 f"config key {key!r} must be a string, number or boolean,"
                 f" not {type(value).__name__}"
             )
-        elif key in _BOOL_CONFIG_KEYS and not isinstance(value, (bool, type(None))):
+        elif value is None:
+            pass
+        elif spec.get("action") == "store_true" and not isinstance(value, bool):
             raise ValidationError(
                 f"config key {key!r} must be true or false, not {json.dumps(value)}"
             )
-        elif key in _INT_CONFIG_KEYS and value is not None:
+        elif spec.get("type") is int:
             # the flag's own conversion of its text: 1.5 and true are rejected
             try:
                 value = int(str(value))
@@ -213,9 +235,14 @@ def _apply_config(args: argparse.Namespace) -> None:
                 raise ValidationError(
                     f"config key {key!r} must be an integer, not {json.dumps(value)}"
                 ) from None
-        current = getattr(args, key, None)
-        if current is None or (key == "split" and current is False):
-            setattr(args, key, value)
+        elif "choices" in spec and value not in spec["choices"]:
+            raise ValidationError(
+                f"config key {key!r} must be one of {', '.join(spec['choices'])},"
+                f" not {json.dumps(value)}"
+            )
+        dest = "ram" if key == "ram_primes" else key
+        if getattr(args, dest, None) is None:
+            setattr(args, dest, value)
 
 
 def _emit(args, text: str) -> None:
@@ -330,7 +357,7 @@ def _cmd_euler_char(args) -> int:
         ["value", format_rational(report.value)],
         ["signature", str(report.signature_class)],
     ]
-    if args.adelic_terms:
+    if args.adelic_terms is not None:
         terms = int(args.adelic_terms)
         numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
         payload["adelic_numeric"] = {
@@ -454,29 +481,16 @@ def _cmd_verify(args) -> int:
     return 1 if total_fail else 0
 
 
-def _add_field_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--field",
-        help="base field: q, quad:<d>, or external:<path to descriptor>",
-    )
-    parser.add_argument("--config", help="JSON config file mirroring the flags")
-    parser.add_argument("--out", help="write output to this path instead of stdout")
-
-
-def _add_algebra_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--ram",
-        help="comma list of ramified rational primes, entries p or p:label",
-    )
-    parser.add_argument(
-        "--split", action="store_true", help="the split (matrix) algebra"
-    )
-    parser.add_argument(
-        "--hilbert", help="presentation a,b over Q (i^2=a, j^2=b)"
-    )
-    parser.add_argument(
-        "--ram-real", dest="ram_real", type=int, help="ramified real place count"
-    )
+# subcommand -> (handler, its line in the top-level help or None)
+_COMMANDS = {
+    "zeta": (_cmd_zeta, "zeta values at 1-2j"),
+    "lefschetz": (_cmd_lefschetz, None),
+    "euler-char": (_cmd_euler_char, None),
+    "index": (_cmd_index, None),
+    "genus": (_cmd_genus, None),
+    "table": (_cmd_table, "CSV over a range of levels"),
+    "verify": (_cmd_verify, "run the oracle suites"),
+}
 
 
 @functools.cache
@@ -491,82 +505,26 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_zeta = sub.add_parser("zeta", help="zeta values at 1-2j")
-    _add_field_flags(p_zeta)
-    p_zeta.add_argument("--jmax", type=int, default=None)
-    p_zeta.add_argument("--format", choices=("json", "csv"), default=None)
-    p_zeta.set_defaults(func=_cmd_zeta)
-
-    for name, func, with_n in (
-        ("lefschetz", _cmd_lefschetz, True),
-        ("euler-char", _cmd_euler_char, True),
-        ("index", _cmd_index, True),
-        ("genus", _cmd_genus, False),
-    ):
-        p_cmd = sub.add_parser(name)
-        _add_field_flags(p_cmd)
-        _add_algebra_flags(p_cmd)
-        if with_n:
-            p_cmd.add_argument("--n", type=int, default=None)
-        p_cmd.add_argument("--level", default=None)
-        p_cmd.add_argument("--format", choices=("json", "csv"), default=None)
-        if name in ("lefschetz", "euler-char", "genus"):
-            p_cmd.add_argument(
-                "--assume-torsion-free",
-                dest="assume_torsion_free",
-                action="store_true",
-                default=None,
-            )
-        if name == "lefschetz":
-            p_cmd.add_argument("--trace-w", dest="trace_w", default=None)
-        if name == "euler-char":
-            p_cmd.add_argument(
-                "--signature", help="semicolon list of p,q pairs, one per place"
-            )
-            p_cmd.add_argument(
-                "--adelic-terms",
-                dest="adelic_terms",
-                type=int,
-                help="include the floating-point mass-formula cross-check",
-            )
-        if name == "genus":
-            p_cmd.add_argument("--weights", help="comma list of even weights")
-        p_cmd.set_defaults(func=func)
-
-    p_table = sub.add_parser("table", help="CSV over a range of levels")
-    _add_field_flags(p_table)
-    _add_algebra_flags(p_table)
-    p_table.add_argument("--n", type=int, default=None)
-    p_table.add_argument("--levels", help="inclusive integer range lo:hi")
-    p_table.add_argument("--trace-w", dest="trace_w", default=None)
-    p_table.set_defaults(func=_cmd_table)
-
-    p_verify = sub.add_parser("verify", help="run the oracle suites")
-    p_verify.add_argument("--suite", help="comma list of suite names")
-    p_verify.set_defaults(func=_cmd_verify)
+    for name, (_, text) in _COMMANDS.items():
+        # help=None would still list the subcommand in the top-level help
+        p_cmd = sub.add_parser(name, **({"help": text} if text else {}))
+        for commands, flag, kwargs in _FLAGS:
+            if name in commands:
+                p_cmd.add_argument(
+                    flag, **{k: v for k, v in kwargs.items() if k != "required"}
+                )
     return parser
-
-
-_REQUIRED = {
-    "zeta": ("field", "jmax"),
-    "lefschetz": ("field", "n", "level"),
-    "euler-char": ("field", "n", "level"),
-    "index": ("field", "n", "level"),
-    "genus": ("field", "level"),
-    "table": ("field", "n", "levels"),
-    "verify": (),
-}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _apply_config(args)
-        for key in _REQUIRED[args.command]:
-            if getattr(args, key, None) is None:
-                raise ValidationError(f"missing required option --{key}")
-        return args.func(args)
+        for commands, flag, kwargs in _FLAGS:
+            if kwargs.get("required") and args.command in commands:
+                if getattr(args, _dest(flag)) is None:
+                    raise ValidationError(f"missing required option {flag}")
+        return _COMMANDS[args.command][0](args)
     except TorsionError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

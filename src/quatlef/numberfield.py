@@ -347,7 +347,8 @@ class TotallyRealField:
         for key in ("degree", "abs_discriminant", "num_real_places"):
             if key not in data:
                 raise ValidationError(f"descriptor missing key {key!r}")
-            if not isinstance(data[key], (int, str)):
+            # type(), not isinstance: JSON true and false are ints to Python
+            if type(data[key]) not in (int, str):
                 raise ValidationError(f"descriptor key {key!r} must be an integer")
         zeta_table = data.get("zeta_neg", [])
         if not isinstance(zeta_table, (list, tuple)):
@@ -358,7 +359,7 @@ class TotallyRealField:
             isinstance(pairs, (list, tuple))
             and all(isinstance(pair, (list, tuple)) for pair in pairs)
             and all(len(pair) == 2 for pair in pairs)
-            and all(isinstance(x, (int, str)) for pair in pairs for x in pair)
+            and all(type(x) in (int, str) for pair in pairs for x in pair)
             for pairs in table.values()
         ):
             raise ValidationError(

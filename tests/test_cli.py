@@ -374,6 +374,13 @@ def test_config_accepts_list_algebra_forms(capsys, tmp_path):
     )
     code, out, _ = run_cli(capsys, ["lefschetz", "--config", str(cfg)])
     assert code == 0 and json.loads(out)["value"] == "-20"
+    # the string form of the ram_primes alias sets --ram too
+    cfg.write_text(
+        json.dumps({"field": "q", "ram_primes": "2,3", "n": 1, "level": "5"}),
+        encoding="utf-8",
+    )
+    code, out, _ = run_cli(capsys, ["lefschetz", "--config", str(cfg)])
+    assert code == 0 and json.loads(out)["value"] == "-20"
 
     cfg2 = tmp_path / "b.json"
     cfg2.write_text(
@@ -429,6 +436,11 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert err.splitlines() == ["error: config key 'n' must be an integer, not 1.5"]
+
+    path.write_text(json.dumps({"format": "xml"}), encoding="utf-8")
+    code, _, err = run_cli(capsys, ["zeta", "--config", str(path), "--field", "q", "--jmax", "1"])
+    assert code == 2
+    assert err.splitlines() == ["error: config key 'format' must be one of json, csv, not \"xml\""]
 
 
 def test_config_boolean_keys_reject_strings(capsys, tmp_path):

@@ -13,8 +13,10 @@ names a fixture file in ``tests/golden/``.
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -111,13 +113,28 @@ CASES = {
     # a 19-digit prime level, then a level with two prime factors near 10^9
     "lefschetz-large-prime-level": ["lefschetz", "--field", "q", "--split", "--n", "2", "--level", "1000000000000000003"],
     "err-level-unfactored": ["index", "--field", "q", "--split", "--n", "2", "--level", "1000000016000000063"],
+    # a config value outside its flag's choices, the adelic floor at 0, a boolean degree
+    "err-config-format": ["zeta", "--config", "@/config_bad_format.json"],
+    "err-adelic-terms-zero": ["euler-char", "--field", "q", "--split", "--n", "2", "--level", "3", "--adelic-terms", "0"],
+    "err-descriptor-bool": ["lefschetz", "--field", "external:@/bool_degree.json", "--split", "--n", "1", "--level", "3"],
+    # argparse's own text: every help page and usage errors
+    "help": ["--help"],
+    **{
+        f"help-{command}": [command, "--help"]
+        for command in ("zeta", "lefschetz", "euler-char", "index", "genus", "table", "verify")
+    },
+    "err-usage-unknown-flag": ["lefschetz", "--bogus"],
+    "err-usage-bad-int": ["table", "--n", "x"],
+    "err-usage-bad-choice": ["zeta", "--format", "xml"],
 }
 
 
 def run_case(argv: list[str]) -> dict:
     argv = [arg.replace("@/", f"{GOLDEN}/") for arg in argv]
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps its help and usage text to the terminal width
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:

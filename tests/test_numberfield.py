@@ -338,6 +338,23 @@ class TestExternalField:
         with pytest.raises(ValidationError):
             TotallyRealField.from_descriptor(bad)
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            # otherwise a consistent degree-1 descriptor
+            {"degree": True, "abs_discriminant": 1, "num_real_places": 1,
+             "zeta_neg": ["-1/12"], "splitting": {"2": [[1, 1]]}},
+            {"abs_discriminant": True},
+            {"num_real_places": False},
+            {"splitting": {"2": [[2, True]], "5": [[1, 2]], "11": [[1, 1], [1, 1]]}},
+            {"splitting": {"2": [[2, 1]], "5": [[True, 2]], "11": [[1, 1], [1, 1]]}},
+        ],
+    )
+    def test_boolean_integers_rejected(self, change):
+        # JSON true is the integer 1 to Python; it must not pass as a degree
+        with pytest.raises(ValidationError):
+            TotallyRealField.from_descriptor(dict(self.DESCRIPTOR, **change))
+
     def test_bad_ef_sum_rejected(self):
         bad = dict(self.DESCRIPTOR, splitting={"3": [[1, 1]]})
         with pytest.raises(ValidationError):
