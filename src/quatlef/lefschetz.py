@@ -46,6 +46,7 @@ from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
 from .exact import SymbolicScalar
 from .numberfield import (
+    _MAX_SERIES_TERMS,
     Ideal,
     TotallyRealField,
     dedekind_zeta_neg,
@@ -566,7 +567,8 @@ def euler_char_adelic_numeric(
     modulus factor, and the local orders taken from the finite-group
     module; the convergent part of the local product is the zeta values
     at 2, 4, ..., 2n evaluated by truncated series (Tamagawa number 1).
-    A value that overflows a float is rejected.
+    The n series may sum at most _MAX_SERIES_TERMS terms in all. A value
+    that overflows a float is rejected.
     """
     field = algebra.field
     if field.kind not in ("rationals", "real-quadratic"):
@@ -590,6 +592,13 @@ def euler_char_adelic_numeric(
             local_exact *= Fraction(
                 finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q)
             )
+    # one series per j <= n; a single series over the cap is refused by
+    # zeta_f_positive_even_numeric, before it sums a term
+    if terms <= _MAX_SERIES_TERMS < n * terms:
+        raise ValidationError(
+            f"{n} series of {terms} terms exceed the cap of"
+            f" {_MAX_SERIES_TERMS} terms in all"
+        )
     try:
         disc_factor = float(field.abs_discriminant) ** (d / 2)
         vol = vol_sp_compact(n).to_float() ** field.degree

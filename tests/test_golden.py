@@ -101,6 +101,8 @@ CASES = {
     "err-adelic-overflow": ["euler-char", "--field", "q", "--split", "--n", "18", "--level", "3", "--adelic-terms", "10000"],
     "err-adelic-infinite": ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "12", "--level", "3", "--signature", "12,0;12,0", "--adelic-terms", "10000"],
     "err-series-cap": ["euler-char", "--field", "q", "--split", "--n", "2", "--level", "3", "--adelic-terms", "100000000000"],
+    # 11 series of 909091 terms: 10^7 + 1 in all
+    "err-series-total-cap": ["euler-char", "--field", "q", "--split", "--n", "11", "--level", "3", "--adelic-terms", "909091"],
     "err-external-zeta": ["lefschetz", "--field", "external:@/q5.json", "--ram-real", "2", "--n", "3", "--level", "11"],
     "err-external-prime": ["index", "--field", "external:@/q5.json", "--split", "--n", "1", "--level", "3"],
     "err-trace-w": ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3", "--trace-w", "x"],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from quatlef import lefschetz
 from quatlef.errors import NotFuchsianError, TorsionError, ValidationError
 from quatlef.lefschetz import (
     LefschetzInput,
@@ -444,6 +445,31 @@ class TestAdelicNumeric:
     def test_too_few_terms_rejected(self):
         with pytest.raises(ValidationError):
             euler_char_adelic_numeric(RAM23, 1, level_q(5), SignatureClass(()), 100)
+
+    def test_total_series_terms_capped(self, monkeypatch):
+        # the n series sum n * terms terms: 10^7 in all runs, one more is
+        # refused before any series starts
+        real_series = lefschetz.zeta_f_positive_even_numeric
+        asked = []
+
+        def short_series(field, j, terms):
+            asked.append(terms)
+            return real_series(field, j, 10**4)
+
+        monkeypatch.setattr(lefschetz, "zeta_f_positive_even_numeric", short_series)
+        euler_char_adelic_numeric(SPLIT, 10, level_q(3), SignatureClass(()), 10**6)
+        assert asked == [10**6] * 10
+        asked.clear()
+        with pytest.raises(
+            ValidationError,
+            match="11 series of 909091 terms exceed the cap of 10000000 terms in all",
+        ):
+            euler_char_adelic_numeric(SPLIT, 11, level_q(3), SignatureClass(()), 909091)
+        assert asked == []
+
+    def test_one_series_over_cap_keeps_its_message(self):
+        with pytest.raises(ValidationError, match="10000001 series terms exceed the cap"):
+            euler_char_adelic_numeric(SPLIT, 2, level_q(3), SignatureClass(()), 10**7 + 1)
 
     @pytest.mark.parametrize(
         "algebra, n, signatures",

@@ -129,6 +129,41 @@ def test_power_sum_table_in_non_monotone_order():
             assert _table_gen_bernoulli(k, chi) == _per_residue_gen_bernoulli(k, chi), (chi, k)
 
 
+def test_character_table_matches_kronecker_symbol():
+    # every fundamental discriminant with |D| <= 1000, both signs and D = 1
+    discriminants = [d for d in range(-1000, 1001) if is_fundamental_discriminant(d)]
+    assert len(discriminants) == 608 and 1 in discriminants
+    for d in discriminants:
+        expected = [kronecker_symbol(d, a) for a in range(abs(d))]
+        assert numberfield._character_table(d) == expected, d
+
+
+@pytest.mark.parametrize("d", [999997, 999996])
+def test_character_table_at_the_conductor_cap(d):
+    # 999997 = 757 * 1321; 999996 = (-4)(-3)(-167)(-499)
+    table = numberfield._character_table(d)
+    assert len(table) == d
+    for a in [*range(0, d, 997), *range(d - 50, d)]:
+        assert table[a] == kronecker_symbol(d, a), a
+
+
+def test_power_sums_evaluate_no_kronecker_symbol(monkeypatch):
+    calls = []
+
+    def counting_kronecker_symbol(a, n):
+        calls.append((a, n))
+        return kronecker_symbol(a, n)
+
+    monkeypatch.setattr(numberfield, "kronecker_symbol", counting_kronecker_symbol)
+    monkeypatch.setattr(numberfield, "_power_table", None)
+    chi = QuadraticCharacter(4993)
+    assert numberfield._power_sums(chi, 16)[0] == 0
+    values = {k: _table_gen_bernoulli(k, chi) for k in (1, 2, 16)}
+    assert calls == []
+    for k, value in values.items():
+        assert value == _per_residue_gen_bernoulli(k, chi), k
+
+
 def test_power_sum_table_holds_one_character():
     chis = CHARACTERS_200[-50:]
     for chi in chis:
