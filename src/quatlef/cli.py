@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
-from .exact import format_rational, parse_rational
+from .exact import _digit_limit_error, format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -254,22 +254,28 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _csv_text(header: tuple[str, ...] | list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
+    """The CSV text of the rows; the writer turns their integers into text."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    try:
+        writer.writerows(rows)
+    except ValueError:
+        raise _digit_limit_error() from None
     return buffer.getvalue()
 
 
-def _emit_report(
-    args, payload: dict, rows: list[list[str]], header=("key", "value")
-) -> int:
+def _emit_report(args, payload: dict, rows: list[list], header=("key", "value")) -> int:
     """Write the JSON payload, or the command's CSV rows under --format csv."""
     if args.format == "csv":
-        _emit(args, _csv_text(header, rows))
+        text = _csv_text(header, rows)
     else:
-        _emit(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        except ValueError:
+            raise _digit_limit_error() from None
+    _emit(args, text)
     return 0
 
 
@@ -309,11 +315,13 @@ def _cmd_zeta(args) -> int:
     jmax = int(args.jmax)
     if jmax < 1:
         raise ValidationError("--jmax must be >= 1")
+    # j = jmax first, so that the zeta caps refuse it before any table is built
+    dedekind_zeta_neg(field, jmax)
     values = [
         {"j": j, "value": format_rational(dedekind_zeta_neg(field, j))}
         for j in range(1, jmax + 1)
     ]
-    rows = [[str(v["j"]), v["value"]] for v in values]
+    rows = [[v["j"], v["value"]] for v in values]
     payload = _payload(args, field, values=values)
     return _emit_report(args, payload, rows, ("j", "zeta_1_minus_2j"))
 
@@ -332,7 +340,7 @@ def _cmd_lefschetz(args) -> int:
     payload = _payload(
         args, field, algebra, level, report, trace_w=format_rational(report.trace_w)
     )
-    rows = [["value", format_rational(report.value)], ["n", str(report.n)]]
+    rows = [["value", format_rational(report.value)], ["n", report.n]]
     rows += [["warning", w] for w in report.warnings]
     return _emit_report(args, payload, rows)
 
@@ -365,7 +373,7 @@ def _cmd_euler_char(args) -> int:
             "terms": terms,
             "rel_tolerance": verify_mod.ADELIC_REL_TOL,
         }
-        rows += [["adelic_numeric", repr(numeric)], ["adelic_terms", str(terms)]]
+        rows += [["adelic_numeric", repr(numeric)], ["adelic_terms", terms]]
     return _emit_report(args, payload, rows)
 
 
@@ -373,7 +381,7 @@ def _cmd_index(args) -> int:
     field, algebra, level = _setting(args)
     value = congruence_index(algebra, int(args.n), level)
     payload = _payload(args, field, algebra, level, n=int(args.n), index=value)
-    return _emit_report(args, payload, [["index", str(value)]])
+    return _emit_report(args, payload, [["index", value]])
 
 
 def _cmd_genus(args) -> int:
@@ -394,12 +402,8 @@ def _cmd_genus(args) -> int:
         cusp_form_dims=dims,
         warnings=list(report.warnings),
     )
-    rows = [
-        ["genus", str(report.genus)],
-        ["b1", str(report.b1)],
-        ["chi", str(report.chi)],
-    ]
-    rows += [[f"dim_weight_{k}", str(v)] for k, v in sorted(dims.items())]
+    rows = [["genus", report.genus], ["b1", report.b1], ["chi", report.chi]]
+    rows += [[f"dim_weight_{k}", v] for k, v in sorted(dims.items())]
     return _emit_report(args, payload, rows)
 
 
@@ -428,9 +432,7 @@ def _cmd_table(args) -> int:
         level = ideal_from_integer(field, n_level)
         if not check_torsion_necessary(level):
             rows.append(
-                [str(n_level), str(level.norm()), "false"]
-                + [""] * 5
-                + ["torsion check failed"]
+                [n_level, level.norm(), "false"] + [""] * 5 + ["torsion check failed"]
             )
             continue
         inp = LefschetzInput(
@@ -443,20 +445,20 @@ def _cmd_table(args) -> int:
         ]
         index = congruence_index(algebra, n_size, level)
         report = lefschetz_number(inp)
-        genus_text = b1_text = ""
+        genus = b1 = ""
         if n_size == 1 and algebra.is_fuchsian() and field.is_totally_real:
             genus_report = genus_fuchsian(algebra, level)
-            genus_text, b1_text = str(genus_report.genus), str(genus_report.b1)
+            genus, b1 = genus_report.genus, genus_report.b1
         rows.append(
             [
-                str(n_level),
-                str(level.norm()),
+                n_level,
+                level.norm(),
                 "true",
-                str(index),
+                index,
                 format_rational(report.value),
                 "|".join(chis),
-                genus_text,
-                b1_text,
+                genus,
+                b1,
                 "",
             ]
         )
@@ -508,6 +510,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, text) in _COMMANDS.items():
         # help=None would still list the subcommand in the top-level help
         p_cmd = sub.add_parser(name, **({"help": text} if text else {}))
+        # main reports leftover arguments through the subcommand's own parser
+        p_cmd.set_defaults(parser=p_cmd)
         for commands, flag, kwargs in _FLAGS:
             if name in commands:
                 p_cmd.add_argument(
@@ -517,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _apply_config(args)
         for commands, flag, kwargs in _FLAGS:

@@ -12,6 +12,7 @@ numeric cross-check paths elsewhere.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,12 +37,23 @@ def parse_rational(text: str) -> Fraction:
         raise ValidationError(f"not a rational: {text!r}") from exc
 
 
+def _digit_limit_error() -> ValidationError:
+    """The refusal of a value too long for Python's integer-to-text limit."""
+    return ValidationError(
+        f"a value has more than {sys.get_int_max_str_digits()} digits, the limit"
+        " for writing an integer as text; a smaller --n or --level shortens it"
+    )
+
+
 def format_rational(value: Fraction | int) -> str:
-    """Render an exact rational as ``"p/q"``, or just ``"p"`` when integral."""
+    """Render an exact rational as ``"p/q"``, or just ``"p"`` when integral.
+    A value beyond the digit limit of Python's integer-to-text conversion
+    raises ValidationError."""
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return str(value)
+    except ValueError:
+        raise _digit_limit_error() from None
 
 
 _bernoulli_cache: list[Fraction] = [Fraction(1)]

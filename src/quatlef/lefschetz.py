@@ -274,6 +274,8 @@ def _closed_form(
     disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
     zero_reason = None
     if algebra.field.is_totally_real:
+        # j = n first, so that the zeta caps refuse it before any table is built
+        dedekind_zeta_neg(algebra.field, n)
         m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
         value = prod(m_factors, start=two_power * level_norm_power * disc_power)
         expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)

@@ -35,7 +35,6 @@ __all__ = [
     "is_prime",
     "factorize",
     "kronecker_symbol",
-    "kronecker",
     "is_fundamental_discriminant",
     "split_prime",
     "ideal_from_integer",
@@ -193,13 +192,6 @@ def is_fundamental_discriminant(D: int) -> bool:
         m = D // 4
         return m % 4 in (2, 3) and _squarefree(m)
     return False
-
-
-def kronecker(D: int, m: int) -> int:
-    """Quadratic character value (D/m) for a fundamental discriminant D."""
-    if not is_fundamental_discriminant(D):
-        raise ValidationError(f"{D} is not a fundamental discriminant")
-    return kronecker_symbol(D, m)
 
 
 @dataclass(frozen=True)
@@ -621,11 +613,21 @@ def gen_bernoulli(k: int, chi: QuadraticCharacter) -> Fraction:
     kept; finished values stay in this function's cache. B_i vanishes for
     odd i > 1, so only i = 0, 1 and even i enter; their terms are summed
     in integers over the common denominator f * lcm(2, den B_i), and one
-    Fraction is made at the end.
+    Fraction is made at the end. Before any table is built, k is capped at
+    2 * _MAX_ZETA_INDEX and f * k at _MAX_POWER_SUM_TERMS.
     """
     if k < 1:
         raise ValidationError("generalized Bernoulli index must be >= 1")
     f = chi.conductor
+    if k > 2 * _MAX_ZETA_INDEX:
+        raise ValidationError(
+            f"generalized Bernoulli index {k} exceeds the cap of {2 * _MAX_ZETA_INDEX}"
+        )
+    if f * k > _MAX_POWER_SUM_TERMS:
+        raise ValidationError(
+            f"conductor {f} times index {k} exceeds the cap of"
+            f" {_MAX_POWER_SUM_TERMS} power-sum terms"
+        )
     sums = _power_sums(chi, k)
     even = [(i, bernoulli(i)) for i in range(2, k + 1, 2)]
     scale = lcm(2, *(b.denominator for _i, b in even))
@@ -644,10 +646,14 @@ def dedekind_zeta_neg(field: TotallyRealField, j: int) -> Fraction:
     Rationals use the Bernoulli formula directly; real quadratic fields
     multiply in L(1-2j, chi) = -B_{2j,chi}/(2j); external fields read their
     table. For totally real fields the result is a nonzero rational of
-    sign (-1)^(j * degree).
+    sign (-1)^(j * degree). A j above _MAX_ZETA_INDEX is refused.
     """
     if j < 1:
         raise ValidationError("zeta argument index must be >= 1")
+    if j > _MAX_ZETA_INDEX:
+        raise ValidationError(
+            f"zeta at 1-2j for j = {j} exceeds the cap of j <= {_MAX_ZETA_INDEX}"
+        )
     if field.kind == _KIND_RATIONALS:
         return riemann_zeta_neg(j)
     if field.kind == _KIND_QUADRATIC:
@@ -690,6 +696,15 @@ _MAX_SERIES_TERMS = 10**7
 # of it the residue and square lists of _power_sums (2-vCPU Xeon,
 # Python 3.11)
 _MAX_CONDUCTOR = 10**6
+# largest j of a zeta value at 1-2j, for every field: B_200 alone takes
+# about 0.16 s of Bernoulli recurrence, and zeta --field q --jmax 100 0.4 s
+_MAX_ZETA_INDEX = 100
+# most entries of one character's power-sum table: the conductor f times the
+# largest gen_bernoulli index k. Near the cap zeta --field quad:19997
+# --jmax 100 (k = 200) took 1.5-1.7 s, the dearest shape; quad:399989 with
+# --jmax 5 took 0.8 s, and quad:999997 with --jmax 2 0.9 s and 135 MiB peak
+# RSS (same host)
+_MAX_POWER_SUM_TERMS = 4 * 10**6
 
 
 def zeta_f_positive_even_numeric(

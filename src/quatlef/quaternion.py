@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .numberfield import PrimeIdeal, TotallyRealField, factorize, is_prime, split_prime
+from .numberfield import PrimeIdeal, TotallyRealField, factorize, is_prime
+from .numberfield import kronecker_symbol, split_prime
 
 __all__ = [
     "QuaternionAlgebra",
@@ -99,15 +100,10 @@ def _hilbert_symbol_odd(a: int, b: int, p: int) -> int:
     if alpha % 2 and beta % 2 and p % 4 == 3:
         symbol = -symbol
     if beta % 2:
-        symbol *= _legendre(u, p)
+        symbol *= kronecker_symbol(u, p)
     if alpha % 2:
-        symbol *= _legendre(w, p)
+        symbol *= kronecker_symbol(w, p)
     return symbol
-
-
-def _legendre(u: int, p: int) -> int:
-    value = pow(u % p, (p - 1) // 2, p)
-    return -1 if value == p - 1 else value
 
 
 def _hilbert_symbol_2(a: int, b: int) -> int:

@@ -193,10 +193,11 @@ def suite_functional_equation(terms: int = DEFAULT_TERMS) -> list[Check]:
 
 
 def suite_kronecker() -> list[Check]:
+    chi_5 = numberfield.QuadraticCharacter(5)
     checks = [
-        _eq("(5/2)", numberfield.kronecker(5, 2), -1),
-        _eq("(5/4)", numberfield.kronecker(5, 4), 1),
-        _eq("(5/10)", numberfield.kronecker(5, 10), 0),
+        _eq("(5/2)", chi_5(2), -1),
+        _eq("(5/4)", chi_5(4), 1),
+        _eq("(5/10)", chi_5(10), 0),
     ]
     for disc in (5, 8, 12, 13):
         mult_ok = all(
@@ -255,63 +256,46 @@ def suite_hilbert() -> list[Check]:
 
 
 def suite_finite_orders() -> list[Check]:
-    checks = []
-    for m, q in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2)):
-        checks.append(
-            _eq(
-                f"sl_order({m},{q})",
-                finitegrp.sl_order(m, q),
-                finitegrp.brute_force_sl(m, q),
-            )
-        )
-    for n, q in ((1, 2), (1, 3), (1, 5), (2, 2)):
-        checks.append(
-            _eq(
-                f"sp_order({n},{q})",
-                finitegrp.sp_order(n, q),
-                finitegrp.brute_force_sp(n, q),
-            )
-        )
-    for q in (2, 3, 5, 7):
-        checks.append(
-            _eq(
-                f"sp_order(1,{q}) = sl_order(2,{q})",
-                finitegrp.sp_order(1, q),
-                finitegrp.sl_order(2, q),
-            )
-        )
-    for q in (2, 3, 5):
-        checks.append(
-            _eq(
-                f"ramified_local_order(1,{q})",
-                finitegrp.ramified_local_order(1, q),
-                finitegrp.brute_force_ramified_sl1(q),
-            )
-        )
-    for n, q in ((1, 2), (1, 3), (2, 2)):
-        checks.append(
-            _eq(
-                f"unitary_order({n},{q})",
-                finitegrp.unitary_order(n, q),
-                finitegrp.brute_force_unitary(n, q),
-            )
-        )
-    for n in range(1, 6):
-        for q in (2, 3, 4, 5, 7, 8, 9):
-            checks.append(
-                _eq(
-                    f"ramified=unitary*q^(n(n+1)) ({n},{q})",
-                    finitegrp.ramified_local_order(n, q),
-                    finitegrp.unitary_order(n, q) * q ** (n * (n + 1)),
-                )
-            )
-    checks.append(
+    fg = finitegrp
+    checks = [
+        _eq(f"sl_order({m},{q})", fg.sl_order(m, q), fg.brute_force_sl(m, q))
+        for m, q in ((2, 2), (2, 3), (2, 5), (2, 7), (3, 2))
+    ]
+    checks += [
+        _eq(f"sp_order({n},{q})", fg.sp_order(n, q), fg.brute_force_sp(n, q))
+        for n, q in ((1, 2), (1, 3), (1, 5), (2, 2))
+    ]
+    checks += [
+        _eq(f"sp_order(1,{q}) = sl_order(2,{q})", fg.sp_order(1, q), fg.sl_order(2, q))
+        for q in (2, 3, 5, 7)
+    ]
+    checks += [
         _eq(
-            "CRT sl(2,6)",
-            finitegrp.brute_force_sl(2, 6),
-            finitegrp.brute_force_sl(2, 2) * finitegrp.brute_force_sl(2, 3),
+            f"ramified_local_order(1,{q})",
+            fg.ramified_local_order(1, q),
+            fg.brute_force_ramified_sl1(q),
         )
-    )
+        for q in (2, 3, 5)
+    ]
+    checks += [
+        _eq(
+            f"unitary_order({n},{q})",
+            fg.unitary_order(n, q),
+            fg.brute_force_unitary(n, q),
+        )
+        for n, q in ((1, 2), (1, 3), (2, 2))
+    ]
+    checks += [
+        _eq(
+            f"ramified=unitary*q^(n(n+1)) ({n},{q})",
+            fg.ramified_local_order(n, q),
+            fg.unitary_order(n, q) * q ** (n * (n + 1)),
+        )
+        for n in range(1, 6)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+    ]
+    crt = fg.brute_force_sl(2, 2) * fg.brute_force_sl(2, 3)
+    checks.append(_eq("CRT sl(2,6)", fg.brute_force_sl(2, 6), crt))
     return checks
 
 

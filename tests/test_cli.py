@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from quatlef import finitegrp
+from quatlef import finitegrp, numberfield
 from quatlef.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -482,6 +482,24 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, ["verify", "--suite", "nope"])
     assert code == 2
     assert "unknown verification suites" in err
+
+
+def test_zeta_caps_refuse_before_any_table(capsys, monkeypatch):
+    # j = 1 and 2 are within the caps at conductor 999997, j = 3 is not
+    def no_table(chi, k):
+        raise AssertionError(f"power sums built for k = {k}")
+
+    monkeypatch.setattr(numberfield, "_power_sums", no_table)
+    for argv in (
+        ["zeta", "--field", "quad:999997", "--jmax", "3"],
+        ["lefschetz", "--field", "quad:999997", "--split", "--n", "3", "--level", "3"],
+    ):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: conductor 999997 times index 6 exceeds the cap of"
+            " 4000000 power-sum terms\n"
+        )
 
 
 def test_verify_detects_tampered_constant(capsys, monkeypatch):

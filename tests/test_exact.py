@@ -137,3 +137,11 @@ class TestRationalSerialisation:
     @given(small_rationals)
     def test_format_parse_inverse(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    def test_digit_limit_refused(self):
+        # Python's default limit on integer text is 4300 digits
+        assert format_rational(Fraction(1, 10**4299)) == "1/1" + "0" * 4299
+        message = "more than 4300 digits.* a smaller --n or --level"
+        for value in (Fraction(10**4300), Fraction(1, 10**4300)):
+            with pytest.raises(ValidationError, match=message):
+                format_rational(value)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from quatlef.errors import SearchSpaceError, ValidationError
@@ -11,6 +13,66 @@ from quatlef.finitegrp import (
     sp_order,
     unitary_order,
 )
+
+
+# The rational products the integer closed forms replaced, kept as oracles.
+def _fraction_sl(m, q):
+    value = Fraction(q ** (m * m - 1))
+    for j in range(2, m + 1):
+        value *= 1 - Fraction(1, q**j)
+    return value
+
+
+def _fraction_sp(n, q):
+    value = Fraction(q ** (n * (2 * n + 1)))
+    for j in range(1, n + 1):
+        value *= 1 - Fraction(1, q ** (2 * j))
+    return value
+
+
+def _fraction_ramified(n, q):
+    value = Fraction(q ** (n * (2 * n + 1)))
+    for j in range(1, n + 1):
+        value *= 1 - Fraction((-1) ** j, q**j)
+    return value
+
+
+def _fraction_local_index(q, kind, n, e):
+    d = 4 * n * n - 1
+    lift = q ** ((e - 1) * d)
+    if kind == "split":
+        return lift * _fraction_sl(2 * n, q)
+    value = Fraction(q**d) * (1 + Fraction(1, q))
+    for j in range(2, n + 1):
+        value *= 1 - Fraction(1, q ** (2 * j))
+    return lift * value
+
+
+_ORACLE_QS = (2, 3, 4, 5, 7, 8, 9)
+
+
+class TestFractionOracles:
+    @pytest.mark.parametrize("q", _ORACLE_QS)
+    def test_sl_order(self, q):
+        for m in range(2, 13):
+            got = sl_order(m, q)
+            assert got == _fraction_sl(m, q) and type(got) is int
+
+    @pytest.mark.parametrize("q", _ORACLE_QS)
+    def test_sp_and_ramified_orders(self, q):
+        for n in range(1, 7):
+            sp, ramified = sp_order(n, q), ramified_local_order(n, q)
+            assert sp == _fraction_sp(n, q) and type(sp) is int
+            assert ramified == _fraction_ramified(n, q) and type(ramified) is int
+
+    @pytest.mark.parametrize("kind", ["split", "ramified"])
+    def test_local_index_factor(self, kind):
+        for q in _ORACLE_QS:
+            for n in range(1, 7):
+                for e in range(1, 4):
+                    got = local_index_factor(q, kind, n, e)
+                    assert got == _fraction_local_index(q, kind, n, e)
+                    assert type(got) is int
 
 
 class TestClosedForms:
@@ -40,16 +102,6 @@ class TestClosedForms:
     def test_sp1_equals_sl2(self):
         for q in (2, 3, 4, 5, 7, 8, 9, 11):
             assert sp_order(1, q) == sl_order(2, q)
-
-    def test_ramified_factors_as_unitary_times_symmetric(self, verified):
-        verified(
-            "finite-orders",
-            *(
-                f"ramified=unitary*q^(n(n+1)) ({n},{q})"
-                for n in range(1, 6)
-                for q in (2, 3, 4, 5, 7, 8, 9)
-            ),
-        )
 
     def test_non_prime_power_rejected(self):
         for fn in (lambda q: sl_order(2, q), lambda q: sp_order(1, q)):
@@ -90,9 +142,6 @@ class TestBruteForceOracles:
     @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
     def test_unitary_matches_closed_form(self, n, q, verified):
         verified("finite-orders", f"unitary_order({n},{q})")
-
-    def test_crt_multiplicativity(self, verified):
-        verified("finite-orders", "CRT sl(2,6)")
 
     def test_state_cap_enforced(self):
         with pytest.raises(SearchSpaceError):

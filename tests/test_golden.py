@@ -109,6 +109,16 @@ CASES = {
     "err-table-cap": ["table", "--field", "q", "--split", "--n", "1", "--levels", "2:20002"],
     "err-class-cap": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "200", "--levels", "3:3"],
     "err-verify-suite": ["verify", "--suite", "nope"],
+    # the zeta caps: j itself, then conductor times 2j, also through the closed form
+    "err-zeta-index-cap": ["zeta", "--field", "q", "--jmax", "101"],
+    "err-zeta-power-sum-cap": ["zeta", "--field", "quad:999997", "--jmax", "3", "--format", "csv"],
+    "err-closed-form-n-cap": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "101", "--level", "3"],
+    # values beyond Python's 4300-digit limit on integer text, in JSON and CSV
+    "err-digit-limit-lefschetz": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3"],
+    "err-digit-limit-lefschetz-csv": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3", "--format", "csv"],
+    "err-digit-limit-index": ["index", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3"],
+    "err-digit-limit-index-csv": ["index", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3", "--format", "csv"],
+    "err-digit-limit-table": ["table", "--field", "q", "--split", "--n", "20", "--levels", "1000003:1000003"],
     # the conductor cap, checked before the squarefree test trial-divides d
     "err-conductor-cap": ["zeta", "--field", "quad:100000007", "--jmax", "1"],
     "err-conductor-cap-huge": ["zeta", "--field", "quad:1000000000000000003", "--jmax", "1"],

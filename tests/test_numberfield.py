@@ -19,7 +19,6 @@ from quatlef.numberfield import (
     ideal_from_integer,
     is_fundamental_discriminant,
     is_prime,
-    kronecker,
     kronecker_symbol,
     split_prime,
     zeta_f_positive_even_numeric,
@@ -38,10 +37,10 @@ def test_kronecker_examples(verified):
 
 
 def test_kronecker_rejects_non_fundamental():
-    with pytest.raises(ValidationError):
-        kronecker(6, 5)
-    with pytest.raises(ValidationError):
-        kronecker(9, 2)
+    with pytest.raises(ValidationError, match="6 is not a fundamental discriminant"):
+        QuadraticCharacter(6)(5)
+    with pytest.raises(ValidationError, match="9 is not a fundamental discriminant"):
+        QuadraticCharacter(9)(2)
 
 
 def test_fundamental_discriminants():
@@ -430,6 +429,40 @@ def test_conductor_cap_boundary():
     # checked before the squarefree test, which would trial-divide d
     with pytest.raises(ValidationError, match="exceeds the cap"):
         TotallyRealField.real_quadratic(10**18 + 3)
+
+
+def test_zeta_index_cap_boundary():
+    chi_5 = Q5.character()
+    assert dedekind_zeta_neg(Q, 100) == -bernoulli(200) / 200
+    assert gen_bernoulli(200, chi_5) == _per_residue_gen_bernoulli(200, chi_5)
+    for field in (Q, Q5):
+        with pytest.raises(ValidationError, match="j = 101 exceeds the cap of j <= 100"):
+            dedekind_zeta_neg(field, 101)
+    with pytest.raises(ValidationError, match="index 201 exceeds the cap of 200"):
+        gen_bernoulli(201, chi_5)
+
+
+def test_power_sum_cap_boundary(monkeypatch):
+    # conductor * k = 3999999 = 173913 * 23 is accepted and
+    # 4000001 = 97561 * 41 is refused before any table is built
+    built = []
+
+    def stub_power_sums(chi, k):
+        built.append((chi.conductor, k))
+        return (0,) * (k + 1)
+
+    monkeypatch.setattr(numberfield, "_power_sums", stub_power_sums)
+    gen_bernoulli.cache_clear()
+    try:
+        assert gen_bernoulli(23, QuadraticCharacter(173913)) == 0
+        with pytest.raises(
+            ValidationError,
+            match="conductor 97561 times index 41 exceeds the cap of 4000000",
+        ):
+            gen_bernoulli(41, QuadraticCharacter(97561))
+    finally:
+        gen_bernoulli.cache_clear()
+    assert built == [(173913, 23)]
 
 
 def _trial_division_is_prime(n):
