@@ -95,12 +95,23 @@ _CONFIG = {_dest(flag): kwargs for _, flag, kwargs in _FLAGS if flag != "--confi
 _CONFIG["ram_primes"] = _CONFIG["ram"]
 
 
+def _int(text: str) -> int:
+    """int(text), refusing text with more digits than Python reads."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < sum(map(str.isdigit, text)):
+        raise ValidationError(
+            f"an input integer has more than {limit} digits, the limit for"
+            " reading an integer from text"
+        )
+    return int(text)
+
+
 def _parse_field(spec) -> TotallyRealField:
     spec = str(spec).strip()
     if spec.lower() == "q":
         return TotallyRealField.rationals()
     if spec.startswith("quad:"):
-        return TotallyRealField.real_quadratic(int(spec[len("quad:") :]))
+        return TotallyRealField.real_quadratic(_int(spec[len("quad:") :]))
     if spec.startswith("external:"):
         return TotallyRealField.from_json_file(spec[len("external:") :])
     raise ValidationError(
@@ -118,7 +129,7 @@ def _resolve_ram_primes(field: TotallyRealField, spec: str) -> tuple[PrimeIdeal,
             p_text, label = segment.split(":", 1)
         else:
             p_text, label = segment, None
-        candidates = split_prime(field, int(p_text))
+        candidates = split_prime(field, _int(p_text))
         if label is None:
             primes.append(candidates[0])
         else:
@@ -147,7 +158,7 @@ def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
         if field.kind != "rationals":
             raise ValidationError("--hilbert presentations are supported over Q only")
         a_text, _, b_text = args.hilbert.partition(",")
-        return hilbert_ramification_q(int(a_text), int(b_text))
+        return hilbert_ramification_q(_int(a_text), _int(b_text))
     if args.split:
         return QuaternionAlgebra(field, (), 0)
     if not args.ram and args.ram_real is None:
@@ -167,11 +178,11 @@ def _setting(args) -> tuple[TotallyRealField, QuaternionAlgebra, Ideal]:
 def _parse_level(field: TotallyRealField, spec) -> Ideal:
     spec = str(spec).strip()
     if spec.isdigit():
-        return ideal_from_integer(field, int(spec))
+        return ideal_from_integer(field, _int(spec))
     pairs = []
     for segment in spec.split(","):
         base, _, exp_text = segment.strip().partition("^")
-        exponent = int(exp_text) if exp_text else 1
+        exponent = _int(exp_text) if exp_text else 1
         parts = base.split(":")
         if len(parts) == 3:
             p, f, e = parts
@@ -182,7 +193,7 @@ def _parse_level(field: TotallyRealField, spec) -> Ideal:
             raise ValidationError(
                 f"bad level segment {segment!r}; use N or p:f:e[:label][^k]"
             )
-        prime = PrimeIdeal(int(p), int(f), int(e), label)
+        prime = PrimeIdeal(_int(p), _int(f), _int(e), label)
         if prime not in split_prime(field, prime.p):
             raise ValidationError(
                 f"prime {prime} does not exist in {field.describe()}"
@@ -197,7 +208,7 @@ def _parse_signature(spec: str | None) -> SignatureClass:
     pairs = []
     for segment in spec.split(";"):
         p_text, _, q_text = segment.strip().partition(",")
-        pairs.append((int(p_text), int(q_text)))
+        pairs.append((_int(p_text), _int(q_text)))
     return SignatureClass(tuple(pairs))
 
 
@@ -315,7 +326,8 @@ def _cmd_zeta(args) -> int:
     jmax = int(args.jmax)
     if jmax < 1:
         raise ValidationError("--jmax must be >= 1")
-    # j = jmax first, so that the zeta caps refuse it before any table is built
+    # j = jmax first, so that the zeta caps refuse it before any table is
+    # built, and so that one pass of power sums serves every smaller j
     dedekind_zeta_neg(field, jmax)
     values = [
         {"j": j, "value": format_rational(dedekind_zeta_neg(field, j))}
@@ -388,7 +400,7 @@ def _cmd_genus(args) -> int:
     field, algebra, level = _setting(args)
     report = genus_fuchsian(algebra, level, bool(args.assume_torsion_free))
     weights = (
-        [int(w) for w in str(args.weights).split(",")] if args.weights else []
+        [_int(w) for w in str(args.weights).split(",")] if args.weights else []
     )
     dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
     payload = _payload(
@@ -411,7 +423,7 @@ def _cmd_table(args) -> int:
     field = _parse_field(args.field)
     algebra = _parse_algebra(args, field)
     lo_text, _, hi_text = str(args.levels).partition(":")
-    lo, hi = int(lo_text), int(hi_text or lo_text)
+    lo, hi = _int(lo_text), _int(hi_text or lo_text)
     if hi - lo + 1 > _TABLE_ROW_CAP:
         raise ValidationError(f"level range exceeds the {_TABLE_ROW_CAP} row cap")
     trace = _trace_w(args)

@@ -23,7 +23,6 @@ from .errors import ValidationError
 __all__ = [
     "SymbolicScalar",
     "bernoulli",
-    "bernoulli_poly_eval",
     "riemann_zeta_neg",
     "parse_rational",
     "format_rational",

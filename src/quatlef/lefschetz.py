@@ -47,6 +47,7 @@ from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationEr
 from .exact import SymbolicScalar
 from .numberfield import (
     _MAX_SERIES_TERMS,
+    _MAX_ZETA_INDEX,
     Ideal,
     TotallyRealField,
     dedekind_zeta_neg,
@@ -199,10 +200,15 @@ class GenusReport:
 
 
 def _check_level(algebra: QuaternionAlgebra, level: Ideal, n: int = 1) -> None:
-    """Checks shared by every closed form: n >= 1 and a proper level ideal
-    of the algebra's field."""
+    """Checks shared by every closed form, made before any power or group
+    order is taken: 1 <= n <= _MAX_ZETA_INDEX (the closed form needs zeta
+    at 1-2j for every j <= n) and a proper level ideal of the field."""
     if n < 1:
         raise ValidationError("matrix size n must be >= 1")
+    if n > _MAX_ZETA_INDEX:
+        raise ValidationError(
+            f"matrix size n = {n} exceeds the cap of n <= {_MAX_ZETA_INDEX}"
+        )
     if level.field != algebra.field:
         raise ValidationError("level ideal lives in a different field")
     if level.is_unit:
@@ -274,7 +280,8 @@ def _closed_form(
     disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
     zero_reason = None
     if algebra.field.is_totally_real:
-        # j = n first, so that the zeta caps refuse it before any table is built
+        # j = n first, so that the zeta caps refuse it before any table is
+        # built, and so that one pass of power sums serves every smaller j
         dedekind_zeta_neg(algebra.field, n)
         m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
         value = prod(m_factors, start=two_power * level_norm_power * disc_power)

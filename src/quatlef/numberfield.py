@@ -19,9 +19,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, cycle, islice, repeat
+from itertools import chain, compress, cycle, islice
 from math import comb, lcm, log
-from operator import eq, mul
+from operator import mul
 from pathlib import Path
 
 from .errors import ExternalFieldError, ValidationError
@@ -544,55 +544,43 @@ def _character_table(discriminant: int) -> list[int]:
     return table
 
 
-def _split_residues(chi: QuadraticCharacter) -> tuple[list[int], list[int]]:
-    """The residues a = 1..f with chi(a) = +1 and with chi(a) = -1."""
-    table = _character_table(chi.fundamental_discriminant)
-    f = len(table)
-    # residue f reads table[0], which is nonzero only for f = 1
-    return tuple(
-        list(
-            compress(
-                range(1, f + 1),
-                map(eq, chain(islice(table, 1, None), table[:1]), repeat(sign)),
-            )
-        )
-        for sign in (1, -1)
-    )
+# residues per block of _power_sums: their powers are held a block at a time
+_BLOCK = 2**15
 
-
-# (chi, residues with chi = +1, residues with chi = -1, the powers a^m of
-# each, (S_0..S_m)) for the most recent character only. It is replaced by one
-# assignment and nothing in it is mutated once published, so a concurrent
-# reader sees a whole table; keeping every character's powers would hold
-# them all for the life of the process.
-_power_table: tuple | None = None
+# (chi, k mod 2, its power sums) for the most recent character only. It is
+# replaced by one assignment, so a concurrent reader sees a whole state.
+_power_sum_state: tuple | None = None
 
 
 def _power_sums(chi: QuadraticCharacter, k: int) -> tuple[int, ...]:
-    """S_0..S_m, m >= k, with S_m = sum_{a=1}^{f} chi(a) a^m.
-
-    When chi is not the table's, its residues are split by sign from one
-    period of _character_table, built from the prime-discriminant factors
-    with no Jacobi symbol; a larger k then grows the table by whole steps
-    in m.
+    """T_m = sum_{a=1}^{f} chi(a) (2a - f)^m for m = k mod 2, k mod 2 + 2,
+    ..., at least up to k, from one pass over _character_table in blocks of
+    _BLOCK residues. The sums of the most recent character and parity are
+    kept and rebuilt from scratch when a larger k is asked for.
     """
-    global _power_table
-    table = _power_table
-    if table is None or table[0] != chi:
-        plus, minus = _split_residues(chi)
-        sums = (len(plus) - len(minus), sum(plus) - sum(minus))
-        table = (chi, plus, minus, plus, minus, sums)
-    chi, plus, minus, plus_powers, minus_powers, sums = table
-    if len(sums) <= k:
-        sums = list(sums)
-        while len(sums) <= k:
-            plus_powers = list(map(mul, plus_powers, plus))
-            minus_powers = list(map(mul, minus_powers, minus))
-            sums.append(sum(plus_powers) - sum(minus_powers))
-        sums = tuple(sums)
-        table = (chi, plus, minus, plus_powers, minus_powers, sums)
-    _power_table = table
-    return sums
+    global _power_sum_state
+    state = _power_sum_state
+    if state is None or state[:2] != (chi, k % 2) or len(state[2]) <= k // 2:
+        table = _character_table(chi.fundamental_discriminant)
+        f = len(table)
+        # residue a = 1..f reads table[a % f], nonzero at a = f only for f = 1
+        signs = chain(islice(table, 1, None), table[:1])
+        sums = [0] * (k // 2 + 1)
+        for start in range(1, f + 1, _BLOCK):
+            block = list(islice(signs, _BLOCK))
+            first = 2 * start - f
+            xs = list(compress(range(first, first + 2 * _BLOCK, 2), block))
+            squares = list(map(mul, xs, xs))
+            powers = list(filter(None, block))
+            if k % 2:
+                powers = list(map(mul, powers, xs))
+            sums[0] += sum(powers)
+            for m in range(1, len(sums)):
+                powers = list(map(mul, powers, squares))
+                sums[m] += sum(powers)
+        state = (chi, k % 2, tuple(sums))
+        _power_sum_state = state
+    return state[2]
 
 
 @lru_cache(maxsize=None)
@@ -601,19 +589,15 @@ def gen_bernoulli(k: int, chi: QuadraticCharacter) -> Fraction:
 
     By definition B_{k,chi} = f^(k-1) * sum_{a=1}^{f} chi(a) B_k(a/f) with
     f the conductor; it computes L(1-k, chi) = -B_{k,chi}/k. Expanding
-    B_k(x) = sum_i C(k,i) B_i x^(k-i) gives
+    B_k(x) about x = 1/2, where B_i(1/2) = (2^(1-i) - 1) B_i vanishes for
+    odd i (DLMF 24.4.27), gives
 
-        B_{k,chi} = sum_{i=0}^{k} C(k,i) B_i f^(i-1) S_{k-i},
-        S_m = sum_{a=1}^{f} chi(a) a^m
+        B_{k,chi} = 2^(-k) f^(-1) sum_{i even} C(k,i) (2 - 2^i) B_i f^i T_{k-i},
+        T_m = sum_{a=1}^{f} chi(a) (2a - f)^m
 
-    (Washington, Introduction to Cyclotomic Fields, ch. 4). The power sums
-    come from one integer table per character (_power_sums), grown on
-    demand to the largest k asked for, so B_{2,chi}, B_{4,chi}, ... share
-    one pass over the residues. Only the most recent character's table is
-    kept; finished values stay in this function's cache. B_i vanishes for
-    odd i > 1, so only i = 0, 1 and even i enter; their terms are summed
-    in integers over the common denominator f * lcm(2, den B_i), and one
-    Fraction is made at the end. Before any table is built, k is capped at
+    (Washington, Introduction to Cyclotomic Fields, ch. 4). B_{2,chi},
+    B_{4,chi}, ... share the pass of _power_sums made for the largest k,
+    when that is asked first. Before any sum is built, k is capped at
     2 * _MAX_ZETA_INDEX and f * k at _MAX_POWER_SUM_TERMS.
     """
     if k < 1:
@@ -629,14 +613,14 @@ def gen_bernoulli(k: int, chi: QuadraticCharacter) -> Fraction:
             f" {_MAX_POWER_SUM_TERMS} power-sum terms"
         )
     sums = _power_sums(chi, k)
-    even = [(i, bernoulli(i)) for i in range(2, k + 1, 2)]
-    scale = lcm(2, *(b.denominator for _i, b in even))
-    numerator = scale * sums[k] - scale // 2 * k * f * sums[k - 1]
-    for i, b in even:
-        numerator += (
-            comb(k, i) * b.numerator * (scale // b.denominator) * f**i * sums[k - i]
-        )
-    return Fraction(numerator, scale * f)
+    terms = [(i, bernoulli(i)) for i in range(0, k + 1, 2)]
+    scale = lcm(*(b.denominator for _i, b in terms))
+    numerator = sum(
+        comb(k, i) * (2 - 2**i) * b.numerator * (scale // b.denominator)
+        * f**i * sums[(k - i) // 2]
+        for i, b in terms
+    )
+    return Fraction(numerator, scale * f * 2**k)
 
 
 @lru_cache(maxsize=None)
@@ -692,18 +676,17 @@ def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
 # most series terms zeta_f_positive_even_numeric sums; 10^7 take 1-2 s
 _MAX_SERIES_TERMS = 10**7
 # largest conductor of a real quadratic field: gen_bernoulli(2, chi) takes
-# 0.3-0.5 s at conductor 999997 and peaks at about 93 MiB RSS, nearly all
-# of it the residue and square lists of _power_sums (2-vCPU Xeon,
-# Python 3.11)
+# 0.31-0.36 s at conductor 999997 and adds about 13 MiB to the peak RSS,
+# most of it the character table of one period (2-vCPU Xeon, Python 3.11)
 _MAX_CONDUCTOR = 10**6
 # largest j of a zeta value at 1-2j, for every field: B_200 alone takes
-# about 0.16 s of Bernoulli recurrence, and zeta --field q --jmax 100 0.4 s
+# about 0.16 s of Bernoulli recurrence, and zeta --field q --jmax 100 0.2 s
 _MAX_ZETA_INDEX = 100
-# most entries of one character's power-sum table: the conductor f times the
+# most terms of one character's power sums: the conductor f times the
 # largest gen_bernoulli index k. Near the cap zeta --field quad:19997
-# --jmax 100 (k = 200) took 1.5-1.7 s, the dearest shape; quad:399989 with
-# --jmax 5 took 0.8 s, and quad:999997 with --jmax 2 0.9 s and 135 MiB peak
-# RSS (same host)
+# --jmax 100 (k = 200) took 0.92-0.96 s, the dearest shape; quad:399989
+# with --jmax 5 took 0.42-0.47 s, and quad:999997 with --jmax 2 0.43-0.60 s
+# and 32 MiB peak RSS (same host)
 _MAX_POWER_SUM_TERMS = 4 * 10**6
 
 

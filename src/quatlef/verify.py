@@ -147,22 +147,10 @@ def suite_zeta() -> list[Check]:
             dedekind_zeta_neg(fields["Q(sqrt(2))"], 1),
             Fraction(1, 12),
         ),
-        _eq(
-            "B_{2,chi_5}",
-            numberfield.gen_bernoulli(2, q5.character()),
-            Fraction(4, 5),
-        ),
-        _eq(
-            "B_{4,chi_5}",
-            numberfield.gen_bernoulli(4, q5.character()),
-            Fraction(-8),
-        ),
-        _eq(
-            "B_{1,chi_5}",
-            numberfield.gen_bernoulli(1, q5.character()),
-            Fraction(0),
-        ),
     ]
+    for k, value in ((2, Fraction(4, 5)), (4, Fraction(-8)), (1, Fraction(0))):
+        got = numberfield.gen_bernoulli(k, q5.character())
+        checks.append(_eq(f"B_{{{k},chi_5}}", got, value))
     for label, field in fields.items():
         for j in range(1, 9):
             value = dedekind_zeta_neg(field, j)

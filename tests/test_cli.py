@@ -502,6 +502,36 @@ def test_zeta_caps_refuse_before_any_table(capsys, monkeypatch):
         )
 
 
+# VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
+# started from the test process would report that process's peak
+_PEAK_RSS_OF_LARGEST_ZETA = (
+    "from quatlef.cli import main;"
+    " main(['zeta', '--field', 'quad:999997', '--jmax', '2', '--format', 'csv']);"
+    " status = open('/proc/self/status').read().splitlines();"
+    " print(next(line for line in status if line.startswith('VmHWM:')))"
+)
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs procfs")
+def test_largest_zeta_request_peak_memory():
+    # the largest request accepted at the conductor cap streams its power
+    # sums, so a fresh process peaks near the size of one character table
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS_OF_LARGEST_ZETA],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "j,zeta_1_minus_2j" and len(lines) == 4
+    _, kib, unit = lines[-1].split()
+    assert unit == "kB" and int(kib) < 40 * 1024
+
+
 def test_verify_detects_tampered_constant(capsys, monkeypatch):
     real = finitegrp.sp_order
 

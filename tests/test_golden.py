@@ -107,9 +107,11 @@ CASES = {
     "err-external-prime": ["index", "--field", "external:@/q5.json", "--split", "--n", "1", "--level", "3"],
     "err-trace-w": ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3", "--trace-w", "x"],
     "err-table-cap": ["table", "--field", "q", "--split", "--n", "1", "--levels", "2:20002"],
+    # n = 200 meets the cap on n first; r = 4 and n = 20 give 11^4 classes
     "err-class-cap": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "200", "--levels", "3:3"],
+    "err-class-cap-r4": ["table", "--field", "external:@/q_sqrt2_sqrt5.json", "--ram-real", "4", "--n", "20", "--levels", "3:3"],
     "err-verify-suite": ["verify", "--suite", "nope"],
-    # the zeta caps: j itself, then conductor times 2j, also through the closed form
+    # the zeta caps: j itself, then conductor times 2j; the cap on n in the closed form
     "err-zeta-index-cap": ["zeta", "--field", "q", "--jmax", "101"],
     "err-zeta-power-sum-cap": ["zeta", "--field", "quad:999997", "--jmax", "3", "--format", "csv"],
     "err-closed-form-n-cap": ["lefschetz", "--field", "quad:5", "--ram-real", "2", "--n", "101", "--level", "3"],
@@ -119,6 +121,9 @@ CASES = {
     "err-digit-limit-index": ["index", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3"],
     "err-digit-limit-index-csv": ["index", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3", "--format", "csv"],
     "err-digit-limit-table": ["table", "--field", "q", "--split", "--n", "20", "--levels", "1000003:1000003"],
+    # integer text beyond the same limit, in a level and in a field spec
+    "err-digit-limit-level-text": ["index", "--field", "q", "--split", "--n", "1", "--level", "1" + "0" * 4400],
+    "err-digit-limit-field-text": ["zeta", "--field", "quad:" + "1" * 4400, "--jmax", "1"],
     # the conductor cap, checked before the squarefree test trial-divides d
     "err-conductor-cap": ["zeta", "--field", "quad:100000007", "--jmax", "1"],
     "err-conductor-cap-huge": ["zeta", "--field", "quad:1000000000000000003", "--jmax", "1"],

@@ -187,6 +187,29 @@ class TestSignatureClasses:
         with pytest.raises(ValidationError, match="14641 signature classes"):
             h1_signature_classes(4, 20)
 
+    def test_matrix_size_cap_boundary(self, monkeypatch):
+        level = level_q(2)
+        assert congruence_index(SPLIT, 100, level) > 1
+        imaginary = TotallyRealField.from_json_file(str(GOLDEN / "imaginary.json"))
+        split_imaginary = QuaternionAlgebra(imaginary, (), 0)
+        level_imaginary = ideal_from_integer(imaginary, 3)
+        inp = LefschetzInput(imaginary, split_imaginary, 100, level_imaginary)
+        assert lefschetz_number(inp).value == 0
+
+        # refused before any group order, power or zeta value is computed
+        def no_work(*args):
+            raise AssertionError("work done beyond the cap")
+
+        monkeypatch.setattr(lefschetz.finitegrp, "local_index_factor", no_work)
+        monkeypatch.setattr(lefschetz, "dedekind_zeta_neg", no_work)
+        message = "matrix size n = 101 exceeds the cap of n <= 100"
+        with pytest.raises(ValidationError, match=message):
+            congruence_index(SPLIT, 101, level)
+        with pytest.raises(ValidationError, match=message):
+            LefschetzInput(imaginary, split_imaginary, 101, level_imaginary)
+        with pytest.raises(ValidationError, match=message):
+            euler_char_components(HAM5, 101, ideal_from_integer(Q5, 3))
+
 
 class TestWeylQuotient:
     def test_examples(self):

@@ -108,7 +108,7 @@ def _per_residue_gen_bernoulli(k, chi):
 CHARACTERS_200 = [
     QuadraticCharacter(d) for d in range(-200, 201) if is_fundamental_discriminant(d)
 ]
-# the uncached body, so that every call reads the power-sum table
+# the uncached body, so that every call reads _power_sums
 _table_gen_bernoulli = gen_bernoulli.__wrapped__
 
 
@@ -120,7 +120,7 @@ def test_power_sum_table_matches_per_residue_sums():
 
 
 def test_power_sum_table_in_non_monotone_order():
-    # interleaved characters, 8 and -8 sharing a conductor: a table grown
+    # interleaved characters, 8 and -8 sharing a conductor: sums built
     # for one must never answer another
     chis = [QuadraticCharacter(d) for d in (5, -4, 8, -8, 5, 12, -3, 8)]
     for k in (16, 2, 9, 1, 12):
@@ -154,7 +154,7 @@ def test_power_sums_evaluate_no_kronecker_symbol(monkeypatch):
         return kronecker_symbol(a, n)
 
     monkeypatch.setattr(numberfield, "kronecker_symbol", counting_kronecker_symbol)
-    monkeypatch.setattr(numberfield, "_power_table", None)
+    monkeypatch.setattr(numberfield, "_power_sum_state", None)
     chi = QuadraticCharacter(4993)
     assert numberfield._power_sums(chi, 16)[0] == 0
     values = {k: _table_gen_bernoulli(k, chi) for k in (1, 2, 16)}
@@ -167,9 +167,20 @@ def test_power_sum_table_holds_one_character():
     chis = CHARACTERS_200[-50:]
     for chi in chis:
         assert _table_gen_bernoulli(6, chi) == _per_residue_gen_bernoulli(6, chi), chi
-    table = numberfield._power_table
-    assert table[0] == chis[-1]
-    assert sum(isinstance(item, QuadraticCharacter) for item in table) == 1
+    state = numberfield._power_sum_state
+    assert state[:2] == (chis[-1], 0)
+    assert sum(isinstance(item, QuadraticCharacter) for item in state) == 1
+    # the sums only: no residue or power list is kept
+    assert all(type(total) is int for total in state[2])
+
+
+def test_power_sums_across_block_seams(monkeypatch):
+    # blocks of 7 residues put a seam inside every period above 7
+    monkeypatch.setattr(numberfield, "_BLOCK", 7)
+    monkeypatch.setattr(numberfield, "_power_sum_state", None)
+    for chi in CHARACTERS_200:
+        for k in range(1, 17):
+            assert _table_gen_bernoulli(k, chi) == _per_residue_gen_bernoulli(k, chi), (chi, k)
 
 
 def test_gen_bernoulli_matches_sympy_polynomials():
