@@ -2,110 +2,22 @@
 of the special linear group: Lefschetz numbers of the symplectic
 involution, Euler characteristics of fixed-point components, congruence
 indices, and genera of the cocompact Fuchsian quotients, with exhaustive
-and floating-point oracles cross-checking every local factor."""
+and floating-point oracles cross-checking every local factor.
 
-from .errors import (
-    ExternalFieldError,
-    NotFuchsianError,
-    QuatlefError,
-    SearchSpaceError,
-    TorsionError,
-    ValidationError,
-)
-from .exact import (
-    SymbolicScalar,
-    bernoulli,
-    format_rational,
-    parse_rational,
-    riemann_zeta_neg,
-)
-from .lefschetz import (
-    EulerCharReport,
-    GenusReport,
-    LefschetzInput,
-    LefschetzReport,
-    SignatureClass,
-    betti_growth_exponent,
-    betti_lower_bound,
-    check_torsion_necessary,
-    congruence_index,
-    euler_char_adelic_numeric,
-    euler_char_components,
-    euler_char_fixed_component,
-    fixed_point_space_dim,
-    genus_fuchsian,
-    global_modulus_factor,
-    h1_signature_classes,
-    lefschetz_number,
-    lefschetz_via_decomposition,
-    m_factor,
-    modular_form_dim,
-    vol_sp_compact,
-    weyl_quotient,
-)
-from .numberfield import (
-    Ideal,
-    PrimeIdeal,
-    QuadraticCharacter,
-    TotallyRealField,
-    dedekind_zeta_neg,
-    gen_bernoulli,
-    ideal_from_integer,
-    kronecker_symbol,
-    split_prime,
-    zeta_f_positive_even_numeric,
-    zeta_truncation_bound,
-)
-from .quaternion import QuaternionAlgebra, hilbert_ramification_q, hilbert_symbol_q
+The package exports exactly the names in each module's ``__all__``."""
+
+from .errors import *
+from .exact import *
+from .lefschetz import *
+from .numberfield import *
+from .quaternion import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "EulerCharReport",
-    "ExternalFieldError",
-    "GenusReport",
-    "Ideal",
-    "LefschetzInput",
-    "LefschetzReport",
-    "NotFuchsianError",
-    "PrimeIdeal",
-    "QuadraticCharacter",
-    "QuaternionAlgebra",
-    "QuatlefError",
-    "SearchSpaceError",
-    "SignatureClass",
-    "SymbolicScalar",
-    "TorsionError",
-    "TotallyRealField",
-    "ValidationError",
-    "bernoulli",
-    "betti_growth_exponent",
-    "betti_lower_bound",
-    "check_torsion_necessary",
-    "congruence_index",
-    "dedekind_zeta_neg",
-    "euler_char_adelic_numeric",
-    "euler_char_components",
-    "euler_char_fixed_component",
-    "fixed_point_space_dim",
-    "format_rational",
-    "gen_bernoulli",
-    "genus_fuchsian",
-    "global_modulus_factor",
-    "h1_signature_classes",
-    "hilbert_ramification_q",
-    "hilbert_symbol_q",
-    "ideal_from_integer",
-    "kronecker_symbol",
-    "lefschetz_number",
-    "lefschetz_via_decomposition",
-    "m_factor",
-    "modular_form_dim",
-    "parse_rational",
-    "riemann_zeta_neg",
-    "split_prime",
-    "vol_sp_compact",
-    "weyl_quotient",
-    "zeta_f_positive_even_numeric",
-    "zeta_truncation_bound",
-]
+__all__ = sorted(
+    errors.__all__
+    + exact.__all__
+    + lefschetz.__all__
+    + numberfield.__all__
+    + quaternion.__all__
+)

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
-from .exact import _digit_limit_error, format_rational, parse_rational
+from .exact import _digit_limit_error, _int, format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -95,19 +95,8 @@ _CONFIG = {_dest(flag): kwargs for _, flag, kwargs in _FLAGS if flag != "--confi
 _CONFIG["ram_primes"] = _CONFIG["ram"]
 
 
-def _int(text: str) -> int:
-    """int(text), refusing text with more digits than Python reads."""
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < sum(map(str.isdigit, text)):
-        raise ValidationError(
-            f"an input integer has more than {limit} digits, the limit for"
-            " reading an integer from text"
-        )
-    return int(text)
-
-
-def _parse_field(spec) -> TotallyRealField:
-    spec = str(spec).strip()
+def _parse_field(spec: str) -> TotallyRealField:
+    spec = spec.strip()
     if spec.lower() == "q":
         return TotallyRealField.rationals()
     if spec.startswith("quad:"):
@@ -165,9 +154,8 @@ def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
         raise ValidationError(
             "algebra required: pass --split, --hilbert a,b or --ram/--ram-real"
         )
-    ram = _resolve_ram_primes(field, str(args.ram)) if args.ram else ()
-    ram_real = int(args.ram_real) if args.ram_real is not None else 0
-    return QuaternionAlgebra(field, ram, ram_real)
+    ram = _resolve_ram_primes(field, args.ram) if args.ram else ()
+    return QuaternionAlgebra(field, ram, args.ram_real or 0)
 
 
 def _setting(args) -> tuple[TotallyRealField, QuaternionAlgebra, Ideal]:
@@ -175,8 +163,8 @@ def _setting(args) -> tuple[TotallyRealField, QuaternionAlgebra, Ideal]:
     return field, _parse_algebra(args, field), _parse_level(field, args.level)
 
 
-def _parse_level(field: TotallyRealField, spec) -> Ideal:
-    spec = str(spec).strip()
+def _parse_level(field: TotallyRealField, spec: str) -> Ideal:
+    spec = spec.strip()
     if spec.isdigit():
         return ideal_from_integer(field, _int(spec))
     pairs = []
@@ -216,7 +204,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_int=_int)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG.keys()
@@ -251,6 +239,9 @@ def _apply_config(args: argparse.Namespace) -> None:
                 f"config key {key!r} must be one of {', '.join(spec['choices'])},"
                 f" not {json.dumps(value)}"
             )
+        elif not spec.keys() & {"type", "action", "choices"}:
+            # a text flag gets text, as argparse would give it: 5 becomes "5"
+            value = str(value)
         dest = "ram" if key == "ram_primes" else key
         if getattr(args, dest, None) is None:
             setattr(args, dest, value)
@@ -323,15 +314,14 @@ def _trace_w(args) -> Fraction:
 
 def _cmd_zeta(args) -> int:
     field = _parse_field(args.field)
-    jmax = int(args.jmax)
-    if jmax < 1:
+    if args.jmax < 1:
         raise ValidationError("--jmax must be >= 1")
     # j = jmax first, so that the zeta caps refuse it before any table is
     # built, and so that one pass of power sums serves every smaller j
-    dedekind_zeta_neg(field, jmax)
+    dedekind_zeta_neg(field, args.jmax)
     values = [
         {"j": j, "value": format_rational(dedekind_zeta_neg(field, j))}
-        for j in range(1, jmax + 1)
+        for j in range(1, args.jmax + 1)
     ]
     rows = [[v["j"], v["value"]] for v in values]
     payload = _payload(args, field, values=values)
@@ -343,7 +333,7 @@ def _cmd_lefschetz(args) -> int:
     inp = LefschetzInput(
         field=field,
         algebra=algebra,
-        n=int(args.n),
+        n=args.n,
         level=level,
         trace_w=_trace_w(args),
         assume_torsion_free=bool(args.assume_torsion_free),
@@ -360,7 +350,7 @@ def _cmd_lefschetz(args) -> int:
 def _cmd_euler_char(args) -> int:
     field, algebra, level = _setting(args)
     signature = _parse_signature(args.signature)
-    n = int(args.n)
+    n = args.n
     report = euler_char_fixed_component(
         algebra, n, level, signature, bool(args.assume_torsion_free)
     )
@@ -378,7 +368,7 @@ def _cmd_euler_char(args) -> int:
         ["signature", str(report.signature_class)],
     ]
     if args.adelic_terms is not None:
-        terms = int(args.adelic_terms)
+        terms = args.adelic_terms
         numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
         payload["adelic_numeric"] = {
             "value": numeric,
@@ -391,17 +381,15 @@ def _cmd_euler_char(args) -> int:
 
 def _cmd_index(args) -> int:
     field, algebra, level = _setting(args)
-    value = congruence_index(algebra, int(args.n), level)
-    payload = _payload(args, field, algebra, level, n=int(args.n), index=value)
+    value = congruence_index(algebra, args.n, level)
+    payload = _payload(args, field, algebra, level, n=args.n, index=value)
     return _emit_report(args, payload, [["index", value]])
 
 
 def _cmd_genus(args) -> int:
     field, algebra, level = _setting(args)
     report = genus_fuchsian(algebra, level, bool(args.assume_torsion_free))
-    weights = (
-        [_int(w) for w in str(args.weights).split(",")] if args.weights else []
-    )
+    weights = [_int(w) for w in args.weights.split(",")] if args.weights else []
     dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
     payload = _payload(
         args,
@@ -422,12 +410,12 @@ def _cmd_genus(args) -> int:
 def _cmd_table(args) -> int:
     field = _parse_field(args.field)
     algebra = _parse_algebra(args, field)
-    lo_text, _, hi_text = str(args.levels).partition(":")
+    lo_text, _, hi_text = args.levels.partition(":")
     lo, hi = _int(lo_text), _int(hi_text or lo_text)
     if hi - lo + 1 > _TABLE_ROW_CAP:
         raise ValidationError(f"level range exceeds the {_TABLE_ROW_CAP} row cap")
     trace = _trace_w(args)
-    n_size = int(args.n)
+    n_size = args.n
     header = [
         "level",
         "norm",
@@ -479,7 +467,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = str(args.suite).split(",") if args.suite else None
+    names = args.suite.split(",") if args.suite else None
     results = verify_mod.run_suites(names)
     total_pass = total_fail = 0
     for name, checks in results.items():

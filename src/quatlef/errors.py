@@ -1,5 +1,14 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "QuatlefError",
+    "ValidationError",
+    "TorsionError",
+    "NotFuchsianError",
+    "SearchSpaceError",
+    "ExternalFieldError",
+]
+
 
 class QuatlefError(Exception):
     """Base class for all package-specific errors."""

@@ -36,6 +36,21 @@ def parse_rational(text: str) -> Fraction:
         raise ValidationError(f"not a rational: {text!r}") from exc
 
 
+def _int(text: str) -> int:
+    """int(text), refusing text that is no integer or that has more digits
+    than Python reads, in the package's own words."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < sum(map(str.isdigit, text)):
+        raise ValidationError(
+            f"an input integer has more than {limit} digits, the limit for"
+            " reading an integer from text"
+        )
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"not an integer: {text!r}") from None
+
+
 def _digit_limit_error() -> ValidationError:
     """The refusal of a value too long for Python's integer-to-text limit."""
     return ValidationError(

@@ -25,17 +25,14 @@ from operator import mul
 from pathlib import Path
 
 from .errors import ExternalFieldError, ValidationError
-from .exact import bernoulli, parse_rational, riemann_zeta_neg
+from .exact import _int, bernoulli, parse_rational, riemann_zeta_neg
 
 __all__ = [
     "PrimeIdeal",
     "Ideal",
     "TotallyRealField",
     "QuadraticCharacter",
-    "is_prime",
-    "factorize",
     "kronecker_symbol",
-    "is_fundamental_discriminant",
     "split_prime",
     "ideal_from_integer",
     "gen_bernoulli",
@@ -371,13 +368,15 @@ class TotallyRealField:
             raise ValidationError(
                 "descriptor splitting must map each prime to a list of [f, e] pairs"
             )
+        # an integer entry is a JSON number or text; both are read as text
         splitting = {
-            int(p): [tuple(pair) for pair in pairs] for p, pairs in table.items()
+            _int(str(p)): [tuple(_int(str(x)) for x in pair) for pair in pairs]
+            for p, pairs in table.items()
         }
         return cls.external(
-            degree=int(data["degree"]),
-            abs_discriminant=int(data["abs_discriminant"]),
-            num_real_places=int(data["num_real_places"]),
+            degree=_int(str(data["degree"])),
+            abs_discriminant=_int(str(data["abs_discriminant"])),
+            num_real_places=_int(str(data["num_real_places"])),
             zeta_neg=zeta_neg,
             splitting=splitting,
         )
@@ -385,24 +384,16 @@ class TotallyRealField:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "TotallyRealField":
         with open(path, encoding="utf-8") as handle:
-            return cls.from_descriptor(json.load(handle))
+            return cls.from_descriptor(json.load(handle, parse_int=_int))
 
     @property
     def is_totally_real(self) -> bool:
         return self.num_real_places == self.degree
 
-    @property
-    def fundamental_discriminant(self) -> int:
-        if self.kind == _KIND_RATIONALS:
-            return 1
-        if self.kind == _KIND_QUADRATIC:
-            return self.abs_discriminant
-        raise ValidationError("external fields carry no quadratic character")
-
     def character(self) -> QuadraticCharacter:
         if self.kind != _KIND_QUADRATIC:
             raise ValidationError("only real quadratic fields have a character here")
-        return QuadraticCharacter(self.fundamental_discriminant)
+        return QuadraticCharacter(self.abs_discriminant)
 
     def describe(self) -> str:
         if self.kind == _KIND_RATIONALS:

@@ -459,10 +459,44 @@ def test_config_boolean_keys_reject_strings(capsys, tmp_path):
     assert code == 2
     assert err.splitlines() == ["error: config key 'split' must be true or false, not \"no\""]
 
-    path.write_text(json.dumps({**config, "assume_torsion_free": None}), encoding="utf-8")
-    code, _, err = run_cli(capsys, ["lefschetz", "--config", str(path)])
-    assert code == 3
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    # JSON false and null both leave the torsion gate on
+    for off in (False, None):
+        path.write_text(json.dumps({**config, "assume_torsion_free": off}), encoding="utf-8")
+        code, _, err = run_cli(capsys, ["lefschetz", "--config", str(path)])
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_config_numbers_for_text_flags_arrive_as_text(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    # argparse gives --hilbert and --signature as text; so does the config
+    for command, config in (
+        ("lefschetz", {"field": "q", "hilbert": 5, "n": 1, "level": "5"}),
+        ("euler-char", {"field": "q", "split": True, "n": 1, "level": "3", "signature": 5}),
+    ):
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code, out, err = run_cli(capsys, [command, "--config", str(path)])
+        assert (code, out, err) == (2, "", "error: not an integer: ''\n")
+    # "out": 2 names the file "2", not file descriptor 2
+    monkeypatch.chdir(tmp_path)
+    config = {"field": "q", "split": True, "n": 1, "level": "6", "out": 2}
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, ["index", "--config", str(path)])
+    assert (code, out, err) == (0, "", "")
+    assert json.loads((tmp_path / "2").read_text(encoding="utf-8"))["index"] == 144
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["euler-char", "--field", "q", "--split", "--n", "1", "--level", "3", "--signature", "1,x"],
+        ["genus", "--field", "q", "--ram", "2,3", "--level", "5", "--weights", "2,x"],
+        ["table", "--field", "q", "--split", "--n", "1", "--levels", "3:x"],
+    ],
+)
+def test_non_integer_text_gets_own_message(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", "error: not an integer: 'x'\n")
 
 
 def test_missing_required_flag(capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from quatlef.errors import ValidationError
 from quatlef.exact import (
     SymbolicScalar,
+    _int,
     bernoulli,
     bernoulli_poly_eval,
     format_rational,
@@ -133,6 +134,11 @@ class TestRationalSerialisation:
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):
             parse_rational("one half")
+
+    def test_integer_text(self):
+        assert _int(" -12 ") == -12
+        with pytest.raises(ValidationError, match="^not an integer: '1/2'$"):
+            _int("1/2")
 
     @given(small_rationals)
     def test_format_parse_inverse(self, q):

@@ -127,22 +127,8 @@ class TestLocalIndexFactor:
 
 
 class TestBruteForceOracles:
-    @pytest.mark.parametrize("m,q", [(2, 2), (2, 3), (2, 5), (2, 7), (3, 2)])
-    def test_sl_matches_closed_form(self, m, q, verified):
-        verified("finite-orders", f"sl_order({m},{q})")
-
-    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (1, 5), (2, 2)])
-    def test_sp_matches_closed_form(self, n, q, verified):
-        verified("finite-orders", f"sp_order({n},{q})")
-
-    @pytest.mark.parametrize("q", [2, 3, 5])
-    def test_ramified_matches_closed_form(self, q, verified):
-        verified("finite-orders", f"ramified_local_order(1,{q})")
-
-    @pytest.mark.parametrize("n,q", [(1, 2), (1, 3), (2, 2)])
-    def test_unitary_matches_closed_form(self, n, q, verified):
-        verified("finite-orders", f"unitary_order({n},{q})")
-
+    # each closed form against enumeration is a check of the finite-orders
+    # verify suite, which tests/test_verify.py runs in full
     def test_state_cap_enforced(self):
         with pytest.raises(SearchSpaceError):
             brute_force_sl(2, 100)

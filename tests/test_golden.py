@@ -124,6 +124,13 @@ CASES = {
     # integer text beyond the same limit, in a level and in a field spec
     "err-digit-limit-level-text": ["index", "--field", "q", "--split", "--n", "1", "--level", "1" + "0" * 4400],
     "err-digit-limit-field-text": ["zeta", "--field", "quad:" + "1" * 4400, "--jmax", "1"],
+    # the same limit on a JSON integer literal, in a config and in a descriptor
+    "err-digit-limit-config-literal": ["index", "--config", "@/config_long_level.json"],
+    "err-digit-limit-descriptor-literal": ["zeta", "--field", "external:@/long_degree.json", "--jmax", "1"],
+    # text that is no integer; JSON numbers for text flags arrive as text
+    "err-level-not-integer": ["index", "--field", "q", "--split", "--n", "1", "--level", "3:x:1"],
+    "err-config-hilbert-number": ["lefschetz", "--config", "@/config_hilbert_number.json"],
+    "err-config-signature-number": ["euler-char", "--config", "@/config_signature_number.json"],
     # the conductor cap, checked before the squarefree test trial-divides d
     "err-conductor-cap": ["zeta", "--field", "quad:100000007", "--jmax", "1"],
     "err-conductor-cap-huge": ["zeta", "--field", "quad:1000000000000000003", "--jmax", "1"],

@@ -400,6 +400,13 @@ class TestExternalField:
         with pytest.raises(ValidationError):
             TotallyRealField.from_descriptor(dict(self.DESCRIPTOR, **change))
 
+    def test_integer_text_read_by_own_reader(self):
+        # text entries are integers too, and a non-integer gets the package's words
+        as_text = dict(self.DESCRIPTOR, degree="2", splitting={"2": [["2", "1"]]})
+        assert TotallyRealField.from_descriptor(as_text).splitting_table == ((2, ((2, 1),)),)
+        with pytest.raises(ValidationError, match="^not an integer: 'x'$"):
+            TotallyRealField.from_descriptor(dict(self.DESCRIPTOR, degree="x"))
+
     def test_bad_ef_sum_rejected(self):
         bad = dict(self.DESCRIPTOR, splitting={"3": [[1, 1]]})
         with pytest.raises(ValidationError):
@@ -428,6 +435,14 @@ def test_real_quadratic_validation():
     assert Q5.abs_discriminant == 5
     assert Q2.abs_discriminant == 8
     assert TotallyRealField.real_quadratic(3).abs_discriminant == 12
+
+
+def test_character_of_real_quadratic_fields_only():
+    assert Q2.character() == QuadraticCharacter(8)
+    ext = TotallyRealField.external(2, 5, 2)
+    for field in (Q, ext):
+        with pytest.raises(ValidationError, match="only real quadratic fields have a character"):
+            field.character()
 
 
 def test_conductor_cap_boundary():
