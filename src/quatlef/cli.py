@@ -28,10 +28,9 @@ from .exact import _digit_limit_error, _int, format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
-    check_torsion_necessary,
+    _table_row,
     congruence_index,
     euler_char_adelic_numeric,
-    euler_char_components,
     euler_char_fixed_component,
     genus_fuchsian,
     lefschetz_number,
@@ -146,7 +145,9 @@ def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
     if args.hilbert:
         if field.kind != "rationals":
             raise ValidationError("--hilbert presentations are supported over Q only")
-        a_text, _, b_text = args.hilbert.partition(",")
+        a_text, comma, b_text = args.hilbert.partition(",")
+        if not comma:
+            raise ValidationError(f"--hilbert expects a,b, not {args.hilbert!r}")
         return hilbert_ramification_q(_int(a_text), _int(b_text))
     if args.split:
         return QuaternionAlgebra(field, (), 0)
@@ -195,7 +196,11 @@ def _parse_signature(spec: str | None) -> SignatureClass:
         return SignatureClass(())
     pairs = []
     for segment in spec.split(";"):
-        p_text, _, q_text = segment.strip().partition(",")
+        p_text, comma, q_text = segment.strip().partition(",")
+        if not comma:
+            raise ValidationError(
+                f"--signature expects p,q pairs separated by ';', not {segment!r}"
+            )
         pairs.append((_int(p_text), _int(q_text)))
     return SignatureClass(tuple(pairs))
 
@@ -430,37 +435,17 @@ def _cmd_table(args) -> int:
     rows = []
     for n_level in range(max(lo, 2), hi + 1):
         level = ideal_from_integer(field, n_level)
-        if not check_torsion_necessary(level):
+        row = _table_row(algebra, n_size, level, trace)
+        if row is None:
             rows.append(
                 [n_level, level.norm(), "false"] + [""] * 5 + ["torsion check failed"]
             )
             continue
-        inp = LefschetzInput(
-            field=field, algebra=algebra, n=n_size, level=level, trace_w=trace
-        )
-        # first, so that the class cap rejects a row before any closed form
-        chis = [
-            format_rational(component.value)
-            for component in euler_char_components(algebra, n_size, level)
-        ]
+        lefschetz, chis, genus = row
         index = congruence_index(algebra, n_size, level)
-        report = lefschetz_number(inp)
-        genus = b1 = ""
-        if n_size == 1 and algebra.is_fuchsian() and field.is_totally_real:
-            genus_report = genus_fuchsian(algebra, level)
-            genus, b1 = genus_report.genus, genus_report.b1
+        genus_b1 = ["", ""] if genus is None else [genus, 2 * genus]
         rows.append(
-            [
-                n_level,
-                level.norm(),
-                "true",
-                index,
-                format_rational(report.value),
-                "|".join(chis),
-                genus,
-                b1,
-                "",
-            ]
+            [n_level, level.norm(), "true", index, lefschetz, "|".join(chis), *genus_b1, ""]
         )
     _emit(args, _csv_text(header, rows))
     return 0

@@ -6,8 +6,16 @@ The pieces, in the order they combine:
 * ``m_factor`` builds the per-degree local factor
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``.
-* ``lefschetz_number`` multiplies the M factors with the prefactor
-  ``2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr`` into the closed form.
+  Its local part is assembled in integers, as
+  ``prod (N^2j - 1) / prod N^2j`` times ``prod (N^j + (-1)^j) / prod N^j``,
+  and enters the zeta value as one ``Fraction``.
+* ``_closed_form`` is the one place the M factors are multiplied with the
+  prefactor ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2)``, and checks the
+  sign law. ``lefschetz_number`` takes it at ``e = r`` and scales by ``tr``.
+* ``_table_row`` gives every closed-form column of one ``quatlef table``
+  row from one evaluation X at ``e = 0``: the Lefschetz number
+  ``X tr / 2^r``, each component ``X / 2^(nr)`` times its binomial, and for
+  a Fuchsian ``n = 1`` row the genus, checked against ``X / 2^r``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -44,7 +52,7 @@ from math import comb, factorial, isfinite, prod
 
 from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
-from .exact import SymbolicScalar
+from .exact import SymbolicScalar, format_rational
 from .numberfield import (
     _MAX_SERIES_TERMS,
     _MAX_ZETA_INDEX,
@@ -251,30 +259,37 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
     _check_level(algebra, level)
-    value = dedekind_zeta_neg(algebra.field, j)
+    zeta = dedekind_zeta_neg(algebra.field, j)
+    # the local part as one integer ratio num / den, so that it enters the
+    # zeta value as a single Fraction
+    num = den = 1
     for prime, _exp in level.factors:
-        value *= 1 - Fraction(1, prime.norm ** (2 * j))
+        power = prime.norm ** (2 * j)
+        num *= power - 1
+        den *= power
     for prime in algebra.ram_finite:
         if level.valuation(prime) == 0:
-            value *= 1 + Fraction((-1) ** j, prime.norm**j)
-    return value
+            power = prime.norm**j
+            num *= power + (-1) ** j
+            den *= power
+    return Fraction(zeta.numerator * num, zeta.denominator * den)
 
 
 def _closed_form(
     algebra: QuaternionAlgebra,
     n: int,
     level: Ideal,
-    assume_torsion_free: bool,
+    warnings: tuple[str, ...],
     two_exp: int,
 ) -> tuple[dict, Fraction]:
-    """The one closed form behind both report types, before scaling:
-    2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j).
+    """The one closed form behind every report and table row, before
+    scaling: 2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j).
 
+    The caller has passed the torsion gate, whose warnings it hands in.
     Returns the report fields shared by both types and the unscaled value.
     Zero when the base field has a complex place; otherwise nonzero of
     sign (-1)^(s n(n+1)/2), which is checked.
     """
-    warnings = _torsion_gate(level, assume_torsion_free)
     two_power = Fraction(1, 2**two_exp)
     level_norm_power = level.norm() ** (n * (2 * n + 1))
     disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
@@ -284,7 +299,10 @@ def _closed_form(
         # built, and so that one pass of power sums serves every smaller j
         dedekind_zeta_neg(algebra.field, n)
         m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
-        value = prod(m_factors, start=two_power * level_norm_power * disc_power)
+        value = Fraction(
+            prod((m.numerator for m in m_factors), start=level_norm_power * disc_power),
+            prod((m.denominator for m in m_factors), start=2**two_exp),
+        )
         expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
         if value == 0 or (value > 0) != (expected_sign > 0):
             raise InvariantError(
@@ -307,15 +325,42 @@ def _closed_form(
     return shared, value
 
 
+def _table_row(
+    algebra: QuaternionAlgebra, n: int, level: Ideal, trace_w: Fraction
+) -> tuple[str, list[str], int | None] | None:
+    """The closed-form columns of one ``quatlef table`` row, from one
+    evaluation X of the closed form with two_exp = 0: the Lefschetz number
+    X tr / 2^r as text, each component X / 2^(nr) times its binomial as
+    text (formatted once per distinct binomial), and for a Fuchsian n = 1
+    row the genus, whose formula is checked against X / 2^r.
+
+    None when the level fails the torsion necessary condition. Otherwise
+    the checks run in the order of the single-value functions: setting,
+    class cap, zeta caps, sign law, genus.
+    """
+    if not check_torsion_necessary(level):
+        return None
+    _validate_setting(algebra, n, level)
+    # first, so that the class cap rejects a row before any closed form
+    binomials = _class_binomials(algebra.r, n)
+    _shared, unit = _closed_form(algebra, n, level, (WARN_TORSION_UNVERIFIED,), 0)
+    component = unit / 2 ** (n * algebra.r)
+    texts = {b: format_rational(component * b) for b in dict.fromkeys(binomials)}
+    genus = None
+    if n == 1 and algebra.is_fuchsian() and algebra.field.is_totally_real:
+        genus = _checked_genus(algebra, level, component)
+    lefschetz = format_rational(unit * trace_w / 2**algebra.r)
+    return lefschetz, [texts[b] for b in binomials], genus
+
+
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
     """Closed form for the Lefschetz number of the symplectic involution.
 
     Zero exactly when the base field has a complex place or trace_w is 0;
     otherwise 2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr prod_j M(j).
     """
-    shared, value = _closed_form(
-        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
-    )
+    warnings = _torsion_gate(inp.level, inp.assume_torsion_free)
+    shared, value = _closed_form(inp.algebra, inp.n, inp.level, warnings, inp.algebra.r)
     return LefschetzReport(value=value * inp.trace_w, trace_w=inp.trace_w, **shared)
 
 
@@ -325,6 +370,14 @@ def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
     There are (floor(n/2) + 1)^r of them, listed in lexicographic order
     of the q values; more than _MAX_CLASSES is rejected.
     """
+    _check_class_count(r, n)
+    return [
+        SignatureClass(tuple((n - q, q) for q in qs))
+        for qs in product(range(0, n + 1, 2), repeat=r)
+    ]
+
+
+def _check_class_count(r: int, n: int) -> None:
     if r < 0 or n < 1:
         raise ValidationError("need r >= 0 and n >= 1")
     count = (n // 2 + 1) ** r
@@ -332,10 +385,14 @@ def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
         raise ValidationError(
             f"{count} signature classes exceed the cap of {_MAX_CLASSES}"
         )
-    return [
-        SignatureClass(tuple((n - q, q) for q in qs))
-        for qs in product(range(0, n + 1, 2), repeat=r)
-    ]
+
+
+def _class_binomials(r: int, n: int) -> list[int]:
+    """binomial_factor(n) of every class of h1_signature_classes(r, n), in
+    that order and under the same cap, without building the classes."""
+    _check_class_count(r, n)
+    per_place = [comb(n, q) for q in range(0, n + 1, 2)]
+    return [prod(c) for c in product(per_place, repeat=r)]
 
 
 def weyl_quotient(n: int, s: int, signature_class: SignatureClass) -> int:
@@ -373,7 +430,8 @@ def _scaled_components(
     """One report per class: the closed form runs once (torsion gate, M
     factors, sign law), then each report is that value times the class's
     binomial."""
-    shared, unit = _closed_form(algebra, n, level, assume_torsion_free, n * algebra.r)
+    warnings = _torsion_gate(level, assume_torsion_free)
+    shared, unit = _closed_form(algebra, n, level, warnings, n * algebra.r)
     binomials = [cls.binomial_factor(n) for cls in classes]
     return [
         EulerCharReport(
@@ -445,28 +503,12 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     return index
 
 
-def genus_fuchsian(
-    algebra: QuaternionAlgebra,
-    level: Ideal,
-    assume_torsion_free: bool = False,
-) -> GenusReport:
-    """Genus of the compact quotient Riemann surface in the Fuchsian case.
-
-    g = 1 + 2^(-degree) N(level)^3 |d(D) zeta_F(-1)|
+def _checked_genus(algebra: QuaternionAlgebra, level: Ideal, chi: Fraction) -> int:
+    """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta_F(-1)|
     prod_{P | level} (1 - N(P)^-2) prod_{P ramified, P not | level}
-    (1 - N(P)^-1), and b1 = 2g. The Euler characteristic 2 - 2g must agree
-    with the n = 1 closed form at trace 1, which is checked.
-    """
+    (1 - N(P)^-1) of a Fuchsian setting; 2 - 2g must equal chi, the n = 1
+    closed form at trace 1, which is checked."""
     field = algebra.field
-    if not field.is_totally_real:
-        raise NotFuchsianError("base field is not totally real")
-    if not algebra.is_fuchsian():
-        raise NotFuchsianError(
-            "algebra must be a division algebra split at exactly one real place"
-        )
-    # validates the setting and gates torsion before the genus formula runs
-    inp = LefschetzInput(field, algebra, 1, level, Fraction(1), assume_torsion_free)
-    closed = lefschetz_number(inp)
     g = Fraction(1, 2**field.degree) * level.norm() ** 3
     g *= abs(
         Fraction(algebra.signed_reduced_discriminant())
@@ -481,11 +523,34 @@ def genus_fuchsian(
     if g.denominator != 1:
         raise InvariantError(f"genus came out non-integral: {g}")
     genus = g.numerator
-    if closed.value != 2 - 2 * genus:
+    if chi != 2 - 2 * genus:
         raise InvariantError(
-            "genus formula disagrees with the closed form:"
-            f" chi={closed.value}, g={genus}"
+            f"genus formula disagrees with the closed form: chi={chi}, g={genus}"
         )
+    return genus
+
+
+def genus_fuchsian(
+    algebra: QuaternionAlgebra,
+    level: Ideal,
+    assume_torsion_free: bool = False,
+) -> GenusReport:
+    """Genus of the compact quotient Riemann surface in the Fuchsian case,
+    from the genus formula of _checked_genus, with b1 = 2g. The Euler
+    characteristic 2 - 2g must agree with the n = 1 closed form at trace 1,
+    which is checked.
+    """
+    field = algebra.field
+    if not field.is_totally_real:
+        raise NotFuchsianError("base field is not totally real")
+    if not algebra.is_fuchsian():
+        raise NotFuchsianError(
+            "algebra must be a division algebra split at exactly one real place"
+        )
+    # validates the setting and gates torsion before the genus formula runs
+    inp = LefschetzInput(field, algebra, 1, level, Fraction(1), assume_torsion_free)
+    closed = lefschetz_number(inp)
+    genus = _checked_genus(algebra, level, closed.value)
     warnings = closed.warnings
     if genus < 2 and check_torsion_necessary(level):
         warnings = warnings + (
@@ -518,9 +583,8 @@ def betti_growth_exponent(n: int) -> Fraction:
 def betti_lower_bound(inp: LefschetzInput) -> Fraction:
     """|closed form at trace 1|: a certified lower bound for the total
     Betti number of the congruence group."""
-    _shared, value = _closed_form(
-        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
-    )
+    warnings = _torsion_gate(inp.level, inp.assume_torsion_free)
+    _shared, value = _closed_form(inp.algebra, inp.n, inp.level, warnings, inp.algebra.r)
     return abs(value)
 
 

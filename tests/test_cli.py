@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quatlef import finitegrp, numberfield
-from quatlef.cli import main
+from quatlef.cli import _FLAGS, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -467,16 +471,39 @@ def test_config_boolean_keys_reject_strings(capsys, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+_HILBERT_HALF = "error: --hilbert expects a,b, not '5'\n"
+_SIGNATURE_HALF = "error: --signature expects p,q pairs separated by ';', not '5'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lefschetz", "--field", "q", "--hilbert", "5", "--n", "1", "--level", "5"], _HILBERT_HALF),
+        (
+            ["euler-char", "--field", "q", "--split", "--n", "1", "--level", "3", "--signature", "5"],
+            _SIGNATURE_HALF,
+        ),
+    ],
+)
+def test_pair_flag_without_its_second_half_names_the_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_config_numbers_for_text_flags_arrive_as_text(capsys, tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     # argparse gives --hilbert and --signature as text; so does the config
-    for command, config in (
-        ("lefschetz", {"field": "q", "hilbert": 5, "n": 1, "level": "5"}),
-        ("euler-char", {"field": "q", "split": True, "n": 1, "level": "3", "signature": 5}),
+    for command, config, message in (
+        ("lefschetz", {"field": "q", "hilbert": 5, "n": 1, "level": "5"}, _HILBERT_HALF),
+        (
+            "euler-char",
+            {"field": "q", "split": True, "n": 1, "level": "3", "signature": 5},
+            _SIGNATURE_HALF,
+        ),
     ):
         path.write_text(json.dumps(config), encoding="utf-8")
         code, out, err = run_cli(capsys, [command, "--config", str(path)])
-        assert (code, out, err) == (2, "", "error: not an integer: ''\n")
+        assert (code, out, err) == (2, "", message)
     # "out": 2 names the file "2", not file descriptor 2
     monkeypatch.chdir(tmp_path)
     config = {"field": "q", "split": True, "n": 1, "level": "6", "out": 2}
@@ -644,6 +671,8 @@ _TAMPERED_ZETA = (
     [
         ["genus", "--field", "q", "--ram", "2,3", "--level", "5"],
         ["euler-char", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"],
+        # the table row: one closed form, then the genus formula
+        ["table", "--field", "q", "--ram", "2,3", "--n", "1", "--levels", "5:5"],
     ],
 )
 def test_invariant_guard_holds_under_optimize(argv):
@@ -668,3 +697,115 @@ def test_no_assert_statement_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+# Fuzz guard: requests in the shapes the benchmark sends, and sometimes a
+# config file. Each flag value is valid (first list) about four times in
+# five, else out of range or malformed (second list); a required flag is
+# left out now and then, an optional one about half the time.
+_GOLDEN = REPO_ROOT / "tests" / "golden"
+_IMAGINARY = f"external:{_GOLDEN / 'imaginary.json'}"
+_FUZZ_VALUES = {
+    "field": (["q", "quad:5", "quad:13", f"external:{_GOLDEN / 'q5.json'}", _IMAGINARY],
+              ["quad:8", "quad:-3", "r", "external:no-such-file.json"]),
+    "jmax": (["1", "2", "3"], ["0", "101", "x"]),
+    "n": (["1", "2", "3"], ["0", "101", "3000", "x"]),
+    "level": (["3", "5", "6", "7", "11", "2"], ["1", "3:x:1", "11:1:1:a^2"]),
+    "levels": (["2:9", "3:6", "5:5"], ["9:2", "2:20002", "3:x"]),
+    "format": (["json", "csv"], ["xml"]),
+    "trace_w": (["1", "0", "-1/3", "2"], ["x", "1/0"]),
+    "signature": (["2,0;2,0", "0,2", "1,0", "2,0"], ["5", "1,1", "2,0;", ""]),
+    "weights": (["2,4", "6"], ["3", "x"]),
+    "assume_torsion_free": ([True], []),
+}
+_FUZZ_ALGEBRAS = (
+    [["--split"], ["--ram", "2,3"], ["--ram", "2", "--ram-real", "1"], ["--ram-real", "2"],
+     ["--hilbert=3,-1"], ["--ram=5,11"]],
+    [["--hilbert", "5"], ["--hilbert", "5,"], ["--ram", "2:z,3"], ["--ram-real", "3"], [],
+     ["--split", "--ram", "2,3"]],
+)
+_FUZZ_COMMANDS = ("zeta", "lefschetz", "euler-char", "index", "genus", "table")
+
+
+def _mostly_valid(pools: tuple[list, list], absent: int = 0):
+    valid, invalid = pools
+    return st.sampled_from(valid * 4 + invalid + [None] * absent)
+
+
+def _fuzz_flag(flag: str, kwargs: dict):
+    pools = _FUZZ_VALUES[flag[2:].replace("-", "_")]
+    absent = 1 if kwargs.get("required") else 4 * len(pools[0]) + len(pools[1])
+    return _mostly_valid(pools, absent).map(
+        lambda v: [] if v is None else [flag] if v is True else [f"{flag}={v}"]
+    )
+
+
+def _fuzz_argv(command: str):
+    """The command, an algebra unless it is zeta, and its other flags."""
+    fragments = [st.just([command])]
+    if command != "zeta":
+        fragments.append(_mostly_valid(_FUZZ_ALGEBRAS))
+    fragments += [
+        _fuzz_flag(flag, kwargs)
+        for commands, flag, kwargs in _FLAGS
+        if command in commands and flag[2:].replace("-", "_") in _FUZZ_VALUES
+    ]
+    return st.tuples(*fragments).map(lambda parts: sum(parts, []))
+
+
+# a config holds up to three keys, each with one of its flag's values or
+# a value of a wrong type
+_FUZZ_CONFIG_VALUES = {key: valid + invalid for key, (valid, invalid) in _FUZZ_VALUES.items()}
+_FUZZ_CONFIG_VALUES |= {
+    "ram": ["2,3", "5"], "ram_primes": [[2, 3], "2,3"], "hilbert": ["3,-1", "5"],
+    "split": [True, False],
+}
+_FUZZ_CONFIG = st.none() | st.lists(
+    st.sampled_from(sorted(_FUZZ_CONFIG_VALUES)).flatmap(
+        lambda key: st.tuples(
+            st.just(key),
+            st.sampled_from(_FUZZ_CONFIG_VALUES[key])
+            | st.sampled_from([0, 5, 1.5, True, None, [2, 3], {"p": 2}]),
+        )
+    ),
+    max_size=3,
+).map(dict)
+
+
+@pytest.fixture(scope="module")
+def fuzz_config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "config.json"
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.sampled_from(_FUZZ_COMMANDS).flatmap(_fuzz_argv), config=_FUZZ_CONFIG)
+# requests that once ran for seconds before a refusal, and pair flags
+# missing their second half
+@example(argv=["lefschetz", "--field", "q", "--split", "--n", "3000", "--level", "3"], config=None)
+@example(argv=["lefschetz", "--field", "q", "--split", "--n", "10000", "--level", "3"], config=None)
+@example(argv=["lefschetz", "--field", _IMAGINARY, "--split", "--n", "3000", "--level", "3"],
+         config=None)
+@example(argv=["lefschetz", "--field", _IMAGINARY, "--split", "--n", "10000", "--level", "3"],
+         config=None)
+@example(argv=["index", "--field", "q", "--split", "--n", "1000", "--level", "3"], config=None)
+@example(argv=["index", "--field", "q", "--split", "--n", "1", "--level", "1" + "0" * 4400],
+         config=None)
+@example(argv=["lefschetz", "--field", "q", "--hilbert", "5", "--n", "1", "--level", "5"],
+         config=None)
+@example(argv=["euler-char", "--field", "q", "--split", "--n", "1", "--level", "3",
+               "--signature", "5"], config=None)
+@example(argv=["lefschetz"], config={"field": "q", "hilbert": 5, "n": 1, "level": "5"})
+def test_fuzzed_request_ends_in_success_or_one_error_line(fuzz_config_path, argv, config):
+    if config is not None:
+        fuzz_config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(fuzz_config_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 2, 3)
+    assert len(errors) == (code != 0)
+    assert "Traceback" not in err.getvalue()

@@ -29,7 +29,13 @@ from quatlef.lefschetz import (
     vol_sp_compact,
     weyl_quotient,
 )
-from quatlef.numberfield import Ideal, TotallyRealField, ideal_from_integer, split_prime
+from quatlef.numberfield import (
+    Ideal,
+    TotallyRealField,
+    dedekind_zeta_neg,
+    ideal_from_integer,
+    split_prime,
+)
 from quatlef.quaternion import QuaternionAlgebra
 from quatlef.verify import decomposition_grid
 
@@ -92,6 +98,30 @@ class TestMFactor:
     def test_unit_level_rejected(self):
         with pytest.raises(ValidationError):
             m_factor(1, Ideal(Q), SPLIT)
+
+    def test_integer_local_part_equals_the_per_prime_product(self):
+        # the reference multiplies one Fraction per prime, as the formula reads
+        def per_prime(j, level, algebra):
+            value = dedekind_zeta_neg(algebra.field, j)
+            for prime, _exp in level.factors:
+                value *= 1 - Fraction(1, prime.norm ** (2 * j))
+            for prime in algebra.ram_finite:
+                if level.valuation(prime) == 0:
+                    value *= 1 + Fraction((-1) ** j, prime.norm**j)
+            return value
+
+        q13 = TotallyRealField.real_quadratic(13)
+        settings = [
+            (SPLIT, Q), (RAM23, Q), (HAM5, Q5),
+            (QuaternionAlgebra(Q5, tuple(split_prime(Q5, p)[0] for p in (2, 3)), 0), Q5),
+            (QuaternionAlgebra(q13, tuple(split_prime(q13, p)[0] for p in (2, 13)), 0), q13),
+        ]
+        for algebra, field in settings:
+            for n_level in (2, 3, 6, 12, 30, 143):
+                level = ideal_from_integer(field, n_level)
+                for j in range(1, 5):
+                    want = per_prime(j, level, algebra)
+                    assert m_factor(j, level, algebra) == want, (algebra, n_level, j)
 
 
 class TestLefschetzNumber:
@@ -186,6 +216,15 @@ class TestSignatureClasses:
         assert len(h1_signature_classes(4, 18)) == 10**4
         with pytest.raises(ValidationError, match="14641 signature classes"):
             h1_signature_classes(4, 20)
+        with pytest.raises(ValidationError, match="14641 signature classes"):
+            lefschetz._class_binomials(4, 20)
+
+    def test_class_binomials_follow_the_class_order(self):
+        for r in range(5):
+            for n in range(1, 9):
+                classes = h1_signature_classes(r, n)
+                want = [cls.binomial_factor(n) for cls in classes]
+                assert lefschetz._class_binomials(r, n) == want, (r, n)
 
     def test_matrix_size_cap_boundary(self, monkeypatch):
         level = level_q(2)
