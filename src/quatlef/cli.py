@@ -15,9 +15,7 @@ a broken internal invariant.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
@@ -261,16 +259,21 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _csv_field(value) -> str:
+    text = "" if value is None else str(value)
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
-    """The CSV text of the rows; the writer turns their integers into text."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
+    """The CSV text of the rows, as csv.writer with a newline terminator
+    writes rows of two or more fields: None is empty, a field holding a
+    comma, a quote or a newline is quoted with its quotes doubled."""
     try:
-        writer.writerows(rows)
+        return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
     except ValueError:
         raise _digit_limit_error() from None
-    return buffer.getvalue()
 
 
 def _emit_report(args, payload: dict, rows: list[list], header=("key", "value")) -> int:

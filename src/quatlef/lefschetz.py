@@ -59,7 +59,7 @@ from .numberfield import (
     Ideal,
     TotallyRealField,
     dedekind_zeta_neg,
-    ideal_from_integer,
+    split_prime,
     zeta_f_positive_even_numeric,
 )
 from .quaternion import QuaternionAlgebra
@@ -234,13 +234,14 @@ def _validate_setting(algebra: QuaternionAlgebra, n: int, level: Ideal) -> None:
 def check_torsion_necessary(level: Ideal) -> bool:
     """Necessary torsion-freeness condition: -1 != 1 modulo the level.
 
-    Equivalently the level must not divide (2). Passing this check does
-    not certify torsion-freeness; failing it refutes it.
+    Equivalently the level must not divide (2), the product of P^e over
+    the primes P above 2. Passing this check does not certify
+    torsion-freeness; failing it refutes it.
     """
     if level.is_unit:
         raise ValidationError("level must be a proper ideal")
-    two = ideal_from_integer(level.field, 2)
-    return not level.divides(two)
+    above_two = split_prime(level.field, 2)
+    return not all(prime in above_two and exp <= prime.e for prime, exp in level.factors)
 
 
 def _torsion_gate(level: Ideal, assume_torsion_free: bool) -> tuple[str, ...]:

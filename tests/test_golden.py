@@ -71,6 +71,8 @@ CASES = {
     "table-fuchsian-quad5": ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "1", "--levels", "3:9"],
     # the class-sum path: 81 signature classes per row over Q(sqrt2, sqrt5)
     "table-biquadratic-n4": ["table", "--field", "external:@/q_sqrt2_sqrt5.json", "--ram-real", "4", "--n", "4", "--levels", "3:4"],
+    # the largest class count of the benchmark: 625 signature classes per row
+    "table-biquadratic-n8": ["table", "--field", "external:@/q_sqrt2_sqrt5.json", "--ram-real", "4", "--n", "8", "--levels", "3:4"],
     "table-quad5-odd-n-trace": ["table", "--field", "quad:5", "--ram-real", "2", "--n", "5", "--levels", "3:6", "--trace-w=-1/3"],
     # conductors at and beyond the top of the benchmark's zeta range
     "zeta-quad10007-json": ["zeta", "--field", "quad:10007", "--jmax", "6"],

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatlef import lefschetz
-from quatlef.errors import NotFuchsianError, TorsionError, ValidationError
+from quatlef.errors import ExternalFieldError, NotFuchsianError, TorsionError, ValidationError
 from quatlef.lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -62,6 +63,39 @@ class TestTorsionCheck:
     def test_inert_two_over_quadratic_fails(self):
         prime2 = split_prime(Q5, 2)[0]
         assert check_torsion_necessary(Ideal(Q5, ((prime2, 1),))) is False
+
+    @pytest.mark.parametrize("field", [
+        Q,
+        TotallyRealField.real_quadratic(17),
+        Q5,
+        TotallyRealField.real_quadratic(2),
+        TotallyRealField.from_json_file(GOLDEN / "q5.json"),
+    ], ids=["Q", "quad17", "quad5", "quad2", "q5.json"])
+    def test_matches_divisibility_of_two(self, field):
+        """The rule on the primes above 2 agrees with level | (2)."""
+        two = ideal_from_integer(field, 2)
+        above_two = split_prime(field, 2)
+        levels = [
+            Ideal(field, tuple((prime, exp) for prime, exp in zip(above_two, exps) if exp))
+            for exps in product(range(4), repeat=len(above_two))
+            if any(exps)
+        ]
+        for n in range(2, 65):
+            try:
+                levels.append(ideal_from_integer(field, n))
+            except ExternalFieldError:
+                continue  # the descriptor splits only 2, 5 and 11
+        for level in levels:
+            assert check_torsion_necessary(level) is not level.divides(two), level
+
+    def test_descriptor_without_two_refused(self):
+        field = TotallyRealField.from_descriptor(
+            {"degree": 2, "abs_discriminant": 5, "num_real_places": 2,
+             "zeta_neg": ["1/30"], "splitting": {"11": [[1, 1], [1, 1]]}}
+        )
+        level = Ideal(field, ((split_prime(field, 11)[0], 1),))
+        with pytest.raises(ExternalFieldError, match="prime 2 missing"):
+            check_torsion_necessary(level)
 
     def test_gate_raises_without_override(self):
         with pytest.raises(TorsionError):
@@ -457,15 +491,9 @@ class TestBettiBounds:
 
 
 class TestVolumesAndModulus:
-    def test_vol_values(self, verified):
-        verified("volumes", "vol Sp(1)", "vol Sp(2)", "vol Sp(3)")
-
     def test_vol_is_pure_pi_power(self):
         for n in range(1, 6):
             assert vol_sp_compact(n).pi_exp == n * (n + 1)
-
-    def test_modulus_values(self, verified):
-        verified("volumes", "mf split n=1", "mf ram23 n=1", "mf Hamilton n=2")
 
     def test_modulus_equals_norm_product_form(self):
         for algebra, n in ((RAM23, 1), (RAM23, 2), (HAM5, 2), (SPLIT, 3)):
@@ -488,15 +516,6 @@ class TestFixedPointSpaceDim:
 
 
 class TestAdelicNumeric:
-    def test_fuchsian_case(self, verified):
-        verified("adelic", f"adelic {RAM23.describe()} n=1 level (5)")
-
-    def test_split_n2(self, verified):
-        verified("adelic", f"adelic {SPLIT.describe()} n=2 level (3)")
-
-    def test_quadratic_hamilton(self, verified):
-        verified("adelic", "adelic Hamilton/Q(sqrt5) n=2")
-
     def test_external_field_rejected(self):
         field = TotallyRealField.external(2, 5, 2, (Fraction(1, 30),), {2: [(2, 1)], 3: [(2, 1)]})
         algebra = QuaternionAlgebra(field, (), 2)
