@@ -16,10 +16,11 @@ norms, exponents and ramification membership.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, cycle, islice
+from itertools import chain, compress, cycle, islice, repeat
 from math import comb, lcm, log
 from operator import mul
 from pathlib import Path
@@ -641,22 +642,59 @@ def dedekind_zeta_neg(field: TotallyRealField, j: int) -> Fraction:
     return field.zeta_neg_table[j - 1]
 
 
-@lru_cache(maxsize=64)
-def _truncated_dirichlet(discriminant: int, two_j: int, terms: int) -> float:
-    """Truncated Dirichlet series sum_{m<=terms} chi(m) m^(-two_j).
+# terms per block of _dirichlet_series, whose powers are held at once (2^15
+# floats added about 3 MiB to the peak RSS, 2^12 nothing measurable)
+_SERIES_BLOCK = 2**12
+# _dirichlet_series keeps its two sums every _SERIES_STEP terms for the
+# _SERIES_KEYS most recently used (discriminant, 2j) keys: at most 305 pairs
+# (about 33 KiB) per key at the 10^7-term cap, about 1 MiB in all
+_SERIES_STEP = 2**15
+_SERIES_KEYS = 32
+# (discriminant, 2j) -> [the sums over m <= i * _SERIES_STEP, i = 0, 1, ...],
+# the least recently used key first. A call holds _series_lock throughout,
+# so two threads never append to one list of prefixes.
+_series_prefixes: dict[tuple[int, int], list[tuple[float, float]]] = {}
+_series_lock = threading.Lock()
 
-    discriminant 0 means the trivial character (the Riemann series).
+
+def _dirichlet_series(
+    discriminant: int, two_j: int, terms: int
+) -> tuple[float, float]:
+    """The truncated series sum_{m<=terms} m^(-two_j) and
+    sum_{m<=terms} chi_D(m) m^(-two_j), D = discriminant.
+
+    D = 0 means the trivial character, whose series is the Riemann one.
+    Each m^(-two_j) is taken once and feeds both sums. They resume from the
+    last pair kept in _series_prefixes at or below terms and keep the pairs
+    they pass. Each sum adds its terms one at a time in ascending m, so its
+    float does not depend on where a call resumes. A term with chi_D(m) = 0
+    adds 0.0, which leaves the positive partial sum unchanged and costs less
+    than skipping it.
     """
-    if discriminant == 0:
-        return sum(m ** (-two_j) for m in range(1, terms + 1))
-    table = _character_table(discriminant)
-    period = len(table)
-    total = 0.0
-    for m in range(1, terms + 1):
-        c = table[m % period]
-        if c:
-            total += c * m ** (-two_j)
-    return total
+    with _series_lock:
+        key = (discriminant, two_j)
+        prefixes = _series_prefixes.pop(key, None) or [(0.0, 0.0)]
+        _series_prefixes[key] = prefixes
+        if len(_series_prefixes) > _SERIES_KEYS:
+            del _series_prefixes[next(iter(_series_prefixes))]
+        kept = min(len(prefixes) - 1, terms // _SERIES_STEP)
+        riemann, twisted = prefixes[kept]
+        done = kept * _SERIES_STEP
+        exponent = repeat(-two_j)
+        if discriminant and done < terms:
+            table = _character_table(discriminant)
+            chars = chain(islice(table, (done + 1) % len(table), None), cycle(table))
+        for lo in range(done + 1, terms + 1, _SERIES_BLOCK):
+            hi = min(lo + _SERIES_BLOCK, terms + 1)
+            if discriminant:
+                powers = list(map(pow, range(lo, hi), exponent))
+                riemann = sum(powers, riemann)
+                twisted = sum(map(mul, islice(chars, hi - lo), powers), twisted)
+            else:
+                riemann = twisted = sum(map(pow, range(lo, hi), exponent), riemann)
+            if hi - 1 == len(prefixes) * _SERIES_STEP:
+                prefixes.append((riemann, twisted))
+        return riemann, twisted
 
 
 def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
@@ -664,7 +702,8 @@ def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
     return field.degree * terms ** (1 - 2 * j) / (2 * j - 1)
 
 
-# most series terms zeta_f_positive_even_numeric sums; 10^7 take 1-2 s
+# most series terms zeta_f_positive_even_numeric sums; 10^7 took 0.8 s over
+# Q and 1.3 s over Q(sqrt5) (fresh process, 2-vCPU Xeon, Python 3.11)
 _MAX_SERIES_TERMS = 10**7
 # largest conductor of a real quadratic field: gen_bernoulli(2, chi) takes
 # 0.31-0.36 s at conductor 999997 and adds about 13 MiB to the peak RSS,
@@ -700,9 +739,8 @@ def zeta_f_positive_even_numeric(
             f"{terms} series terms exceed the cap of {_MAX_SERIES_TERMS}"
         )
     if field.kind == _KIND_RATIONALS:
-        return _truncated_dirichlet(0, 2 * j, terms)
+        return _dirichlet_series(0, 2 * j, terms)[0]
     if field.kind == _KIND_QUADRATIC:
-        return _truncated_dirichlet(0, 2 * j, terms) * _truncated_dirichlet(
-            field.abs_discriminant, 2 * j, terms
-        )
+        riemann, twisted = _dirichlet_series(field.abs_discriminant, 2 * j, terms)
+        return riemann * twisted
     raise ValidationError("numeric zeta needs a natively supported field")

@@ -32,27 +32,5 @@ def test_criterion_3_quadratic_field_pipeline(verified):
     )
 
 
-def test_criterion_4_decomposition_identity_on_grid(verified):
-    verified("decomposition")
-
-
-def test_criterion_5_binomial_identity(verified):
-    verified("binomial")
-
-
-def test_criterion_6_finite_group_oracles(verified):
-    verified("finite-orders")
-
-
-def test_criterion_7_index_formula(verified):
-    verified("index")
-
-
 def test_criterion_8_adelic_cross_check(verified):
     verified("volumes", "vol Sp(1)", "vol Sp(2)")
-    verified("adelic")
-
-
-def test_criterion_9_sign_and_integrality_laws(verified):
-    verified("signs")
-    verified("zeta")

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -28,6 +30,7 @@ from quatlef.numberfield import (
 Q = TotallyRealField.rationals()
 Q5 = TotallyRealField.real_quadratic(5)
 Q2 = TotallyRealField.real_quadratic(2)
+Q13 = TotallyRealField.real_quadratic(13)
 
 SMALL_PRIMES = [p for p in range(2, 120) if is_prime(p)]
 
@@ -321,13 +324,22 @@ class TestNumericZeta:
         assert got == pytest.approx(1.0823232337, abs=1e-9)
 
     def test_truncation_bound_honest(self):
-        for terms in (10**3, 10**4):
-            got = zeta_f_positive_even_numeric(Q, 1, terms)
-            assert abs(got - math.pi**2 / 6) <= zeta_truncation_bound(Q, 1, terms)
-
-    def test_functional_equation_two_sided(self, verified):
-        # exact negative values against the independent series at 2j
-        verified("functional-equation")
+        # over Q the bound exceeds the tail by O(N^-2j) only: at j = 2 that is
+        # below float rounding, so Q is checked at j = 1
+        cases = [(Q, 1)] + [(field, j) for field in (Q2, Q5, Q13) for j in (1, 2)]
+        for field, j in cases:
+            # zeta_F(2j) from zeta_F(1-2j) by the functional equation
+            exact = (
+                (-1) ** (j * field.degree)
+                * float(dedekind_zeta_neg(field, j))
+                * ((2 * math.pi) ** (2 * j) / (2 * math.factorial(2 * j - 1)))
+                ** field.degree
+                * float(field.abs_discriminant) ** (-(4 * j - 1) / 2)
+            )
+            for terms in (10**2, 10**3, 10**4):
+                got = zeta_f_positive_even_numeric(field, j, terms)
+                bound = zeta_truncation_bound(field, j, terms)
+                assert abs(got - exact) <= bound, (field, j, terms)
 
     def test_external_rejected(self):
         ext = TotallyRealField.external(2, 5, 2, (Fraction(1, 30),), {2: [(2, 1)]})
@@ -341,6 +353,89 @@ class TestNumericZeta:
     def test_too_many_terms_rejected(self):
         with pytest.raises(ValidationError, match="10000001 series terms exceed"):
             zeta_f_positive_even_numeric(Q, 1, 10**7 + 1)
+
+
+def _reference_series(discriminant, two_j, terms):
+    """sum_{m<=t} m^(-two_j) and sum_{m<=t} chi_D(m) m^(-two_j) for each t
+    in terms, one term added at a time in ascending m (D = 0: chi = 1)."""
+    table = numberfield._character_table(discriminant) if discriminant else [1]
+    period = len(table)
+    riemann = twisted = 0.0
+    sums = {}
+    for m in range(1, max(terms) + 1):
+        term = m ** (-two_j)
+        riemann += term
+        c = table[m % period]
+        if c:
+            twisted += c * term
+        if m in terms:
+            sums[m] = (riemann, twisted)
+    return sums
+
+
+class TestDirichletKernel:
+    STEP = numberfield._SERIES_STEP
+    BLOCK = numberfield._SERIES_BLOCK
+    TERMS = sorted(
+        {t + d for t in (100, BLOCK, 3 * BLOCK, STEP, 2 * STEP) for d in (-1, 0, 1)}
+    )
+
+    @pytest.fixture(autouse=True)
+    def fresh_prefixes(self, monkeypatch):
+        monkeypatch.setattr(numberfield, "_series_prefixes", {})
+
+    def test_bitwise_equal_to_per_term_sums(self):
+        # growing, shrinking and growing again runs a fresh start, a resume
+        # from the last kept prefix, from an earlier one, and from an exact one
+        calls = self.TERMS + self.TERMS[::-1] + self.TERMS
+        for discriminant in (0, 5, 8, 12, 13, 24, 40):
+            for j in (1, 2, 3):
+                want = _reference_series(discriminant, 2 * j, set(self.TERMS))
+                for terms in calls:
+                    got = numberfield._dirichlet_series(discriminant, 2 * j, terms)
+                    assert got == want[terms], (discriminant, j, terms)
+                    assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
+
+    def test_kept_keys_capped(self):
+        terms = self.STEP + 1
+        keys = numberfield._SERIES_KEYS + 3
+        for two_j in range(2, 2 * keys + 1, 2):
+            numberfield._dirichlet_series(5, two_j, terms)
+            assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
+        # the least recently used keys went first, and an evicted key sums anew
+        assert (5, 2) not in numberfield._series_prefixes
+        assert (5, 2 * keys) in numberfield._series_prefixes
+        want = _reference_series(5, 2, {terms})[terms]
+        assert numberfield._dirichlet_series(5, 2, terms) == want
+
+    def test_threads_sharing_a_key_keep_whole_prefixes(self, monkeypatch):
+        # small blocks give many prefix appends, and threads that start
+        # together sum the same fresh key side by side, switching often
+        monkeypatch.setattr(numberfield, "_SERIES_BLOCK", 2)
+        monkeypatch.setattr(numberfield, "_SERIES_STEP", 4)
+        terms = 20001
+        want = _reference_series(5, 2, set(range(0, terms + 1, 4)) | {terms})
+        start = threading.Barrier(4)
+        got = []
+
+        def call():
+            start.wait()
+            got.append(numberfield._dirichlet_series(5, 2, terms))
+
+        threads = [threading.Thread(target=call) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want[terms]] * 4
+        prefixes = numberfield._series_prefixes[(5, 2)]
+        assert prefixes[1:] == [want[m] for m in range(4, terms, 4)]
 
 
 class TestExternalField:

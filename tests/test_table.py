@@ -8,6 +8,7 @@ equal what ``lefschetz_number``, ``euler_char_components``,
 
 import csv
 import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,8 @@ from quatlef.lefschetz import (
 from quatlef.numberfield import TotallyRealField, ideal_from_integer, split_prime
 from quatlef.quaternion import QuaternionAlgebra
 
-Q5_DESCRIPTOR = Path(__file__).resolve().parent / "golden" / "q5.json"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+Q5_DESCRIPTOR = GOLDEN / "q5.json"
 
 # field spec -> (field, level ranges, largest n its zeta values allow, algebras);
 # an algebra is (ramified rational primes, ramified real places). Level 2
@@ -140,3 +142,21 @@ def test_table_evaluates_the_closed_form_once_per_row(capsys, monkeypatch, argv,
     out, _err = capsys.readouterr()
     assert out.count(",true,") == rows
     assert calls == {"_closed_form": rows, "m_factor": rows * n}
+
+
+def test_large_table_fields_read_back_under_a_raised_field_limit():
+    # the chi_components of the 625 signature classes of n = 8 over four
+    # real places fill about 300 KB per row, more than the csv module's
+    # default field limit of 131072 characters
+    corpus = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+    out = corpus["table-biquadratic-n8"]["stdout"]
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        list(csv.reader(io.StringIO(out)))
+    default = csv.field_size_limit(len(out))
+    try:
+        header, *rows = csv.reader(io.StringIO(out))
+    finally:
+        csv.field_size_limit(default)
+    assert len(rows) == 2
+    assert all(len(row) == len(header) for row in rows)
+    assert max(len(row[header.index("chi_components")]) for row in rows) > default
