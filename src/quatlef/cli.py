@@ -26,7 +26,7 @@ from .exact import _digit_limit_error, _int, format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
-    _table_row,
+    _table_rows,
     congruence_index,
     euler_char_adelic_numeric,
     euler_char_fixed_component,
@@ -422,35 +422,17 @@ def _cmd_table(args) -> int:
     lo, hi = _int(lo_text), _int(hi_text or lo_text)
     if hi - lo + 1 > _TABLE_ROW_CAP:
         raise ValidationError(f"level range exceeds the {_TABLE_ROW_CAP} row cap")
-    trace = _trace_w(args)
-    n_size = args.n
-    header = [
-        "level",
-        "norm",
-        "torsion_ok",
-        "index",
-        "lefschetz",
-        "chi_components",
-        "genus",
-        "b1",
-        "note",
-    ]
+    header = "level,norm,torsion_ok,index,lefschetz,chi_components,genus,b1,note"
     rows = []
-    for n_level in range(max(lo, 2), hi + 1):
-        level = ideal_from_integer(field, n_level)
-        row = _table_row(algebra, n_size, level, trace)
-        if row is None:
-            rows.append(
-                [n_level, level.norm(), "false"] + [""] * 5 + ["torsion check failed"]
-            )
+    levels = range(max(lo, 2), hi + 1)
+    for level, norm, columns in _table_rows(algebra, args.n, levels, _trace_w(args)):
+        if columns is None:
+            rows.append([level, norm, "false"] + [""] * 5 + ["torsion check failed"])
             continue
-        lefschetz, chis, genus = row
-        index = congruence_index(algebra, n_size, level)
+        index, lefschetz, chis, genus = columns
         genus_b1 = ["", ""] if genus is None else [genus, 2 * genus]
-        rows.append(
-            [n_level, level.norm(), "true", index, lefschetz, "|".join(chis), *genus_b1, ""]
-        )
-    _emit(args, _csv_text(header, rows))
+        rows.append([level, norm, "true", index, lefschetz, chis, *genus_b1, ""])
+    _emit(args, _csv_text(header.split(","), rows))
     return 0
 
 

@@ -5,17 +5,16 @@ The pieces, in the order they combine:
 
 * ``m_factor`` builds the per-degree local factor
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
-  * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``.
-  Its local part is assembled in integers, as
-  ``prod (N^2j - 1) / prod N^2j`` times ``prod (N^j + (-1)^j) / prod N^j``,
-  and enters the zeta value as one ``Fraction``.
-* ``_closed_form`` is the one place the M factors are multiplied with the
-  prefactor ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2)``, and checks the
-  sign law. ``lefschetz_number`` takes it at ``e = r`` and scales by ``tr``.
-* ``_table_row`` gives every closed-form column of one ``quatlef table``
-  row from one evaluation X at ``e = 0``: the Lefschetz number
-  ``X tr / 2^r``, each component ``X / 2^(nr)`` times its binomial, and for
-  a Fuchsian ``n = 1`` row the genus, checked against ``X / 2^r``.
+  * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``
+  in integers, from each prime's ``_local_part``.
+* ``_Primes.closed_form`` is the one assembly of the closed form
+  ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)``: one integer
+  ratio of per-prime parts and the zeta product, each computed once per
+  request, with the sign law checked. ``lefschetz_number`` takes it at
+  ``e = r`` for a range of one level; ``_table_rows`` gives each table row
+  from its value X at ``e = 0``: the Lefschetz number ``X tr / 2^r``, each
+  component ``X / 2^(nr)`` times its binomial, and for a Fuchsian
+  ``n = 1`` row the genus, checked against ``X / 2^r``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -57,8 +56,10 @@ from .numberfield import (
     _MAX_SERIES_TERMS,
     _MAX_ZETA_INDEX,
     Ideal,
+    PrimeIdeal,
     TotallyRealField,
     dedekind_zeta_neg,
+    factorize,
     split_prime,
     zeta_f_positive_even_numeric,
 )
@@ -207,23 +208,23 @@ class GenusReport:
     warnings: tuple[str, ...] = ()
 
 
-def _check_level(algebra: QuaternionAlgebra, level: Ideal, n: int = 1) -> None:
+def _check_level(algebra: QuaternionAlgebra, level: Ideal | None, n: int = 1) -> None:
     """Checks shared by every closed form, made before any power or group
     order is taken: 1 <= n <= _MAX_ZETA_INDEX (the closed form needs zeta
-    at 1-2j for every j <= n) and a proper level ideal of the field."""
+    at 1-2j for every j <= n) and, when one is given, a proper level."""
     if n < 1:
         raise ValidationError("matrix size n must be >= 1")
     if n > _MAX_ZETA_INDEX:
         raise ValidationError(
             f"matrix size n = {n} exceeds the cap of n <= {_MAX_ZETA_INDEX}"
         )
-    if level.field != algebra.field:
+    if level is not None and level.field != algebra.field:
         raise ValidationError("level ideal lives in a different field")
-    if level.is_unit:
+    if level is not None and level.is_unit:
         raise ValidationError("level must be a proper ideal")
 
 
-def _validate_setting(algebra: QuaternionAlgebra, n: int, level: Ideal) -> None:
+def _validate_setting(algebra: QuaternionAlgebra, n: int, level=None) -> None:
     _check_level(algebra, level, n)
     if algebra.is_totally_definite() and n < 2:
         raise ValidationError(
@@ -240,19 +241,33 @@ def check_torsion_necessary(level: Ideal) -> bool:
     """
     if level.is_unit:
         raise ValidationError("level must be a proper ideal")
-    above_two = split_prime(level.field, 2)
-    return not all(prime in above_two and exp <= prime.e for prime, exp in level.factors)
+    return _passes_torsion(level.factors, split_prime(level.field, 2))
 
 
-def _torsion_gate(level: Ideal, assume_torsion_free: bool) -> tuple[str, ...]:
-    if check_torsion_necessary(level):
-        return (WARN_TORSION_UNVERIFIED,)
-    if not assume_torsion_free:
-        raise TorsionError(
-            "level divides (2), so the congruence group has 2-torsion;"
-            " pass assume_torsion_free to evaluate the formula anyway"
-        )
-    return (WARN_TORSION_OVERRIDDEN,)
+def _passes_torsion(factors, above_two: list[PrimeIdeal]) -> bool:
+    """check_torsion_necessary of a level's factors, given the primes above 2."""
+    return not all(prime in above_two and exp <= prime.e for prime, exp in factors)
+
+
+def _local_part(norm: int, js, in_level: bool) -> tuple[int, int]:
+    """A prime's part of prod_{j in js} M(j) as (num, den): the product of
+    (N^2j - 1) / N^2j for a prime of the level, (N^j + (-1)^j) / N^j for a
+    ramified prime off it."""
+    num = den = 1
+    for j in js:
+        power = norm ** (2 * j if in_level else j)
+        num *= power - 1 if in_level else power + (-1) ** j
+        den *= power
+    return num, den
+
+
+def _local_primes(algebra: QuaternionAlgebra, factors) -> list[tuple[PrimeIdeal, int]]:
+    """The level's (P, a) factors, then (P, 0) for each ramified P off the
+    level: the primes with a part in M(j)."""
+    if not algebra.ram_finite:
+        return factors
+    in_level = {prime for prime, _a in factors}
+    return [*factors, *((p, 0) for p in algebra.ram_finite if p not in in_level)]
 
 
 def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
@@ -260,98 +275,135 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
     _check_level(algebra, level)
-    zeta = dedekind_zeta_neg(algebra.field, j)
-    # the local part as one integer ratio num / den, so that it enters the
-    # zeta value as a single Fraction
-    num = den = 1
-    for prime, _exp in level.factors:
-        power = prime.norm ** (2 * j)
-        num *= power - 1
-        den *= power
-    for prime in algebra.ram_finite:
-        if level.valuation(prime) == 0:
-            power = prime.norm**j
-            num *= power + (-1) ** j
-            den *= power
-    return Fraction(zeta.numerator * num, zeta.denominator * den)
+    local = _local_primes(algebra, level.factors)
+    return _m_factor(j, dedekind_zeta_neg(algebra.field, j), local)
+
+
+def _m_factor(j: int, zeta: Fraction, local) -> Fraction:
+    """M(j) from zeta_F(1-2j) and the level's _local_primes."""
+    num, den = zeta.numerator, zeta.denominator
+    for prime, a in local:
+        part_num, part_den = _local_part(prime.norm, (j,), a > 0)
+        num *= part_num
+        den *= part_den
+    return Fraction(num, den)
+
+
+class _Primes:
+    """The data of one request, an algebra and n over any number of levels,
+    each computed once: the primes above each rational prime, zeta_F(1-2j)
+    for j <= n, and each (norm, exponent)'s part of the closed form."""
+
+    def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
+        self.algebra, self.n, self.splits, self.parts = algebra, n, {}, {}
+        if algebra.field.is_totally_real:
+            # j = n first, so that the zeta caps refuse it before any row is
+            # built, and so that one pass of power sums serves every smaller j
+            self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
+            disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
+            self.num = prod([z.numerator for z in self.zetas], start=disc_power)
+            self.den = prod([z.denominator for z in self.zetas])
+
+    def split(self, p: int) -> list[PrimeIdeal]:
+        if p not in self.splits:
+            self.splits[p] = split_prime(self.algebra.field, p)
+        return self.splits[p]
+
+    def closed_form(self, local, two_exp: int) -> Fraction:
+        """2^(-two_exp) N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the
+        level L of these _local_primes, as one integer ratio reduced once;
+        zero with a complex place, else checked to have sign (-1)^(s n(n+1)/2)."""
+        algebra, n, parts = self.algebra, self.n, self.parts
+        if not algebra.field.is_totally_real:
+            return Fraction(0)
+        num, den = self.num, self.den << two_exp
+        for prime, a in local:
+            norm = prime.norm
+            part = parts.get((norm, a))
+            if part is None:
+                part_num, part_den = _local_part(norm, range(1, n + 1), a > 0)
+                part = parts[norm, a] = (part_num * norm ** (a * n * (2 * n + 1)), part_den)
+            num *= part[0]
+            den *= part[1]
+        expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
+        # every factor of den is positive, so num carries the sign
+        if num == 0 or (num > 0) != (expected_sign > 0):
+            raise InvariantError(
+                f"sign law violated: closed-form product {Fraction(num, den)},"
+                f" expected sign {expected_sign}"
+            )
+        return Fraction(num, den)
+
+
+def _index(algebra: QuaternionAlgebra, n: int, factors, memo: dict) -> int:
+    """The index of the level of these factors; memo keeps each local factor."""
+    index = 1
+    for prime, a in factors:
+        key = ("ramified" if prime in algebra.ram_finite else "split", prime.norm, a)
+        if key not in memo:
+            memo[key] = finitegrp.local_index_factor(prime.norm, key[0], n, a)
+        index *= memo[key]
+    return index
 
 
 def _closed_form(
-    algebra: QuaternionAlgebra,
-    n: int,
-    level: Ideal,
-    warnings: tuple[str, ...],
-    two_exp: int,
+    algebra: QuaternionAlgebra, n: int, level: Ideal, override: bool, two_exp: int
 ) -> tuple[dict, Fraction]:
-    """The one closed form behind every report and table row, before
-    scaling: 2^(-two_exp) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j).
-
-    The caller has passed the torsion gate, whose warnings it hands in.
-    Returns the report fields shared by both types and the unscaled value.
-    Zero when the base field has a complex place; otherwise nonzero of
-    sign (-1)^(s n(n+1)/2), which is checked.
-    """
-    two_power = Fraction(1, 2**two_exp)
-    level_norm_power = level.norm() ** (n * (2 * n + 1))
-    disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
-    zero_reason = None
-    if algebra.field.is_totally_real:
-        # j = n first, so that the zeta caps refuse it before any table is
-        # built, and so that one pass of power sums serves every smaller j
-        dedekind_zeta_neg(algebra.field, n)
-        m_factors = tuple(m_factor(j, level, algebra) for j in range(1, n + 1))
-        value = Fraction(
-            prod((m.numerator for m in m_factors), start=level_norm_power * disc_power),
-            prod((m.denominator for m in m_factors), start=2**two_exp),
-        )
-        expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
-        if value == 0 or (value > 0) != (expected_sign > 0):
-            raise InvariantError(
-                f"sign law violated: closed-form product {value},"
-                f" expected sign {expected_sign}"
-            )
+    """One level's closed form, a range of one, before scaling, and the report
+    fields of both types, past the torsion gate (override: assume_torsion_free)."""
+    if check_torsion_necessary(level):
+        warnings = (WARN_TORSION_UNVERIFIED,)
+    elif override:
+        warnings = (WARN_TORSION_OVERRIDDEN,)
     else:
-        m_factors = (Fraction(0),) * n
-        value = Fraction(0)
-        zero_reason = ZERO_COMPLEX_PLACE
+        raise TorsionError(
+            "level divides (2), so the congruence group has 2-torsion;"
+            " pass assume_torsion_free to evaluate the formula anyway"
+        )
+    primes, local = _Primes(algebra, n), _local_primes(algebra, level.factors)
+    value = primes.closed_form(local, two_exp)
+    real = algebra.field.is_totally_real
     shared = dict(
         n=n,
-        two_power=two_power,
-        level_norm_power=level_norm_power,
-        disc_power=disc_power,
-        m_factors=m_factors,
+        two_power=Fraction(1, 2**two_exp),
+        level_norm_power=level.norm() ** (n * (2 * n + 1)),
+        disc_power=algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2),
+        m_factors=tuple(
+            _m_factor(j, primes.zetas[-j], local) if real else Fraction(0)
+            for j in range(1, n + 1)
+        ),
         warnings=warnings,
-        zero_reason=zero_reason,
+        zero_reason=None if real else ZERO_COMPLEX_PLACE,
     )
     return shared, value
 
 
-def _table_row(
-    algebra: QuaternionAlgebra, n: int, level: Ideal, trace_w: Fraction
-) -> tuple[str, list[str], int | None] | None:
-    """The closed-form columns of one ``quatlef table`` row, from one
-    evaluation X of the closed form with two_exp = 0: the Lefschetz number
-    X tr / 2^r as text, each component X / 2^(nr) times its binomial as
-    text (formatted once per distinct binomial), and for a Fuchsian n = 1
-    row the genus, whose formula is checked against X / 2^r.
-
-    None when the level fails the torsion necessary condition. Otherwise
-    the checks run in the order of the single-value functions: setting,
-    class cap, zeta caps, sign law, genus.
-    """
-    if not check_torsion_necessary(level):
-        return None
-    _validate_setting(algebra, n, level)
-    # first, so that the class cap rejects a row before any closed form
+def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Fraction):
+    """(m, norm of (m), columns) for each level m of a ``quatlef table``,
+    after checking the setting, the class cap and the zeta caps once, in
+    that order. columns is None when (m) fails the torsion necessary
+    condition, else the index and the text of each closed-form column."""
+    _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    _shared, unit = _closed_form(algebra, n, level, (WARN_TORSION_UNVERIFIED,), 0)
-    component = unit / 2 ** (n * algebra.r)
-    texts = {b: format_rational(component * b) for b in dict.fromkeys(binomials)}
-    genus = None
-    if n == 1 and algebra.is_fuchsian() and algebra.field.is_totally_real:
-        genus = _checked_genus(algebra, level, component)
-    lefschetz = format_rational(unit * trace_w / 2**algebra.r)
-    return lefschetz, [texts[b] for b in binomials], genus
+    primes, indices, field = _Primes(algebra, n), {}, algebra.field
+    fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
+    for level in levels:
+        norm = level**field.degree
+        # the factors of ideal_from_integer(field, level), in any order
+        factors = [(P, P.e * a) for p, a in factorize(level) for P in primes.split(p)]
+        if not _passes_torsion(factors, primes.split(2)):
+            yield level, norm, None
+            continue
+        local = _local_primes(algebra, factors)
+        unit = primes.closed_form(local, 0)
+        component = unit / 2 ** (n * algebra.r)
+        texts = {b: format_rational(component * b) for b in dict.fromkeys(binomials)}
+        genus = None
+        if fuchsian:
+            genus = _checked_genus(algebra, local, component, primes.zetas[-1])
+        lefschetz = format_rational(unit * trace_w / 2**algebra.r)
+        chis = "|".join(texts[b] for b in binomials)
+        yield level, norm, (_index(algebra, n, factors, indices), lefschetz, chis, genus)
 
 
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
@@ -360,8 +412,9 @@ def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
     Zero exactly when the base field has a complex place or trace_w is 0;
     otherwise 2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr prod_j M(j).
     """
-    warnings = _torsion_gate(inp.level, inp.assume_torsion_free)
-    shared, value = _closed_form(inp.algebra, inp.n, inp.level, warnings, inp.algebra.r)
+    shared, value = _closed_form(
+        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
+    )
     return LefschetzReport(value=value * inp.trace_w, trace_w=inp.trace_w, **shared)
 
 
@@ -431,8 +484,7 @@ def _scaled_components(
     """One report per class: the closed form runs once (torsion gate, M
     factors, sign law), then each report is that value times the class's
     binomial."""
-    warnings = _torsion_gate(level, assume_torsion_free)
-    shared, unit = _closed_form(algebra, n, level, warnings, n * algebra.r)
+    shared, unit = _closed_form(algebra, n, level, assume_torsion_free, n * algebra.r)
     binomials = [cls.binomial_factor(n) for cls in classes]
     return [
         EulerCharReport(
@@ -496,31 +548,21 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     result is an integer by construction.
     """
     _check_level(algebra, level, n)
-    ram = set(algebra.ram_finite)
-    index = 1
-    for prime, exponent in level.factors:
-        kind = "ramified" if prime in ram else "split"
-        index *= finitegrp.local_index_factor(prime.norm, kind, n, exponent)
-    return index
+    return _index(algebra, n, level.factors, {})
 
 
-def _checked_genus(algebra: QuaternionAlgebra, level: Ideal, chi: Fraction) -> int:
-    """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta_F(-1)|
-    prod_{P | level} (1 - N(P)^-2) prod_{P ramified, P not | level}
-    (1 - N(P)^-1) of a Fuchsian setting; 2 - 2g must equal chi, the n = 1
-    closed form at trace 1, which is checked."""
-    field = algebra.field
-    g = Fraction(1, 2**field.degree) * level.norm() ** 3
-    g *= abs(
-        Fraction(algebra.signed_reduced_discriminant())
-        * dedekind_zeta_neg(field, 1)
-    )
-    for prime, _exp in level.factors:
-        g *= 1 - Fraction(1, prime.norm**2)
-    for prime in algebra.ram_finite:
-        if level.valuation(prime) == 0:
-            g *= 1 - Fraction(1, prime.norm)
-    g += 1
+def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:
+    """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta| prod_{P | level}
+    (1 - N(P)^-2) prod_{P ramified, P not | level} (1 - N(P)^-1) of a Fuchsian
+    setting, from the level's _local_primes and zeta = zeta_F(-1); 2 - 2g
+    must equal chi, the n = 1 closed form at trace 1, which is checked."""
+    num = abs(algebra.signed_reduced_discriminant() * zeta.numerator)
+    den = zeta.denominator << algebra.field.degree
+    for prime, a in local:
+        power = prime.norm ** (2 if a else 1)
+        num *= prime.norm ** (3 * a) * (power - 1)
+        den *= power
+    g = Fraction(num, den) + 1
     if g.denominator != 1:
         raise InvariantError(f"genus came out non-integral: {g}")
     genus = g.numerator
@@ -551,7 +593,8 @@ def genus_fuchsian(
     # validates the setting and gates torsion before the genus formula runs
     inp = LefschetzInput(field, algebra, 1, level, Fraction(1), assume_torsion_free)
     closed = lefschetz_number(inp)
-    genus = _checked_genus(algebra, level, closed.value)
+    local = _local_primes(algebra, level.factors)
+    genus = _checked_genus(algebra, local, closed.value, dedekind_zeta_neg(field, 1))
     warnings = closed.warnings
     if genus < 2 and check_torsion_necessary(level):
         warnings = warnings + (
@@ -584,8 +627,9 @@ def betti_growth_exponent(n: int) -> Fraction:
 def betti_lower_bound(inp: LefschetzInput) -> Fraction:
     """|closed form at trace 1|: a certified lower bound for the total
     Betti number of the congruence group."""
-    warnings = _torsion_gate(inp.level, inp.assume_torsion_free)
-    _shared, value = _closed_form(inp.algebra, inp.n, inp.level, warnings, inp.algebra.r)
+    _shared, value = _closed_form(
+        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
+    )
     return abs(value)
 
 

@@ -654,6 +654,7 @@ _SERIES_KEYS = 32
 # the least recently used key first. A call holds _series_lock throughout,
 # so two threads never append to one list of prefixes.
 _series_prefixes: dict[tuple[int, int], list[tuple[float, float]]] = {}
+_series_table: tuple[int, list[int]] = (0, [])
 _series_lock = threading.Lock()
 
 
@@ -666,11 +667,13 @@ def _dirichlet_series(
     D = 0 means the trivial character, whose series is the Riemann one.
     Each m^(-two_j) is taken once and feeds both sums. They resume from the
     last pair kept in _series_prefixes at or below terms and keep the pairs
-    they pass. Each sum adds its terms one at a time in ascending m, so its
-    float does not depend on where a call resumes. A term with chi_D(m) = 0
-    adds 0.0, which leaves the positive partial sum unchanged and costs less
-    than skipping it.
+    they pass; the character table of the most recent D is kept too. Each
+    sum adds its terms one at a time in ascending m, so its float does not
+    depend on where a call resumes. A term with chi_D(m) = 0 adds 0.0,
+    which leaves the positive partial sum unchanged and costs less than
+    skipping it.
     """
+    global _series_table
     with _series_lock:
         key = (discriminant, two_j)
         prefixes = _series_prefixes.pop(key, None) or [(0.0, 0.0)]
@@ -682,7 +685,9 @@ def _dirichlet_series(
         done = kept * _SERIES_STEP
         exponent = repeat(-two_j)
         if discriminant and done < terms:
-            table = _character_table(discriminant)
+            if _series_table[0] != discriminant:
+                _series_table = (discriminant, _character_table(discriminant))
+            table = _series_table[1]
             chars = chain(islice(table, (done + 1) % len(table), None), cycle(table))
         for lo in range(done + 1, terms + 1, _SERIES_BLOCK):
             hi = min(lo + _SERIES_BLOCK, terms + 1)
@@ -702,21 +707,14 @@ def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
     return field.degree * terms ** (1 - 2 * j) / (2 * j - 1)
 
 
-# most series terms zeta_f_positive_even_numeric sums; 10^7 took 0.8 s over
-# Q and 1.3 s over Q(sqrt5) (fresh process, 2-vCPU Xeon, Python 3.11)
+# most series terms zeta_f_positive_even_numeric sums
 _MAX_SERIES_TERMS = 10**7
-# largest conductor of a real quadratic field: gen_bernoulli(2, chi) takes
-# 0.31-0.36 s at conductor 999997 and adds about 13 MiB to the peak RSS,
-# most of it the character table of one period (2-vCPU Xeon, Python 3.11)
+# largest conductor of a real quadratic field
 _MAX_CONDUCTOR = 10**6
-# largest j of a zeta value at 1-2j, for every field: B_200 alone takes
-# about 0.16 s of Bernoulli recurrence, and zeta --field q --jmax 100 0.2 s
+# largest j of a zeta value at 1-2j, for every field
 _MAX_ZETA_INDEX = 100
 # most terms of one character's power sums: the conductor f times the
-# largest gen_bernoulli index k. Near the cap zeta --field quad:19997
-# --jmax 100 (k = 200) took 0.92-0.96 s, the dearest shape; quad:399989
-# with --jmax 5 took 0.42-0.47 s, and quad:999997 with --jmax 2 0.43-0.60 s
-# and 32 MiB peak RSS (same host)
+# largest gen_bernoulli index k
 _MAX_POWER_SUM_TERMS = 4 * 10**6
 
 

@@ -424,6 +424,28 @@ def test_table_empty_range_is_header_only(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["table", "--field", "q", "--split", "--n", "0", "--levels", "2:2"],
+         "error: matrix size n must be >= 1"),
+        (["table", "--field", "q", "--split", "--n", "101", "--levels", "2:2"],
+         "error: matrix size n = 101 exceeds the cap of n <= 100"),
+        # totally definite over Q(sqrt5): both real places ramify
+        (["table", "--field", "quad:5", "--ram-real", "2", "--n", "1", "--levels", "2:2"],
+         "error: totally definite algebras need n >= 2 (strong approximation)"),
+        # an empty range has no row at all
+        (["table", "--field", "q", "--split", "--n", "0", "--levels", "9:8"],
+         "error: matrix size n must be >= 1"),
+    ],
+)
+def test_table_checks_the_setting_before_the_first_row(capsys, argv, message):
+    # level 2 fails the torsion check, so no row would reach a closed form
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [message]
+
+
 _CSV_FIELDS = st.one_of(
     st.integers(min_value=-10**30, max_value=10**30),
     st.floats(),
@@ -696,6 +718,8 @@ _TAMPERED_ZETA = (
         ["euler-char", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"],
         # the table row: one closed form, then the genus formula
         ["table", "--field", "q", "--ram", "2,3", "--n", "1", "--levels", "5:5"],
+        # a multi-row table, whose zeta product is read once for every row
+        ["table", "--field", "q", "--ram", "2,3", "--n", "1", "--levels", "5:12"],
     ],
 )
 def test_invariant_guard_holds_under_optimize(argv):

@@ -383,6 +383,7 @@ class TestDirichletKernel:
     @pytest.fixture(autouse=True)
     def fresh_prefixes(self, monkeypatch):
         monkeypatch.setattr(numberfield, "_series_prefixes", {})
+        monkeypatch.setattr(numberfield, "_series_table", (0, []))
 
     def test_bitwise_equal_to_per_term_sums(self):
         # growing, shrinking and growing again runs a fresh start, a resume
@@ -395,6 +396,30 @@ class TestDirichletKernel:
                     got = numberfield._dirichlet_series(discriminant, 2 * j, terms)
                     assert got == want[terms], (discriminant, j, terms)
                     assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
+
+    def test_resumed_series_builds_no_character_table(self, monkeypatch):
+        built = []
+        original = numberfield._character_table
+
+        def counting(discriminant):
+            built.append(discriminant)
+            return original(discriminant)
+
+        monkeypatch.setattr(numberfield, "_character_table", counting)
+        terms = self.STEP + 7
+        first = numberfield._dirichlet_series(40, 2, terms)
+        assert built == [40]
+        # a resumed sum, another j and a longer sum all reuse the table
+        assert numberfield._dirichlet_series(40, 2, terms + 7) != first
+        numberfield._dirichlet_series(40, 4, terms)
+        numberfield._dirichlet_series(40, 2, 2 * self.STEP + 1)
+        assert built == [40]
+        # the table follows the most recent discriminant
+        numberfield._dirichlet_series(5, 2, terms)
+        numberfield._dirichlet_series(40, 2, 3 * self.STEP)
+        assert built == [40, 5, 40]
+        want = _reference_series(40, 2, {3 * self.STEP})[3 * self.STEP]
+        assert numberfield._dirichlet_series(40, 2, 3 * self.STEP) == want
 
     def test_kept_keys_capped(self):
         terms = self.STEP + 1

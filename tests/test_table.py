@@ -1,9 +1,11 @@
-"""``quatlef table`` against the library, row by row.
+"""``quatlef table`` against the library and against a per-row oracle.
 
-Each table row evaluates the closed form once (``lefschetz._table_row``);
-the library functions evaluate it once per call. Every column must still
-equal what ``lefschetz_number``, ``euler_char_components``,
-``congruence_index`` and ``genus_fuchsian`` give for the same setting.
+A table assembles each row from per-prime data computed once per request
+(``lefschetz._Primes``); the library functions assemble one level the same
+way. Every column must still equal what ``lefschetz_number``,
+``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
+for the same setting, and what the per-row ``Fraction`` path below gives
+from the formulas themselves.
 """
 
 import csv
@@ -14,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from quatlef import lefschetz
+from quatlef import finitegrp, lefschetz
 from quatlef.cli import main
 from quatlef.lefschetz import (
     LefschetzInput,
@@ -22,9 +24,16 @@ from quatlef.lefschetz import (
     congruence_index,
     euler_char_components,
     genus_fuchsian,
+    h1_signature_classes,
     lefschetz_number,
 )
-from quatlef.numberfield import TotallyRealField, ideal_from_integer, split_prime
+from quatlef.numberfield import (
+    TotallyRealField,
+    dedekind_zeta_neg,
+    factorize,
+    ideal_from_integer,
+    split_prime,
+)
 from quatlef.quaternion import QuaternionAlgebra
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -128,20 +137,134 @@ def test_table_rows_equal_the_library(capsys, spec, kind, n):
           "--levels", "10:11"], 2, 2),
     ],
 )
-def test_table_evaluates_the_closed_form_once_per_row(capsys, monkeypatch, argv, rows, n):
-    calls = {"_closed_form": 0, "m_factor": 0}
-    for name in calls:
-        original = getattr(lefschetz, name)
+def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n):
+    # the table's own calls; the algebra flags are parsed before it starts
+    calls = {"split_prime": [], "local_index_factor": [], "dedekind_zeta_neg": []}
+    for module, name in ((lefschetz, "split_prime"), (finitegrp, "local_index_factor"),
+                         (lefschetz, "dedekind_zeta_neg")):
+        original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
-            calls[_name] += 1
+            calls[_name].append(args)
             return _original(*args)
 
-        monkeypatch.setattr(lefschetz, name, counting)
+        monkeypatch.setattr(module, name, counting)
     assert main(argv) == 0
     out, _err = capsys.readouterr()
     assert out.count(",true,") == rows
-    assert calls == {"_closed_form": rows, "m_factor": rows * n}
+    # each rational prime split once, 2 included
+    primes = [p for _field, p in calls["split_prime"]]
+    assert sorted(primes) == sorted(set(primes)) and 2 in primes
+    # each local_index_factor(N(P), kind, n, a) once
+    index_args = calls["local_index_factor"]
+    assert index_args and len(index_args) == len(set(index_args))
+    # zeta_F(1-2j) once per j <= n, j = n first
+    assert [j for _field, j in calls["dedekind_zeta_neg"]] == list(range(n, 0, -1))
+
+
+# The per-row Fraction path: for each level, the ideal from
+# ideal_from_integer, each M(j) as zeta_F(1-2j) times a Fraction per prime,
+# their product scaled by N(level)^(n(2n+1)) d(D)^(n(n+1)/2), 2^-r, 2^-(nr)
+# and the trace, and the index as the product of local_index_factor.
+# (ramified rational primes, ramified real places) of each algebra; Q(sqrt10)
+# has 2 and 5 ramified over Q, and 3 split, with only one prime above 3 in
+# its Fuchsian algebra.
+_ORACLE_FIELDS = {
+    "q": (TotallyRealField.rationals(), 3, {
+        "split": ((), 0), "finite": ((3, 5), 0), "fuchsian": ((2, 3), 0),
+    }),
+    "quad:5": (TotallyRealField.real_quadratic(5), 3, {
+        "split": ((), 0), "finite": ((2, 3), 0), "fuchsian": ((2,), 1),
+    }),
+    "quad:10": (TotallyRealField.real_quadratic(10), 3, {
+        "split": ((), 0), "finite": ((2, 5), 0), "fuchsian": ((3,), 1),
+    }),
+    f"external:{Q5_DESCRIPTOR}": (TotallyRealField.from_json_file(Q5_DESCRIPTOR), 2, {
+        "split": ((), 0), "finite": ((2, 5), 0), "fuchsian": ((2,), 1),
+    }),
+}
+_ORACLE_TRACE = Fraction(-2, 3)
+_ORACLE_GRID = [
+    (spec, kind, n)
+    for spec, (_field, n_max, algebras) in _ORACLE_FIELDS.items()
+    for kind in algebras
+    for n in range(1, n_max + 1)
+]
+
+
+def _oracle_row(algebra, n: int, m: int, trace: Fraction) -> list[str]:
+    field = algebra.field
+    level = ideal_from_integer(field, m)
+    if not check_torsion_necessary(level):
+        return [str(m), str(level.norm()), "false"] + [""] * 5 + ["torsion check failed"]
+    value = Fraction(
+        level.norm() ** (n * (2 * n + 1))
+        * algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
+    )
+    for j in range(1, n + 1):
+        m_j = dedekind_zeta_neg(field, j)
+        for prime, _exp in level.factors:
+            m_j *= 1 - Fraction(1, prime.norm ** (2 * j))
+        for prime in algebra.ram_finite:
+            if level.valuation(prime) == 0:
+                m_j *= 1 + Fraction((-1) ** j, prime.norm**j)
+        value *= m_j
+    r = algebra.r
+    chis = [value / 2 ** (n * r) * c.binomial_factor(n) for c in h1_signature_classes(r, n)]
+    index = 1
+    for prime, exp in level.factors:
+        kind = "ramified" if prime in algebra.ram_finite else "split"
+        index *= finitegrp.local_index_factor(prime.norm, kind, n, exp)
+    genus_b1 = ["", ""]
+    if n == 1 and algebra.is_fuchsian():
+        genus = 1 - value / 2**r / 2
+        assert genus.denominator == 1
+        genus_b1 = [str(genus), str(2 * genus)]
+    lef = value * trace / 2**r
+    return [str(m), str(level.norm()), "true", str(index), str(lef),
+            "|".join(map(str, chis)), *genus_b1, ""]
+
+
+def _oracle_levels(spec: str, lo: int, hi: int) -> list[int]:
+    """The levels of lo..hi the field can factor: the descriptor splits only
+    2, 5 and 11."""
+    if not spec.startswith("external:"):
+        return list(range(lo, hi + 1))
+    return [m for m in range(lo, hi + 1) if {p for p, _a in factorize(m)} <= {2, 5, 11}]
+
+
+@pytest.mark.parametrize(
+    "spec, kind, n", _ORACLE_GRID,
+    ids=[f"{s.split('/')[-1]}-{k}-n{n}" for s, k, n in _ORACLE_GRID],
+)
+def test_table_equals_the_per_row_fraction_path(capsys, spec, kind, n):
+    field, _n_max, algebras = _ORACLE_FIELDS[spec]
+    ram, ram_real = algebras[kind]
+    algebra = QuaternionAlgebra(
+        field, tuple(split_prime(field, p)[0] for p in ram), ram_real
+    )
+    levels = _oracle_levels(spec, 2, 200)
+    # a contiguous range where the field factors every level, else one
+    # table per level
+    ranges = [(2, 200)] if len(levels) == 199 else [(m, m) for m in levels]
+    got = []
+    for lo, hi in ranges:
+        argv = ["table", "--field", spec, *_algebra_flags(ram, ram_real), "--n", str(n),
+                "--levels", f"{lo}:{hi}", f"--trace-w={_ORACLE_TRACE}"]
+        got += _table(capsys, argv)
+    assert got == [_oracle_row(algebra, n, m, _ORACLE_TRACE) for m in levels]
+
+
+def test_table_at_huge_levels_equals_the_per_row_fraction_path(capsys):
+    # levels no sieve could reach, with the Fuchsian genus column; a level
+    # with a prime factor near 10^6 costs most of the trial division
+    field = TotallyRealField.rationals()
+    algebra = QuaternionAlgebra(field, tuple(split_prime(field, p)[0] for p in (2, 3)), 0)
+    lo = 10**12
+    argv = ["table", "--field", "q", "--ram", "2,3", "--n", "1",
+            "--levels", f"{lo}:{lo + 30}", f"--trace-w={_ORACLE_TRACE}"]
+    want = [_oracle_row(algebra, 1, m, _ORACLE_TRACE) for m in range(lo, lo + 31)]
+    assert _table(capsys, argv) == want
 
 
 def test_large_table_fields_read_back_under_a_raised_field_limit():
