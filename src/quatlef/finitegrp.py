@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import prod
 
 from .errors import SearchSpaceError, ValidationError
-from .numberfield import factorize, is_prime
+from .numberfield import _MILLER_RABIN_BOUND, _iroot, is_prime
 
 __all__ = [
     "sl_order",
@@ -33,7 +33,14 @@ _MAX_STATES = 1 << 24
 
 
 def _require_prime_power(q: int) -> None:
-    if q < 2 or len(factorize(q)) != 1:
+    # q = p^e when some e-th root of q, 2^e <= q, is whole and prime; e = 1
+    # goes last above the bound where is_prime(q) itself is not proven
+    proven = q < _MILLER_RABIN_BOUND
+    if q < 2 or not (
+        (proven and is_prime(q))
+        or any((p := _iroot(q, e)) ** e == q and is_prime(p) for e in range(2, q.bit_length()))
+        or (not proven and is_prime(q))
+    ):
         raise ValidationError(f"{q} is not a prime power")
 
 

@@ -546,30 +546,33 @@ _power_sum_state: tuple | None = None
 
 def _power_sums(chi: QuadraticCharacter, k: int) -> tuple[int, ...]:
     """T_m = sum_{a=1}^{f} chi(a) (2a - f)^m for m = k mod 2, k mod 2 + 2,
-    ..., at least up to k, from one pass over _character_table in blocks of
-    _BLOCK residues. The sums of the most recent character and parity are
-    kept and rebuilt from scratch when a larger k is asked for.
+    ..., at least up to k. As chi(f - a) = chi(-1) chi(a) and chi(f/2) =
+    chi(f) = 0 for f > 1, the terms at a and f - a cancel unless chi(-1) =
+    (-1)^m, and then T_m is twice one pass over the residues 1 <= a < f/2 of
+    _character_table in blocks of _BLOCK; f = 1 has the one term T_m = 1.
+    The sums of the most recent character and parity are kept and rebuilt
+    when a larger k is asked for.
     """
     global _power_sum_state
     state = _power_sum_state
     if state is None or state[:2] != (chi, k % 2) or len(state[2]) <= k // 2:
-        table = _character_table(chi.fundamental_discriminant)
-        f = len(table)
-        # residue a = 1..f reads table[a % f], nonzero at a = f only for f = 1
-        signs = chain(islice(table, 1, None), table[:1])
-        sums = [0] * (k // 2 + 1)
-        for start in range(1, f + 1, _BLOCK):
-            block = list(islice(signs, _BLOCK))
-            first = 2 * start - f
-            xs = list(compress(range(first, first + 2 * _BLOCK, 2), block))
-            squares = list(map(mul, xs, xs))
-            powers = list(filter(None, block))
-            if k % 2:
-                powers = list(map(mul, powers, xs))
-            sums[0] += sum(powers)
-            for m in range(1, len(sums)):
-                powers = list(map(mul, powers, squares))
-                sums[m] += sum(powers)
+        f = chi.conductor
+        sums = [int(f == 1)] * (k // 2 + 1)
+        if f > 1 and (chi.fundamental_discriminant < 0) == (k % 2 == 1):
+            table = _character_table(chi.fundamental_discriminant)
+            half = (f + 1) // 2
+            for start in range(1, half, _BLOCK):
+                block = table[start : min(start + _BLOCK, half)]
+                first = 2 * start - f
+                xs = list(compress(range(first, first + 2 * _BLOCK, 2), block))
+                squares = list(map(mul, xs, xs))
+                powers = list(filter(None, block))
+                if k % 2:
+                    powers = list(map(mul, powers, xs))
+                sums[0] += 2 * sum(powers)
+                for m in range(1, len(sums)):
+                    powers = list(map(mul, powers, squares))
+                    sums[m] += 2 * sum(powers)
         state = (chi, k % 2, tuple(sums))
         _power_sum_state = state
     return state[2]

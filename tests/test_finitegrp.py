@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from quatlef import finitegrp, numberfield
 from quatlef.errors import SearchSpaceError, ValidationError
 from quatlef.finitegrp import (
     brute_force_sl,
@@ -124,6 +125,32 @@ class TestLocalIndexFactor:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             local_index_factor(2, "weird", 1, 1)
+
+    def test_prime_power_norms_need_no_factorisation(self, monkeypatch):
+        # the norm of an inert prime near 10^12, which trial division up to
+        # 10^6 would sweep to its bound in vain
+        def refuse(n):
+            raise AssertionError(f"factorize({n}) was called")
+
+        monkeypatch.setattr(numberfield, "factorize", refuse)
+        monkeypatch.setattr(finitegrp, "factorize", refuse, raising=False)
+        q = (10**12 + 39) ** 2
+        assert local_index_factor(q, "split", 2, 1) == q**6 * (q**2 - 1) * (q**3 - 1) * (q**4 - 1)
+        for bad in (0, 1, 6, 12, 100):
+            with pytest.raises(ValidationError, match=f"^{bad} is not a prime power$"):
+                local_index_factor(bad, "split", 2, 1)
+
+    def test_prime_power_check_agrees_with_factorize(self):
+        cases = {q: q >= 2 and len(numberfield.factorize(q)) == 1 for q in range(-3, 5000)}
+        cases.update({1000003**3: True, 2**100: True, 3**60: True, (10**13 + 37) ** 2: True})
+        cases.update({1000003 * 1000033: False, 2**100 * 3: False, (10**6 + 3) ** 2 * 2: False})
+        for q, expected in cases.items():
+            try:
+                sp_order(1, q)
+            except ValidationError as exc:
+                assert not expected and str(exc) == f"{q} is not a prime power", q
+            else:
+                assert expected, q
 
 
 class TestBruteForceOracles:

@@ -186,6 +186,65 @@ def test_power_sums_across_block_seams(monkeypatch):
             assert _table_gen_bernoulli(k, chi) == _per_residue_gen_bernoulli(k, chi), (chi, k)
 
 
+def _full_period_power_sums(chi, top):
+    """T_m = sum_{a=1}^{f} chi(a) (2a - f)^m for m = 0..top, as plain integer sums."""
+    f = chi.conductor
+    values = [chi(a) for a in range(1, f + 1)]
+    return [
+        sum(v * (2 * a - f) ** m for a, v in enumerate(values, 1) if v) for m in range(top + 1)
+    ]
+
+
+def _refuse_character_table(discriminant):
+    raise AssertionError(f"_character_table({discriminant}) was read")
+
+
+@pytest.mark.parametrize("block", [numberfield._BLOCK, 7])
+def test_power_sums_equal_full_period_sums(monkeypatch, block):
+    # blocks of 7 put seams inside the half period of every conductor above 15
+    monkeypatch.setattr(numberfield, "_BLOCK", block)
+    for chi in CHARACTERS_200:
+        full = _full_period_power_sums(chi, 16)
+        for k in range(1, 17):
+            monkeypatch.setattr(numberfield, "_power_sum_state", None)
+            got = numberfield._power_sums(chi, k)
+            assert got[: k // 2 + 1] == tuple(full[k % 2 : k + 1 : 2]), (chi, k)
+
+
+def test_power_sums_paired_parity_double_the_half_period():
+    # chi(-1) = (-1)^m: the terms at a and f - a are equal, and a = f/2, f add 0
+    for d, k in [(5, 16), (8, 12), (12, 10), (4993, 6), (-3, 15), (-4, 9), (-8, 11), (-20, 7)]:
+        chi = QuadraticCharacter(d)
+        f = chi.conductor
+        half = [
+            2 * sum(chi(a) * (2 * a - f) ** m for a in range(1, (f + 1) // 2))
+            for m in range(k % 2, k + 1, 2)
+        ]
+        assert numberfield._power_sums(chi, k)[: k // 2 + 1] == tuple(half), (d, k)
+        assert any(half), (d, k)
+
+
+def test_power_sums_mismatched_parity_vanish_unread(monkeypatch):
+    # chi(-1) != (-1)^m: the terms at a and f - a cancel, so no table is read
+    monkeypatch.setattr(numberfield, "_character_table", _refuse_character_table)
+    for d, k in [(5, 15), (8, 1), (4993, 7), (-3, 16), (-4, 2), (-8, 8)]:
+        chi = QuadraticCharacter(d)
+        monkeypatch.setattr(numberfield, "_power_sum_state", None)
+        assert numberfield._power_sums(chi, k) == (0,) * (k // 2 + 1), (d, k)
+        assert _table_gen_bernoulli(k, chi) == 0, (d, k)
+
+
+def test_power_sums_conductor_one(monkeypatch):
+    # f = 1: the one residue a = f = 1 is unpaired, and (2 - 1)^m = 1, so
+    # B_{k,chi} = B_k(1) = (-1)^k B_k
+    monkeypatch.setattr(numberfield, "_character_table", _refuse_character_table)
+    chi = QuadraticCharacter(1)
+    for k in range(1, 17):
+        monkeypatch.setattr(numberfield, "_power_sum_state", None)
+        assert numberfield._power_sums(chi, k) == (1,) * (k // 2 + 1), k
+        assert _table_gen_bernoulli(k, chi) == bernoulli(k) * (-1) ** k, k
+
+
 def test_gen_bernoulli_matches_sympy_polynomials():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -312,6 +371,33 @@ class TestDedekindZeta:
                 for j in range(1, 9)
             ),
         )
+
+    def test_siegel_zagier_divisor_sums(self):
+        # Siegel (Goettingen Nachr. 1969), Zagier (Enseign. Math. 22, 1976):
+        # for a real quadratic field of discriminant D, zeta(-1) = (1/60)
+        # sum_b sigma_1((D - b^2)/4) and zeta(-3) = (1/120) sum_b
+        # sigma_3((D - b^2)/4), over b = D mod 2 with b^2 < D. Divisor sums
+        # only: no character table and no Bernoulli number.
+        bound = 2000
+        sigma1, sigma3 = [0] * (bound + 1), [0] * (bound + 1)
+        for d in range(1, bound + 1):
+            for n in range(d, bound + 1, d):
+                sigma1[n] += d
+                sigma3[n] += d**3
+        checks = 0
+        for d in range(2, 2001):
+            if any(d % (p * p) == 0 for p in range(2, math.isqrt(d) + 1)):
+                continue
+            D = d if d % 4 == 1 else 4 * d
+            root = math.isqrt(D - 1)  # the largest b with b^2 < D
+            args = [(D - b * b) // 4 for b in range(-root, root + 1) if (D - b) % 2 == 0]
+            field = TotallyRealField.real_quadratic(d)
+            assert field.abs_discriminant == D
+            # j = 2 first, so that one pass of power sums serves both
+            assert dedekind_zeta_neg(field, 2) == Fraction(sum(sigma3[n] for n in args), 120), d
+            assert dedekind_zeta_neg(field, 1) == Fraction(sum(sigma1[n] for n in args), 60), d
+            checks += 2
+        assert checks == 2428
 
 
 class TestNumericZeta:
