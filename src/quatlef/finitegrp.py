@@ -62,12 +62,17 @@ def _cap(states: int) -> None:
         )
 
 
+def _sl_product(m: int, q: int) -> int:
+    # |SL_m(F_q)| for m >= 2 and a prime power q its callers have checked
+    return q ** (m * (m - 1) // 2) * prod(q**j - 1 for j in range(2, m + 1))
+
+
 def sl_order(m: int, q: int) -> int:
     """|SL_m(F_q)| = q^(m(m-1)/2) * prod_{j=2}^{m} (q^j - 1)."""
     if m < 2:
         raise ValidationError("matrix size must be >= 2")
     _require_prime_power(q)
-    return q ** (m * (m - 1) // 2) * prod(q**j - 1 for j in range(2, m + 1))
+    return _sl_product(m, q)
 
 
 def sp_order(n: int, q: int) -> int:
@@ -106,7 +111,7 @@ def local_index_factor(q: int, kind: str, n: int, e: int) -> int:
     _require_rank(n, q)
     lift = q ** ((e - 1) * (4 * n * n - 1))
     if kind == "split":
-        return lift * sl_order(2 * n, q)
+        return lift * _sl_product(2 * n, q)
     if kind == "ramified":
         lead = q ** (n * (3 * n - 1)) * (q + 1)
         return lift * lead * prod(q ** (2 * j) - 1 for j in range(2, n + 1))

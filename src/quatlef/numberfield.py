@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import threading
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,6 +49,20 @@ __all__ = [
 # pseudoprime to all of them
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
+# (bound, k): the first k bases decide every n below bound, the least strong
+# pseudoprime to them all (OEIS A014233; Jaeschke, 1993; Jiang and Deng, 2014)
+_MILLER_RABIN_TIERS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (_MILLER_RABIN_BOUND, 13),
+)
 
 
 def _primes_below(bound: int) -> frozenset[int]:
@@ -67,9 +82,10 @@ _TRIAL_DIVISION_BOUND = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test with the first 13 prime
-    bases, proven for every n below 3.3 * 10^24; larger n are refused.
-    Below 41^2 the answer is a set lookup."""
+    """Deterministic Miller-Rabin primality test with the first k prime
+    bases, k from 1 to 13 by the size of n (_MILLER_RABIN_TIERS), proven for
+    every n below 3.3 * 10^24; larger n are refused. Below 41^2 the answer
+    is a set lookup."""
     if n < _SMALL_PRIME_BOUND:
         return n in _SMALL_PRIMES
     for p in _MILLER_RABIN_BASES:
@@ -83,7 +99,8 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MILLER_RABIN_BASES:
+    k = next(k for bound, k in _MILLER_RABIN_TIERS if n < bound)
+    for a in _MILLER_RABIN_BASES[:k]:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -645,19 +662,20 @@ def dedekind_zeta_neg(field: TotallyRealField, j: int) -> Fraction:
     return field.zeta_neg_table[j - 1]
 
 
-# terms per block of _dirichlet_series, whose powers are held at once (2^15
-# floats added about 3 MiB to the peak RSS, 2^12 nothing measurable)
-_SERIES_BLOCK = 2**12
-# _dirichlet_series keeps its two sums every _SERIES_STEP terms for the
-# _SERIES_KEYS most recently used (discriminant, 2j) keys: at most 305 pairs
-# (about 33 KiB) per key at the 10^7-term cap, about 1 MiB in all
-_SERIES_STEP = 2**15
+# terms per block of _dirichlet_series: its powers are held a block at a
+# time, and its two sums are kept at the end of every block for the
+# _SERIES_KEYS most recently used (discriminant, 2j) keys. At the 10^7-term
+# cap a key keeps 9,766 pairs of floats (about 156 KiB), so the kept sums
+# take about 4.9 MiB at worst.
+_SERIES_BLOCK = 2**10
 _SERIES_KEYS = 32
-# (discriminant, 2j) -> [the sums over m <= i * _SERIES_STEP, i = 0, 1, ...],
-# the least recently used key first. A call holds _series_lock throughout,
-# so two threads never append to one list of prefixes.
-_series_prefixes: dict[tuple[int, int], list[tuple[float, float]]] = {}
-_series_table: tuple[int, list[int]] = (0, [])
+# (discriminant, 2j) -> array [r_0, t_0, r_1, t_1, ...] of the two sums over
+# m <= i * _SERIES_BLOCK, the least recently used key first. A call holds
+# _series_lock throughout, so two threads never extend one array.
+_series_prefixes: dict[tuple[int, int], array] = {}
+# the character of the most recent D as the floats 0.0, 1.0 and -1.0:
+# chi * m^(-2j) is exact, and a float product is cheaper than an int one
+_series_table: tuple[int, list[float]] = (0, [])
 _series_lock = threading.Lock()
 
 
@@ -669,27 +687,36 @@ def _dirichlet_series(
 
     D = 0 means the trivial character, whose series is the Riemann one.
     Each m^(-two_j) is taken once and feeds both sums. They resume from the
-    last pair kept in _series_prefixes at or below terms and keep the pairs
-    they pass; the character table of the most recent D is kept too. Each
-    sum adds its terms one at a time in ascending m, so its float does not
-    depend on where a call resumes. A term with chi_D(m) = 0 adds 0.0,
-    which leaves the positive partial sum unchanged and costs less than
-    skipping it.
+    last pair kept in _series_prefixes at or below terms, so a call sums
+    fewer than _SERIES_BLOCK terms that an earlier call of its key summed,
+    and keep the pairs they pass; the character table of the most recent D
+    is kept too. Each sum runs in ascending m through one sum() per block,
+    started at the running sum, and the blocks are aligned at multiples of
+    _SERIES_BLOCK from m = 1, so a float does not depend on where a call
+    resumes. On Python <= 3.11 sum() adds floats one at a time, so each is
+    bitwise that of a per-term loop; from 3.12 sum() compensates its
+    rounding within a block, and the last digits differ from the loop's. A
+    term with chi_D(m) = 0 adds 0.0, which leaves the positive partial sum
+    unchanged and costs less than skipping it.
     """
     global _series_table
     with _series_lock:
         key = (discriminant, two_j)
-        prefixes = _series_prefixes.pop(key, None) or [(0.0, 0.0)]
+        prefixes = _series_prefixes.pop(key, None) or array("d", (0.0, 0.0))
         _series_prefixes[key] = prefixes
         if len(_series_prefixes) > _SERIES_KEYS:
             del _series_prefixes[next(iter(_series_prefixes))]
-        kept = min(len(prefixes) - 1, terms // _SERIES_STEP)
-        riemann, twisted = prefixes[kept]
-        done = kept * _SERIES_STEP
+        kept = min(len(prefixes) // 2 - 1, terms // _SERIES_BLOCK)
+        riemann, twisted = prefixes[2 * kept : 2 * kept + 2]
+        done = kept * _SERIES_BLOCK
         exponent = repeat(-two_j)
         if discriminant and done < terms:
             if _series_table[0] != discriminant:
-                _series_table = (discriminant, _character_table(discriminant))
+                signs = (0.0, 1.0, -1.0)
+                _series_table = (
+                    discriminant,
+                    [signs[c] for c in _character_table(discriminant)],
+                )
             table = _series_table[1]
             chars = chain(islice(table, (done + 1) % len(table), None), cycle(table))
         for lo in range(done + 1, terms + 1, _SERIES_BLOCK):
@@ -700,8 +727,8 @@ def _dirichlet_series(
                 twisted = sum(map(mul, islice(chars, hi - lo), powers), twisted)
             else:
                 riemann = twisted = sum(map(pow, range(lo, hi), exponent), riemann)
-            if hi - 1 == len(prefixes) * _SERIES_STEP:
-                prefixes.append((riemann, twisted))
+            if hi - 1 == len(prefixes) // 2 * _SERIES_BLOCK:
+                prefixes.extend((riemann, twisted))
         return riemann, twisted
 
 

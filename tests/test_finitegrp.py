@@ -140,6 +140,25 @@ class TestLocalIndexFactor:
             with pytest.raises(ValidationError, match=f"^{bad} is not a prime power$"):
                 local_index_factor(bad, "split", 2, 1)
 
+    @pytest.mark.parametrize("kind", ["split", "ramified"])
+    def test_norm_checked_once(self, kind, monkeypatch):
+        checked = []
+        original = finitegrp._require_prime_power
+
+        def counting(q):
+            checked.append(q)
+            return original(q)
+
+        monkeypatch.setattr(finitegrp, "_require_prime_power", counting)
+        for q in (2, 9, 125):
+            for n in (1, 3):
+                assert local_index_factor(q, kind, n, 2) == _fraction_local_index(q, kind, n, 2)
+                assert checked == [q]
+                checked.clear()
+        with pytest.raises(ValidationError, match="^6 is not a prime power$"):
+            local_index_factor(6, kind, 1, 1)
+        assert checked == [6]
+
     def test_prime_power_check_agrees_with_factorize(self):
         cases = {q: q >= 2 and len(numberfield.factorize(q)) == 1 for q in range(-3, 5000)}
         cases.update({1000003**3: True, 2**100: True, 3**60: True, (10**13 + 37) ** 2: True})

@@ -1,8 +1,11 @@
+import builtins
 import json
 import math
 import sys
 import threading
+from array import array
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -460,10 +463,11 @@ def _reference_series(discriminant, two_j, terms):
 
 
 class TestDirichletKernel:
-    STEP = numberfield._SERIES_STEP
     BLOCK = numberfield._SERIES_BLOCK
+    # lengths that pass many block ends
+    LONG = 2**15
     TERMS = sorted(
-        {t + d for t in (100, BLOCK, 3 * BLOCK, STEP, 2 * STEP) for d in (-1, 0, 1)}
+        {t + d for t in (100, BLOCK, 3 * BLOCK, LONG, 2 * LONG) for d in (-1, 0, 1)}
     )
 
     @pytest.fixture(autouse=True)
@@ -492,23 +496,45 @@ class TestDirichletKernel:
             return original(discriminant)
 
         monkeypatch.setattr(numberfield, "_character_table", counting)
-        terms = self.STEP + 7
+        terms = self.LONG + 7
         first = numberfield._dirichlet_series(40, 2, terms)
         assert built == [40]
         # a resumed sum, another j and a longer sum all reuse the table
         assert numberfield._dirichlet_series(40, 2, terms + 7) != first
         numberfield._dirichlet_series(40, 4, terms)
-        numberfield._dirichlet_series(40, 2, 2 * self.STEP + 1)
+        numberfield._dirichlet_series(40, 2, 2 * self.LONG + 1)
         assert built == [40]
         # the table follows the most recent discriminant
         numberfield._dirichlet_series(5, 2, terms)
-        numberfield._dirichlet_series(40, 2, 3 * self.STEP)
+        numberfield._dirichlet_series(40, 2, 3 * self.LONG)
         assert built == [40, 5, 40]
-        want = _reference_series(40, 2, {3 * self.STEP})[3 * self.STEP]
-        assert numberfield._dirichlet_series(40, 2, 3 * self.STEP) == want
+        want = _reference_series(40, 2, {3 * self.LONG})[3 * self.LONG]
+        assert numberfield._dirichlet_series(40, 2, 3 * self.LONG) == want
+
+    def test_resumed_series_sums_less_than_one_block(self, monkeypatch):
+        terms = 10**5
+        numberfield._dirichlet_series(13, 2, terms)
+        taken = []
+
+        def counting(m, e):
+            taken.append(m)
+            return builtins.pow(m, e)
+
+        monkeypatch.setattr(numberfield, "pow", counting, raising=False)
+        got = numberfield._dirichlet_series(13, 2, terms - 7)
+        assert len(taken) < self.BLOCK
+        assert taken == list(range((terms - 7) // self.BLOCK * self.BLOCK + 1, terms - 6))
+        assert got == _reference_series(13, 2, {terms - 7})[terms - 7]
+
+    def test_prefixes_are_one_float_array(self):
+        for terms in (self.BLOCK - 1, self.BLOCK, 10**5):
+            numberfield._dirichlet_series(8, 4, terms)
+            prefixes = numberfield._series_prefixes[(8, 4)]
+            assert type(prefixes) is array and prefixes.typecode == "d"
+            assert len(prefixes) == 2 * (terms // self.BLOCK + 1)
 
     def test_kept_keys_capped(self):
-        terms = self.STEP + 1
+        terms = self.LONG + 1
         keys = numberfield._SERIES_KEYS + 3
         for two_j in range(2, 2 * keys + 1, 2):
             numberfield._dirichlet_series(5, two_j, terms)
@@ -523,9 +549,8 @@ class TestDirichletKernel:
         # small blocks give many prefix appends, and threads that start
         # together sum the same fresh key side by side, switching often
         monkeypatch.setattr(numberfield, "_SERIES_BLOCK", 2)
-        monkeypatch.setattr(numberfield, "_SERIES_STEP", 4)
         terms = 20001
-        want = _reference_series(5, 2, set(range(0, terms + 1, 4)) | {terms})
+        want = _reference_series(5, 2, set(range(0, terms + 1, 2)) | {terms})
         start = threading.Barrier(4)
         got = []
 
@@ -546,7 +571,7 @@ class TestDirichletKernel:
             sys.setswitchinterval(interval)
         assert got == [want[terms]] * 4
         prefixes = numberfield._series_prefixes[(5, 2)]
-        assert prefixes[1:] == [want[m] for m in range(4, terms, 4)]
+        assert prefixes == array("d", chain((0.0, 0.0), *(want[m] for m in range(2, terms, 2))))
 
 
 class TestExternalField:
@@ -713,9 +738,22 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == _trial_division_is_prime(n), n
 
 
+def test_is_prime_matches_sieve():
+    bound = 2 * 10**6
+    flags = bytearray([0, 0]) + bytearray([1]) * (bound - 2)
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    assert [n for n in range(bound) if is_prime(n) != flags[n]] == []
+
+
 def test_is_prime_rejects_pseudoprimes():
-    # Carmichael numbers, then the least strong pseudoprime to bases 2, 3, 5, 7
-    for n in (561, 1105, 41041, 3215031751):
+    # Carmichael numbers, then the least strong pseudoprime to the first k
+    # prime bases for each k at which it grows: the bound below which k
+    # bases decide, so at each one is_prime must take more bases
+    for n in (561, 1105, 41041, 2047, 1373653, 25326001, 3215031751,
+              2152302898747, 3474749660383, 341550071728321,
+              3825123056546413051, 318665857834031151167461):
         assert not is_prime(n), n
 
 
