@@ -16,6 +16,7 @@ norms, exponents and ramification membership.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 from array import array
 from dataclasses import dataclass
@@ -269,6 +270,8 @@ _DESCRIPTOR_KEYS = {
     "zeta_neg",
     "splitting",
 }
+# distinct descriptor texts kept parsed by from_json_file
+_DESCRIPTORS_KEPT = 8
 
 
 @dataclass(frozen=True)
@@ -277,10 +280,10 @@ class TotallyRealField:
     externally supplied data for anything else.
 
     For the native kinds every entry is computed, never user-supplied.
-    External data is trusted but checked for internal consistency: each
-    listed prime must satisfy sum(e*f) = degree, and when the field is
-    totally real each zeta table entry must be nonzero of sign
-    (-1)^(j*degree).
+    External data is trusted but checked for internal consistency, once per
+    distinct descriptor text per process: each listed prime must satisfy
+    sum(e*f) = degree, and when the field is totally real each zeta table
+    entry must be nonzero of sign (-1)^(j*degree).
     """
 
     kind: str
@@ -402,7 +405,8 @@ class TotallyRealField:
     @classmethod
     def from_json_file(cls, path: str | Path) -> "TotallyRealField":
         with open(path, encoding="utf-8") as handle:
-            return cls.from_descriptor(json.load(handle, parse_int=_int))
+            text = handle.read()
+        return _field_from_text(text, sys.get_int_max_str_digits())
 
     @property
     def is_totally_real(self) -> bool:
@@ -419,6 +423,12 @@ class TotallyRealField:
         if self.kind == _KIND_QUADRATIC:
             return f"Q(sqrt({self.d}))"
         return f"external(degree={self.degree}, disc={self.abs_discriminant})"
+
+
+# keyed by the text, not the path, and by the digit limit that _int reads
+@lru_cache(maxsize=_DESCRIPTORS_KEPT)
+def _field_from_text(text: str, digit_limit: int) -> TotallyRealField:
+    return TotallyRealField.from_descriptor(json.loads(text, parse_int=_int))
 
 
 def split_prime(field: TotallyRealField, p: int) -> list[PrimeIdeal]:

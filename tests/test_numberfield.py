@@ -655,6 +655,81 @@ class TestExternalField:
         field = TotallyRealField.external(4, 725, 2, (), {2: [(4, 1)]})
         assert not field.is_totally_real
 
+    # from_json_file keeps the fields of the last few descriptor texts
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """The descriptors from_descriptor checks, starting from no kept text."""
+        seen = []
+        plain = TotallyRealField.from_descriptor.__func__
+
+        def counting(cls, data):
+            seen.append(data)
+            return plain(cls, data)
+
+        monkeypatch.setattr(TotallyRealField, "from_descriptor", classmethod(counting))
+        numberfield._field_from_text.cache_clear()
+        yield seen
+        numberfield._field_from_text.cache_clear()
+
+    def test_equal_text_parsed_once(self, tmp_path, parses):
+        # two paths holding the same bytes share one field
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        for path in (first, second):
+            path.write_text(json.dumps(self.DESCRIPTOR), encoding="utf-8")
+        field = TotallyRealField.from_json_file(first)
+        assert TotallyRealField.from_json_file(second) is field
+        assert TotallyRealField.from_json_file(first) is field
+        assert len(parses) == 1
+
+    def test_rewritten_file_read_anew(self, tmp_path, parses):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(self.DESCRIPTOR), encoding="utf-8")
+        assert TotallyRealField.from_json_file(path).zeta_neg_table[0] == Fraction(1, 30)
+        path.write_text(json.dumps(dict(self.DESCRIPTOR, zeta_neg=["1/15"])), encoding="utf-8")
+        assert TotallyRealField.from_json_file(path).zeta_neg_table == (Fraction(1, 15),)
+        assert len(parses) == 2
+
+    def test_refusal_never_kept(self, tmp_path, parses):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(self.DESCRIPTOR), encoding="utf-8")
+        TotallyRealField.from_json_file(path)
+        path.write_text(json.dumps(dict(self.DESCRIPTOR, zeta_neg=["-1/30"])), encoding="utf-8")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValidationError) as refused:
+                TotallyRealField.from_json_file(path)
+            messages.append(str(refused.value))
+        assert messages == [messages[0]] * 2 and "zeta value for j=1" in messages[0]
+        assert len(parses) == 3
+
+    def test_lowered_digit_limit_refuses_a_kept_text(self, tmp_path, parses):
+        path = tmp_path / "field.json"
+        long_disc = dict(self.DESCRIPTOR, abs_discriminant=10**699)
+        path.write_text(json.dumps(long_disc), encoding="utf-8")
+        assert TotallyRealField.from_json_file(path).abs_discriminant == 10**699
+        default = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ValidationError, match="more than 640 digits"):
+                TotallyRealField.from_json_file(path)
+        finally:
+            sys.set_int_max_str_digits(default)
+        assert TotallyRealField.from_json_file(path).abs_discriminant == 10**699
+
+    def test_kept_texts_capped(self, tmp_path, parses):
+        path = tmp_path / "field.json"
+        kept = numberfield._DESCRIPTORS_KEPT
+        for i in range(kept + 3):
+            zeta = [f"1/{30 + i}"]
+            path.write_text(json.dumps(dict(self.DESCRIPTOR, zeta_neg=zeta)), encoding="utf-8")
+            assert TotallyRealField.from_json_file(path).zeta_neg_table == (Fraction(1, 30 + i),)
+            assert numberfield._field_from_text.cache_info().currsize == min(i + 1, kept)
+        # the first text was dropped, so it is checked again
+        path.write_text(json.dumps(dict(self.DESCRIPTOR, zeta_neg=["1/30"])), encoding="utf-8")
+        TotallyRealField.from_json_file(path)
+        assert len(parses) == kept + 4
+
 
 def test_real_quadratic_validation():
     with pytest.raises(ValidationError):

@@ -38,6 +38,7 @@ from quatlef.quaternion import QuaternionAlgebra
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 Q5_DESCRIPTOR = GOLDEN / "q5.json"
+BIQUADRATIC_DESCRIPTOR = GOLDEN / "q_sqrt2_sqrt5.json"
 
 # field spec -> (field, level ranges, largest n its zeta values allow, algebras);
 # an algebra is (ramified rational primes, ramified real places). Level 2
@@ -182,14 +183,21 @@ _ORACLE_FIELDS = {
     f"external:{Q5_DESCRIPTOR}": (TotallyRealField.from_json_file(Q5_DESCRIPTOR), 2, {
         "split": ((), 0), "finite": ((2, 5), 0), "fuchsian": ((2,), 1),
     }),
+    # the class-sum shape: Q(sqrt2, sqrt5) ramified at its four real places,
+    # whose rows carry the 70 signature classes of r = 4, n = 4; n_max 0
+    # keeps it to its one grid entry below
+    f"external:{BIQUADRATIC_DESCRIPTOR}": (
+        TotallyRealField.from_json_file(BIQUADRATIC_DESCRIPTOR), 0, {"definite": ((), 4)},
+    ),
 }
 _ORACLE_TRACE = Fraction(-2, 3)
+# (spec, algebra kind, n, lowest level, highest level)
 _ORACLE_GRID = [
-    (spec, kind, n)
+    (spec, kind, n, 2, 200)
     for spec, (_field, n_max, algebras) in _ORACLE_FIELDS.items()
     for kind in algebras
     for n in range(1, n_max + 1)
-]
+] + [(f"external:{BIQUADRATIC_DESCRIPTOR}", "definite", 4, 3, 12)]
 
 
 def _oracle_row(algebra, n: int, m: int, trace: Fraction) -> list[str]:
@@ -225,32 +233,33 @@ def _oracle_row(algebra, n: int, m: int, trace: Fraction) -> list[str]:
             "|".join(map(str, chis)), *genus_b1, ""]
 
 
-def _oracle_levels(spec: str, lo: int, hi: int) -> list[int]:
-    """The levels of lo..hi the field can factor: the descriptor splits only
-    2, 5 and 11."""
-    if not spec.startswith("external:"):
+def _oracle_levels(field: TotallyRealField, lo: int, hi: int) -> list[int]:
+    """The levels of lo..hi the field can factor: a descriptor splits only
+    the primes it lists."""
+    if field.kind != "external":
         return list(range(lo, hi + 1))
-    return [m for m in range(lo, hi + 1) if {p for p, _a in factorize(m)} <= {2, 5, 11}]
+    listed = {p for p, _pairs in field.splitting_table}
+    return [m for m in range(lo, hi + 1) if {p for p, _a in factorize(m)} <= listed]
 
 
 @pytest.mark.parametrize(
-    "spec, kind, n", _ORACLE_GRID,
-    ids=[f"{s.split('/')[-1]}-{k}-n{n}" for s, k, n in _ORACLE_GRID],
+    "spec, kind, n, lo, hi", _ORACLE_GRID,
+    ids=[f"{s.split('/')[-1]}-{k}-n{n}" for s, k, n, _lo, _hi in _ORACLE_GRID],
 )
-def test_table_equals_the_per_row_fraction_path(capsys, spec, kind, n):
+def test_table_equals_the_per_row_fraction_path(capsys, spec, kind, n, lo, hi):
     field, _n_max, algebras = _ORACLE_FIELDS[spec]
     ram, ram_real = algebras[kind]
     algebra = QuaternionAlgebra(
         field, tuple(split_prime(field, p)[0] for p in ram), ram_real
     )
-    levels = _oracle_levels(spec, 2, 200)
+    levels = _oracle_levels(field, lo, hi)
     # a contiguous range where the field factors every level, else one
     # table per level
-    ranges = [(2, 200)] if len(levels) == 199 else [(m, m) for m in levels]
+    ranges = [(lo, hi)] if len(levels) == hi - lo + 1 else [(m, m) for m in levels]
     got = []
-    for lo, hi in ranges:
+    for first, last in ranges:
         argv = ["table", "--field", spec, *_algebra_flags(ram, ram_real), "--n", str(n),
-                "--levels", f"{lo}:{hi}", f"--trace-w={_ORACLE_TRACE}"]
+                "--levels", f"{first}:{last}", f"--trace-w={_ORACLE_TRACE}"]
         got += _table(capsys, argv)
     assert got == [_oracle_row(algebra, n, m, _ORACLE_TRACE) for m in levels]
 
