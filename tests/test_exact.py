@@ -18,11 +18,11 @@ from quatlef.exact import (
 
 
 class TestBernoulli:
-    def test_named_verify_checks(self, verified):
-        verified(
-            "bernoulli", "B_0", "B_1", "B_12", "B_2(1/5)", "B_4(2/5)",
-            "zeta(-1)", "zeta(-3)", "zeta(-5)",
-        )
+    def test_base_cases(self, verified):
+        verified("bernoulli", "B_0", "B_1")
+
+    def test_b12(self, verified):
+        verified("bernoulli", "B_12")
 
     def test_odd_indices_vanish(self):
         for k in range(3, 100, 2):
@@ -41,12 +41,21 @@ class TestBernoulliPolynomial:
     def test_b2_at_zero(self):
         assert bernoulli_poly_eval(2, 0) == Fraction(1, 6)
 
+    def test_b2_at_one_fifth(self, verified):
+        verified("bernoulli", "B_2(1/5)")
+
+    def test_b4_at_two_fifths(self, verified):
+        verified("bernoulli", "B_4(2/5)")
+
     @given(st.integers(min_value=0, max_value=12))
     def test_value_at_zero_is_bernoulli_number(self, k):
         assert bernoulli_poly_eval(k, 0) == bernoulli(k)
 
 
 class TestZetaNegative:
+    def test_first_values(self, verified):
+        verified("bernoulli", "zeta(-1)", "zeta(-3)", "zeta(-5)")
+
     def test_nonzero_with_alternating_sign(self):
         for j in range(1, 13):
             value = riemann_zeta_neg(j)

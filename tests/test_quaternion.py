@@ -95,11 +95,14 @@ class TestConstructionInvariants:
 
 
 class TestHilbert:
-    def test_named_verify_checks(self, verified):
-        verified(
-            "hilbert", "(-1,-1) ramification", "(1,7) splits",
-            "(-1,-3) ramification", "parity over [-20,20]^2",
-        )
+    def test_hamilton(self, verified):
+        verified("hilbert", "(-1,-1) ramification")
+
+    def test_square_slot_splits(self, verified):
+        verified("hilbert", "(1,7) splits")
+
+    def test_minus1_minus3(self, verified):
+        verified("hilbert", "(-1,-3) ramification")
 
     def test_symbol_values(self):
         assert hilbert_symbol_q(-1, -1) == -1
@@ -112,6 +115,9 @@ class TestHilbert:
             hilbert_ramification_q(0, 5)
         with pytest.raises(ValidationError):
             hilbert_symbol_q(3, 0, 2)
+
+    def test_parity_exhaustive_small_range(self, verified):
+        verified("hilbert", "parity over [-20,20]^2")
 
     @given(
         st.integers(min_value=-30, max_value=30).filter(bool),
