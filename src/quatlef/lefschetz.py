@@ -6,7 +6,8 @@ The pieces, in the order they combine:
 * ``m_factor`` builds the per-degree local factor
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``
-  in integers, from each prime's ``_local_part``.
+  in integers, from each prime's ``_local_part``; it gives a report's
+  ``m_factors``.
 * ``_Primes.closed_form`` is the one assembly of the closed form
   ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)``: one integer
   ratio of per-prime parts and the zeta product, each computed once per
@@ -72,7 +73,6 @@ __all__ = [
     "EulerCharReport",
     "GenusReport",
     "check_torsion_necessary",
-    "m_factor",
     "lefschetz_number",
     "h1_signature_classes",
     "weyl_quotient",
@@ -275,14 +275,9 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
     _check_level(algebra, level)
-    local = _local_primes(algebra, level.factors)
-    return _m_factor(j, dedekind_zeta_neg(algebra.field, j), local)
-
-
-def _m_factor(j: int, zeta: Fraction, local) -> Fraction:
-    """M(j) from zeta_F(1-2j) and the level's _local_primes."""
+    zeta = dedekind_zeta_neg(algebra.field, j)
     num, den = zeta.numerator, zeta.denominator
-    for prime, a in local:
+    for prime, a in _local_primes(algebra, level.factors):
         part_num, part_den = _local_part(prime.norm, (j,), a > 0)
         num *= part_num
         den *= part_den
@@ -296,12 +291,12 @@ class _Primes:
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
         self.algebra, self.n, self.splits, self.parts = algebra, n, {}, {}
+        self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
             # j = n first, so that the zeta caps refuse it before any row is
             # built, and so that one pass of power sums serves every smaller j
             self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
-            disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
-            self.num = prod([z.numerator for z in self.zetas], start=disc_power)
+            self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
 
     def split(self, p: int) -> list[PrimeIdeal]:
@@ -367,9 +362,9 @@ def _closed_form(
         n=n,
         two_power=Fraction(1, 2**two_exp),
         level_norm_power=level.norm() ** (n * (2 * n + 1)),
-        disc_power=algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2),
+        disc_power=primes.disc_power,
         m_factors=tuple(
-            _m_factor(j, primes.zetas[-j], local) if real else Fraction(0)
+            m_factor(j, level, algebra) if real else Fraction(0)
             for j in range(1, n + 1)
         ),
         warnings=warnings,
@@ -555,7 +550,8 @@ def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> in
     """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta| prod_{P | level}
     (1 - N(P)^-2) prod_{P ramified, P not | level} (1 - N(P)^-1) of a Fuchsian
     setting, from the level's _local_primes and zeta = zeta_F(-1); 2 - 2g
-    must equal chi, the n = 1 closed form at trace 1, which is checked."""
+    must equal chi, the n = 1 closed form at trace 1, which is checked. Every
+    factor is positive, so an integral g is at least 2."""
     num = abs(algebra.signed_reduced_discriminant() * zeta.numerator)
     den = zeta.denominator << algebra.field.degree
     for prime, a in local:
@@ -591,16 +587,13 @@ def genus_fuchsian(
             "algebra must be a division algebra split at exactly one real place"
         )
     # validates the setting and gates torsion before the genus formula runs
-    inp = LefschetzInput(field, algebra, 1, level, Fraction(1), assume_torsion_free)
-    closed = lefschetz_number(inp)
+    _validate_setting(algebra, 1, level)
+    shared, chi = _closed_form(algebra, 1, level, assume_torsion_free, algebra.r)
     local = _local_primes(algebra, level.factors)
-    genus = _checked_genus(algebra, local, closed.value, dedekind_zeta_neg(field, 1))
-    warnings = closed.warnings
-    if genus < 2 and check_torsion_necessary(level):
-        warnings = warnings + (
-            f"genus {genus} is below 2 although the torsion check passed",
-        )
-    return GenusReport(genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=warnings)
+    genus = _checked_genus(algebra, local, chi, dedekind_zeta_neg(field, 1))
+    return GenusReport(
+        genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=shared["warnings"]
+    )
 
 
 def modular_form_dim(genus: int, k: int) -> int:

@@ -41,7 +41,6 @@ __all__ = [
     "gen_bernoulli",
     "dedekind_zeta_neg",
     "zeta_f_positive_even_numeric",
-    "zeta_truncation_bound",
 ]
 
 

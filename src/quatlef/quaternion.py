@@ -87,15 +87,17 @@ class QuaternionAlgebra:
         return f"D(ram_f=[{primes}], ram_real={self.ram_real_count})"
 
 
+def _split_power(x: int, p: int) -> tuple[int, int]:
+    """(v, u) with x = p^v u and p not dividing u."""
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v, x
+
+
 def _hilbert_symbol_odd(a: int, b: int, p: int) -> int:
-    alpha, u = 0, a
-    while u % p == 0:
-        u //= p
-        alpha += 1
-    beta, w = 0, b
-    while w % p == 0:
-        w //= p
-        beta += 1
+    (alpha, u), (beta, w) = _split_power(a, p), _split_power(b, p)
     symbol = 1
     if alpha % 2 and beta % 2 and p % 4 == 3:
         symbol = -symbol
@@ -107,14 +109,7 @@ def _hilbert_symbol_odd(a: int, b: int, p: int) -> int:
 
 
 def _hilbert_symbol_2(a: int, b: int) -> int:
-    alpha, u = 0, a
-    while u % 2 == 0:
-        u //= 2
-        alpha += 1
-    beta, w = 0, b
-    while w % 2 == 0:
-        w //= 2
-        beta += 1
+    (alpha, u), (beta, w) = _split_power(a, 2), _split_power(b, 2)
     eps_u = ((u - 1) // 2) % 2
     eps_w = ((w - 1) // 2) % 2
     omega_u = ((u * u - 1) // 8) % 2

@@ -161,11 +161,11 @@ def suite_zeta() -> list[Check]:
     return checks
 
 
-def suite_functional_equation(terms: int = DEFAULT_TERMS) -> list[Check]:
+def suite_functional_equation() -> list[Check]:
     checks = []
     for label, field in _fields().items():
         for j in (1, 2):
-            lhs = zeta_f_positive_even_numeric(field, j, terms)
+            lhs = zeta_f_positive_even_numeric(field, j, DEFAULT_TERMS)
             lhs *= float(field.abs_discriminant) ** ((4 * j - 1) / 2)
             lhs *= (2 * factorial(2 * j - 1) / (2 * pi) ** (2 * j)) ** field.degree
             rhs = (-1) ** (j * field.degree) * float(dedekind_zeta_neg(field, j))
@@ -448,30 +448,24 @@ def suite_volumes() -> list[Check]:
     return checks
 
 
-def suite_adelic(terms: int = DEFAULT_TERMS) -> list[Check]:
+def suite_adelic() -> list[Check]:
     fx = _fixtures()
-    field, split, ram23 = fx.q, fx.split, fx.ram23
     empty = SignatureClass(())
-    checks = []
-    cases = [(split, 1, n_mod) for n_mod in (3, 4, 5, 6, 7)]
-    cases += [(ram23, 1, 5), (ram23, 1, 7), (split, 2, 3)]
-    for algebra, n, n_mod in cases:
-        level = ideal_from_integer(field, n_mod)
-        exact = euler_char_fixed_component(algebra, n, level, empty).value
-        numeric = euler_char_adelic_numeric(algebra, n, level, empty, terms)
-        checks.append(
-            _close(
-                f"adelic {algebra.describe()} n={n} level ({n_mod})",
-                numeric,
-                float(exact),
-                ADELIC_REL_TOL,
-            )
+    cases = [(fx.split, 1, n_mod) for n_mod in (3, 4, 5, 6, 7)]
+    cases += [(fx.ram23, 1, 5), (fx.ram23, 1, 7), (fx.split, 2, 3)]
+    named = [
+        (
+            f"adelic {algebra.describe()} n={n} level ({n_mod})",
+            algebra, n, ideal_from_integer(fx.q, n_mod), empty,
         )
-    exact = euler_char_fixed_component(fx.hamilton, 2, fx.level3, fx.cls).value
-    numeric = euler_char_adelic_numeric(fx.hamilton, 2, fx.level3, fx.cls, terms)
-    checks.append(
-        _close("adelic Hamilton/Q(sqrt5) n=2", numeric, float(exact), ADELIC_REL_TOL)
-    )
+        for algebra, n, n_mod in cases
+    ]
+    named.append(("adelic Hamilton/Q(sqrt5) n=2", fx.hamilton, 2, fx.level3, fx.cls))
+    checks = []
+    for name, algebra, n, level, cls in named:
+        exact = euler_char_fixed_component(algebra, n, level, cls).value
+        numeric = euler_char_adelic_numeric(algebra, n, level, cls, DEFAULT_TERMS)
+        checks.append(_close(name, numeric, float(exact), ADELIC_REL_TOL))
     return checks
 
 

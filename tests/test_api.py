@@ -29,7 +29,7 @@ def test_readme_library_block_runs_as_written():
 
 def test_package_exports_each_module_name_once():
     names = quatlef.__all__
-    assert len(names) == len(set(names)) == 47
+    assert len(names) == len(set(names)) == 45
     for name in names:
         obj = getattr(quatlef, name)
         module = sys.modules[obj.__module__]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
@@ -185,12 +186,32 @@ class TestLefschetzNumber:
             assert report.value == -20 * trace
 
     def test_report_value_equals_factor_product(self):
+        """The value comes from _Primes.closed_form and the factors from
+        m_factor, one per j: two computations that must agree."""
+        inputs = decomposition_grid()
         for algebra, n, lvl in ((SPLIT, 1, 3), (RAM23, 1, 5), (SPLIT, 3, 5)):
-            report = lefschetz_number(
-                LefschetzInput(Q, algebra, n, level_q(lvl), trace_w=Fraction(5, 3))
-            )
-            assert report.value == report.factor_product()
-            assert len(report.m_factors) == n
+            inputs.append(LefschetzInput(Q, algebra, n, level_q(lvl)))
+        for name, ram_real, lvl in (
+            ("q5.json", 2, 11),
+            ("q_sqrt2_sqrt5.json", 4, 3),
+            ("imaginary.json", 0, 3),  # a complex place
+        ):
+            field = TotallyRealField.from_json_file(str(GOLDEN / name))
+            level = ideal_from_integer(field, lvl)
+            algebra = QuaternionAlgebra(field, (), ram_real)
+            inputs.append(LefschetzInput(field, algebra, 2, level))
+        for field, algebra in ((Q, SPLIT), (Q5, HAM5)):
+            level2 = ideal_from_integer(field, 2)
+            inp = LefschetzInput(field, algebra, 2, level2, assume_torsion_free=True)
+            inputs.append(inp)
+        for inp in inputs:
+            report = lefschetz_number(replace(inp, trace_w=Fraction(5, 3)))
+            assert report.value == report.factor_product(), inp
+            assert len(report.m_factors) == inp.n
+            real = inp.field.is_totally_real
+            assert (report.value != 0) is real
+            assert (report.zero_reason is None) is real
+        assert [inp.field.is_totally_real for inp in inputs].count(False) == 1
 
     def test_totally_definite_needs_n_at_least_2(self):
         with pytest.raises(ValidationError):
@@ -463,6 +484,31 @@ class TestGenus:
             genus_fuchsian(RAM23, level_q(2))
         report = genus_fuchsian(RAM23, level_q(2), assume_torsion_free=True)
         assert report.genus == 2
+
+    def test_warnings(self):
+        """The torsion gate's one warning, unverified or overridden, and no
+        other: an integral genus is at least 2, so no level that passes the
+        torsion check gives a genus below 2 (searched over small quadratic
+        Fuchsian settings)."""
+        unverified = genus_fuchsian(RAM23, level_q(5))
+        assert unverified.warnings == (lefschetz.WARN_TORSION_UNVERIFIED,)
+        overridden = genus_fuchsian(RAM23, level_q(2), assume_torsion_free=True)
+        assert overridden.warnings == (lefschetz.WARN_TORSION_OVERRIDDEN,)
+        settings = 0
+        for d in (2, 3, 5, 13):
+            field = TotallyRealField.real_quadratic(d)
+            primes = [P for p in (2, 3, 5, 7) for P in split_prime(field, p)]
+            for ramified in primes:
+                algebra = QuaternionAlgebra(field, (ramified,), 1)
+                for prime, e in product(primes, (1, 2)):
+                    level = Ideal(field, ((prime, e),))
+                    if not check_torsion_necessary(level):
+                        continue
+                    report = genus_fuchsian(algebra, level)
+                    assert report.genus >= 2
+                    assert report.warnings == (lefschetz.WARN_TORSION_UNVERIFIED,)
+                    settings += 1
+        assert settings > 100
 
 
 class TestModularFormDim:
