@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
-from .exact import _digit_limit_error, _int, format_rational, parse_rational
+from .exact import _digit_limit_error, _int, _read_json, format_rational, parse_rational
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -207,7 +207,7 @@ def _apply_config(args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config, encoding="utf-8") as handle:
-        data = json.load(handle, parse_int=_int)
+        data = _read_json(handle.read())
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
     unknown = set(data) - _CONFIG.keys()

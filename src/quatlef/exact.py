@@ -6,12 +6,14 @@ denominator, no rounding), the Bernoulli machinery behind zeta values at
 negative odd integers, and a closed symbolic scalar ``q * pi^k`` used for
 compact-group volumes.
 
-No floating point enters this module; floats appear only in the explicitly
-numeric cross-check paths elsewhere.
+No floating-point arithmetic happens in this module; floats appear only in
+the explicitly numeric cross-check paths elsewhere, and as the JSON numbers
+that ``_read_json`` hands on.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 import threading
 from dataclasses import dataclass
@@ -29,7 +31,16 @@ __all__ = [
 ]
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` (or plain ``"p"``) into an exact rational."""
+    """Parse ``"p/q"`` (or plain ``"p"``, or a decimal such as ``"1.5e-3"``)
+    into an exact rational. An exponent that alone stands for more digits
+    than Python reads is refused before any power of ten is built."""
+    _, e, exponent = str(text).lower().rpartition("e")
+    try:
+        digits = abs(int(exponent)) + 1 if e else 0
+    except ValueError:
+        digits = 0
+    if 0 < sys.get_int_max_str_digits() < digits:
+        raise _read_limit_error()
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
@@ -39,16 +50,29 @@ def parse_rational(text: str) -> Fraction:
 def _int(text: str) -> int:
     """int(text), refusing text that is no integer or that has more digits
     than Python reads, in the package's own words."""
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < sum(map(str.isdigit, text)):
-        raise ValidationError(
-            f"an input integer has more than {limit} digits, the limit for"
-            " reading an integer from text"
-        )
+    if 0 < sys.get_int_max_str_digits() < sum(map(str.isdigit, text)):
+        raise _read_limit_error()
     try:
         return int(text)
     except ValueError:
         raise ValidationError(f"not an integer: {text!r}") from None
+
+
+def _read_limit_error() -> ValidationError:
+    """The refusal of input text too long for Python's text-to-integer limit."""
+    return ValidationError(
+        f"an input integer has more than {sys.get_int_max_str_digits()} digits,"
+        " the limit for reading an integer from text"
+    )
+
+
+def _read_json(text: str):
+    """json.loads(text) with every integer read by _int; text nested too
+    deeply for the decoder is refused in the package's own words."""
+    try:
+        return json.loads(text, parse_int=_int)
+    except RecursionError:
+        raise ValidationError("JSON nested too deeply to read") from None
 
 
 def _digit_limit_error() -> ValidationError:

@@ -528,7 +528,9 @@ def lefschetz_via_decomposition(inp: LefschetzInput) -> Fraction:
     """Lefschetz number as the trace-weighted sum of component Euler
     characteristics over all signature classes.
 
-    Independent route: must agree with lefschetz_number exactly.
+    Every component is the one closed form times its class's binomial, so
+    agreement with lefschetz_number checks the binomial identity, not the
+    closed form.
     """
     components = euler_char_components(
         inp.algebra, inp.n, inp.level, inp.assume_torsion_free

@@ -15,7 +15,6 @@ norms, exponents and ramification membership.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from array import array
@@ -28,7 +27,7 @@ from operator import mul
 from pathlib import Path
 
 from .errors import ExternalFieldError, ValidationError
-from .exact import _int, bernoulli, parse_rational, riemann_zeta_neg
+from .exact import _int, _read_json, bernoulli, parse_rational, riemann_zeta_neg
 
 __all__ = [
     "PrimeIdeal",
@@ -49,20 +48,6 @@ __all__ = [
 # pseudoprime to all of them
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
-# (bound, k): the first k bases decide every n below bound, the least strong
-# pseudoprime to them all (OEIS A014233; Jaeschke, 1993; Jiang and Deng, 2014)
-_MILLER_RABIN_TIERS = (
-    (2047, 1),
-    (1373653, 2),
-    (25326001, 3),
-    (3215031751, 4),
-    (2152302898747, 5),
-    (3474749660383, 6),
-    (341550071728321, 7),
-    (3825123056546413051, 9),
-    (318665857834031151167461, 12),
-    (_MILLER_RABIN_BOUND, 13),
-)
 
 
 def _primes_below(bound: int) -> frozenset[int]:
@@ -82,10 +67,9 @@ _TRIAL_DIVISION_BOUND = 10**6
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality test with the first k prime
-    bases, k from 1 to 13 by the size of n (_MILLER_RABIN_TIERS), proven for
-    every n below 3.3 * 10^24; larger n are refused. Below 41^2 the answer
-    is a set lookup."""
+    """Deterministic Miller-Rabin primality test with the first 13 prime
+    bases, proven for every n below 3.3 * 10^24; larger n are refused.
+    Below 41^2 the answer is a set lookup."""
     if n < _SMALL_PRIME_BOUND:
         return n in _SMALL_PRIMES
     for p in _MILLER_RABIN_BASES:
@@ -99,8 +83,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    k = next(k for bound, k in _MILLER_RABIN_TIERS if n < bound)
-    for a in _MILLER_RABIN_BASES[:k]:
+    for a in _MILLER_RABIN_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -427,7 +410,7 @@ class TotallyRealField:
 # keyed by the text, not the path, and by the digit limit that _int reads
 @lru_cache(maxsize=_DESCRIPTORS_KEPT)
 def _field_from_text(text: str, digit_limit: int) -> TotallyRealField:
-    return TotallyRealField.from_descriptor(json.loads(text, parse_int=_int))
+    return TotallyRealField.from_descriptor(_read_json(text))
 
 
 def split_prime(field: TotallyRealField, p: int) -> list[PrimeIdeal]:

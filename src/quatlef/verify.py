@@ -1,12 +1,12 @@
 """Oracle-equivalence and invariant suites behind the ``verify`` command.
 
 Each suite returns a list of (check name, ok, detail) triples. The checks
-pin every closed form against an independent route: exhaustive
-enumeration for the finite group orders and indices, the component
-decomposition against the closed product formula, the functional equation
-between exact negative zeta values and truncated series at positive even
+pin the closed forms against independent routes: exhaustive enumeration
+for the finite group orders and indices, the functional equation between
+exact negative zeta values and truncated series at positive even
 integers, and the floating-point mass-formula path against the exact
-Euler characteristics.
+Euler characteristics. The component decomposition scales one closed form
+by each class's binomial, so it checks only the binomial identity.
 """
 
 from __future__ import annotations

@@ -703,6 +703,56 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["values"][0]["value"] == "-1/12"
 
 
+def _run_module(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return subprocess.run(
+        [sys.executable, "-m", "quatlef.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=REPO_ROOT,
+        timeout=20,
+    )
+
+
+@pytest.mark.parametrize("source", ["--config", "--field"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, source):
+    path = tmp_path / "nested.json"
+    if source == "--config":
+        path.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+        flags = ["--config", str(path), "--field", "q"]
+    else:
+        path.write_text('{"a":' * 3000 + "1" + "}" * 3000, encoding="utf-8")
+        flags = ["--field", f"external:{path}"]
+    proc = _run_module(["lefschetz", *flags, "--split", "--n", "1", "--level", "3"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: JSON nested too deeply to read\n"
+
+
+# 1e100000000 stands for a 10^8-digit power of ten: it is refused before
+# one is built, by every route a rational arrives
+@pytest.mark.parametrize("source", ["--trace-w", "--config", "--field"])
+def test_rational_exponent_beyond_digit_limit_is_refused_at_once(tmp_path, source):
+    path = tmp_path / "input.json"
+    argv = ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3"]
+    if source == "--trace-w":
+        argv.append("--trace-w=1e100000000")
+    elif source == "--config":
+        path.write_text(json.dumps({"trace_w": "1e100000000"}), encoding="utf-8")
+        argv += ["--config", str(path)]
+    else:
+        golden = REPO_ROOT / "tests" / "golden" / "q5.json"
+        descriptor = json.loads(golden.read_text(encoding="utf-8"))
+        descriptor["zeta_neg"][0] = "1e100000000"
+        path.write_text(json.dumps(descriptor), encoding="utf-8")
+        argv[1:3] = ["--field", f"external:{path}"]
+    proc = _run_module(argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: an input integer has more than")
+
+
 # zeta_Q(-1) = -1/12 replaced by +1/12 breaks the sign law of the closed form
 _TAMPERED_ZETA = (
     "import sys; from fractions import Fraction; import quatlef.lefschetz as lef;"
@@ -760,7 +810,7 @@ _FUZZ_VALUES = {
     "level": (["3", "5", "6", "7", "11", "2"], ["1", "3:x:1", "11:1:1:a^2"]),
     "levels": (["2:9", "3:6", "5:5"], ["9:2", "2:20002", "3:x"]),
     "format": (["json", "csv"], ["xml"]),
-    "trace_w": (["1", "0", "-1/3", "2"], ["x", "1/0"]),
+    "trace_w": (["1", "0", "-1/3", "2"], ["x", "1/0", "1e100000000"]),
     "signature": (["2,0;2,0", "0,2", "1,0", "2,0"], ["5", "1,1", "2,0;", ""]),
     "weights": (["2,4", "6"], ["3", "x"]),
     "assume_torsion_free": ([True], []),

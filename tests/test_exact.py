@@ -144,6 +144,14 @@ class TestRationalSerialisation:
     def test_format_parse_inverse(self, q):
         assert parse_rational(format_rational(q)) == q
 
+    def test_exponent_beyond_digit_limit_refused(self):
+        # 1e4300 stands for a 4301-digit integer, which _int refuses typed out
+        assert parse_rational("1e4299") == 10**4299
+        assert parse_rational(" 1.5E-3 ") == Fraction(3, 2000)
+        for text in ("1e4300", "1E-4300", "0e4300", "-2.5e+1_000_000"):
+            with pytest.raises(ValidationError, match="more than 4300 digits.* reading"):
+                parse_rational(text)
+
     def test_digit_limit_refused(self):
         # Python's default limit on integer text is 4300 digits
         assert format_rational(Fraction(1, 10**4299)) == "1/1" + "0" * 4299

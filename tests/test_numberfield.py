@@ -824,8 +824,8 @@ def test_is_prime_matches_sieve():
 
 def test_is_prime_rejects_pseudoprimes():
     # Carmichael numbers, then the least strong pseudoprime to the first k
-    # prime bases for each k at which it grows: the bound below which k
-    # bases decide, so at each one is_prime must take more bases
+    # prime bases for each k at which it grows: each fools the first k
+    # bases, so is_prime, which takes all 13, must reject it
     for n in (561, 1105, 41041, 2047, 1373653, 25326001, 3215031751,
               2152302898747, 3474749660383, 341550071728321,
               3825123056546413051, 318665857834031151167461):
