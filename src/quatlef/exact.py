@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import sys
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, pi
 
@@ -136,21 +135,66 @@ def riemann_zeta_neg(j: int) -> Fraction:
     return -bernoulli(2 * j) / (2 * j)
 
 
-@dataclass(frozen=True)
-class SymbolicScalar:
+class _Value:
+    """Base of the package's immutable values. Each subclass names its
+    fields in __slots__ and sets them once, in __init__, through _set.
+    Assigning or deleting a field raises AttributeError; values compare,
+    hash, print, pickle and copy by their fields, in order."""
+
+    __slots__ = ("_values", "_hash")
+
+    def __init_subclass__(cls) -> None:
+        # the fields of every class from the one below _Value down, in order
+        cls._fields = tuple(n for c in reversed(cls.__mro__[:-2]) for n in c.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls._fields)
+
+    def _set(self, values: tuple) -> None:
+        _set_values(self, values)
+        _set_hash(self, None)
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    __setstate__ = _set
+
+    def __reduce__(self):
+        return object.__new__, (self.__class__,), self._values
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values == other._values if same else NotImplemented
+
+    def __hash__(self) -> int:
+        if self._hash is None:  # the first hash, kept: the fields never change
+            _set_hash(self, hash(self._values))
+        return self._hash
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+# each slot's own setter, as in _setters: the refusing __setattr__ never
+# sees it, and it is quicker to call than object.__setattr__
+_set_values, _set_hash = (_Value.__dict__[name].__set__ for name in _Value.__slots__)
+
+
+class SymbolicScalar(_Value):
     """Exact scalar of the closed form ``coeff * pi^pi_exp``.
 
     Zero is canonical: coeff 0 forces pi_exp 0. Equality and hashing
     compare the two normalised fields.
     """
 
-    coeff: Fraction
-    pi_exp: int = 0
+    __slots__ = ("coeff", "pi_exp")
 
-    def __post_init__(self) -> None:
-        coeff = Fraction(self.coeff)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "pi_exp", int(self.pi_exp) if coeff else 0)
+    def __init__(self, coeff: Fraction | int, pi_exp: int = 0) -> None:
+        coeff = Fraction(coeff)
+        self._set((coeff, int(pi_exp) if coeff else 0))
 
     def __mul__(self, other: "SymbolicScalar | Fraction | int") -> "SymbolicScalar":
         if isinstance(other, (int, Fraction)):

@@ -45,14 +45,13 @@ concurrently; batch evaluation may run rows in parallel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, isfinite, prod
 
 from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
-from .exact import SymbolicScalar, format_rational
+from .exact import SymbolicScalar, _Value, format_rational
 from .numberfield import (
     _MAX_SERIES_TERMS,
     _MAX_ZETA_INDEX,
@@ -104,8 +103,7 @@ ZERO_COMPLEX_PLACE = "base field has a complex place"
 _MAX_CLASSES = 10**4
 
 
-@dataclass(frozen=True)
-class SignatureClass:
+class SignatureClass(_Value):
     """Tuple of local signatures (p_v, q_v), one per ramified real place.
 
     Membership in the component-index set requires every q_v to be even;
@@ -113,7 +111,10 @@ class SignatureClass:
     nothing: the functions that take a class check it (_validate_class).
     """
 
-    signatures: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("signatures",)
+
+    def __init__(self, signatures: tuple[tuple[int, int], ...] = ()) -> None:
+        self._set((signatures,))
 
     def __len__(self) -> int:
         return len(self.signatures)
@@ -128,8 +129,7 @@ class SignatureClass:
         return ";".join(f"{p},{q}" for p, q in self.signatures) or "-"
 
 
-@dataclass(frozen=True)
-class LefschetzInput:
+class LefschetzInput(_Value):
     """Validated input bundle for the closed-form evaluation.
 
     trace_w is the trace of the induced involution on the coefficient
@@ -137,75 +137,69 @@ class LefschetzInput:
     totally definite case needs n >= 2 for strong approximation.
     """
 
-    field: TotallyRealField
-    algebra: QuaternionAlgebra
-    n: int
-    level: Ideal
-    trace_w: Fraction = Fraction(1)
-    assume_torsion_free: bool = False
+    __slots__ = ("field", "algebra", "n", "level", "trace_w", "assume_torsion_free")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "trace_w", Fraction(self.trace_w))
-        if self.algebra.field != self.field:
+    def __init__(self, field: TotallyRealField, algebra: QuaternionAlgebra, n: int,
+                 level: Ideal, trace_w: Fraction | int = Fraction(1),
+                 assume_torsion_free: bool = False) -> None:
+        trace_w = Fraction(trace_w)
+        if algebra.field != field:
             raise ValidationError("algebra is defined over a different field")
-        _validate_setting(self.algebra, self.n, self.level)
+        _validate_setting(algebra, n, level)
+        self._set((field, algebra, n, level, trace_w, assume_torsion_free))
 
 
-@dataclass(frozen=True, kw_only=True)
-class _ClosedFormReport:
+class _ClosedFormReport(_Value):
     """Value of a closed form plus its factor-by-factor breakdown.
 
     The value always equals two_power * level_norm_power * disc_power
     * scale * prod(m_factors) exactly; when the base field has a complex
-    place every m factor is zero and zero_reason says so.
+    place every m factor is zero and zero_reason says so. A subclass
+    passes its own fields first, as one tuple; the last is its scale.
     """
 
-    value: Fraction
-    n: int
-    two_power: Fraction
-    level_norm_power: int
-    disc_power: int
-    m_factors: tuple[Fraction, ...]
-    warnings: tuple[str, ...] = ()
-    zero_reason: str | None = None
+    __slots__ = ("value", "n", "two_power", "level_norm_power", "disc_power",
+                 "m_factors", "warnings", "zero_reason")
+
+    def __init__(self, scale: tuple, /, *, value: Fraction, n: int, two_power: Fraction,
+                 level_norm_power: int, disc_power: int, m_factors: tuple[Fraction, ...],
+                 warnings: tuple[str, ...] = (), zero_reason: str | None = None) -> None:
+        self._set((value, n, two_power, level_norm_power, disc_power, m_factors,
+                   warnings, zero_reason, *scale))
 
     def factor_product(self) -> Fraction:
-        start = self.two_power * self.level_norm_power * self.disc_power * self._scale
+        start = self.two_power * self.level_norm_power * self.disc_power * self._values[-1]
         return prod(self.m_factors, start=start)
 
 
-@dataclass(frozen=True, kw_only=True)
 class LefschetzReport(_ClosedFormReport):
     """The Lefschetz number; its scale is trace_w."""
 
-    trace_w: Fraction
+    __slots__ = ("trace_w",)
 
-    @property
-    def _scale(self) -> Fraction:
-        return self.trace_w
+    def __init__(self, *, trace_w: Fraction, **fields) -> None:
+        super().__init__((trace_w,), **fields)
 
 
-@dataclass(frozen=True, kw_only=True)
 class EulerCharReport(_ClosedFormReport):
     """Euler characteristic of one fixed-point component; its scale is
     binomial_factor = prod_v C(n, p_v)."""
 
-    signature_class: SignatureClass
-    binomial_factor: int
+    __slots__ = ("signature_class", "binomial_factor")
 
-    @property
-    def _scale(self) -> int:
-        return self.binomial_factor
+    def __init__(self, *, signature_class: SignatureClass, binomial_factor: int,
+                 **fields) -> None:
+        super().__init__((signature_class, binomial_factor), **fields)
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(_Value):
     """Genus data of the compact quotient surface in the Fuchsian case."""
 
-    genus: int
-    b1: int
-    chi: int
-    warnings: tuple[str, ...] = ()
+    __slots__ = ("genus", "b1", "chi", "warnings")
+
+    def __init__(self, genus: int, b1: int, chi: int,
+                 warnings: tuple[str, ...] = ()) -> None:
+        self._set((genus, b1, chi, warnings))
 
 
 def _check_level(algebra: QuaternionAlgebra, level: Ideal | None, n: int = 1) -> None:

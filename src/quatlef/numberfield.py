@@ -18,16 +18,15 @@ from __future__ import annotations
 import sys
 import threading
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from itertools import chain, compress, cycle, islice, repeat
 from math import comb, lcm, log
 from operator import mul
-from pathlib import Path
+from os import PathLike
 
 from .errors import ExternalFieldError, ValidationError
-from .exact import _int, _read_json, bernoulli, parse_rational, riemann_zeta_neg
+from .exact import _int, _read_json, _Value, bernoulli, parse_rational, riemann_zeta_neg
 
 __all__ = [
     "PrimeIdeal",
@@ -192,17 +191,17 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
+class QuadraticCharacter(_Value):
     """The quadratic character attached to a fundamental discriminant."""
 
-    fundamental_discriminant: int
+    __slots__ = ("fundamental_discriminant",)
 
-    def __post_init__(self) -> None:
-        if not is_fundamental_discriminant(self.fundamental_discriminant):
+    def __init__(self, fundamental_discriminant: int) -> None:
+        if not is_fundamental_discriminant(fundamental_discriminant):
             raise ValidationError(
-                f"{self.fundamental_discriminant} is not a fundamental discriminant"
+                f"{fundamental_discriminant} is not a fundamental discriminant"
             )
+        self._set((fundamental_discriminant,))
 
     @property
     def conductor(self) -> int:
@@ -212,25 +211,28 @@ class QuadraticCharacter:
         return kronecker_symbol(self.fundamental_discriminant, m)
 
 
-@dataclass(frozen=True, order=True)
-class PrimeIdeal:
+@total_ordering
+class PrimeIdeal(_Value):
     """A prime of the base field, recorded by residue data only.
 
     The norm p^f is derived, e is the ramification index over p, and the
     label distinguishes conjugate primes above a split p. The label carries
     no arithmetic content: every formula downstream consumes the norm only.
+    Primes order by (p, f, e, label).
     """
 
-    p: int
-    f: int = 1
-    e: int = 1
-    label: str = ""
+    __slots__ = ("p", "f", "e", "label")
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValidationError(f"residue characteristic {self.p} is not prime")
-        if self.f < 1 or self.e < 1:
+    def __init__(self, p: int, f: int = 1, e: int = 1, label: str = "") -> None:
+        if not is_prime(p):
+            raise ValidationError(f"residue characteristic {p} is not prime")
+        if f < 1 or e < 1:
             raise ValidationError("residue degree and ramification index must be >= 1")
+        self._set((p, f, e, label))
+
+    def __lt__(self, other):
+        same = other.__class__ is self.__class__
+        return self._values < other._values if same else NotImplemented
 
     @property
     def norm(self) -> int:
@@ -256,8 +258,7 @@ _DESCRIPTOR_KEYS = {
 _DESCRIPTORS_KEPT = 8
 
 
-@dataclass(frozen=True)
-class TotallyRealField:
+class TotallyRealField(_Value):
     """Base field descriptor: the rationals, a real quadratic field, or
     externally supplied data for anything else.
 
@@ -268,13 +269,16 @@ class TotallyRealField:
     entry must be nonzero of sign (-1)^(j*degree).
     """
 
-    kind: str
-    d: int = 0
-    degree: int = 1
-    abs_discriminant: int = 1
-    num_real_places: int = 1
-    zeta_neg_table: tuple[Fraction, ...] = ()
-    splitting_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = ()
+    __slots__ = ("kind", "d", "degree", "abs_discriminant", "num_real_places",
+                 "zeta_neg_table", "splitting_table")
+
+    def __init__(
+        self, kind: str, d: int = 0, degree: int = 1, abs_discriminant: int = 1,
+        num_real_places: int = 1, zeta_neg_table: tuple[Fraction, ...] = (),
+        splitting_table: tuple[tuple[int, tuple[tuple[int, int], ...]], ...] = (),
+    ) -> None:
+        self._set((kind, d, degree, abs_discriminant, num_real_places, zeta_neg_table,
+                   splitting_table))
 
     @classmethod
     def rationals(cls) -> "TotallyRealField":
@@ -385,7 +389,7 @@ class TotallyRealField:
         )
 
     @classmethod
-    def from_json_file(cls, path: str | Path) -> "TotallyRealField":
+    def from_json_file(cls, path: str | PathLike) -> "TotallyRealField":
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
         return _field_from_text(text, sys.get_int_max_str_digits())
@@ -436,26 +440,25 @@ def split_prime(field: TotallyRealField, p: int) -> list[PrimeIdeal]:
     raise ExternalFieldError(f"prime {p} missing from the external splitting table")
 
 
-@dataclass(frozen=True)
-class Ideal:
+class Ideal(_Value):
     """Formal product of primes of one base field with positive exponents.
 
     The empty product is the unit ideal, which the engine rejects wherever
     a proper level is required.
     """
 
-    field: TotallyRealField
-    factors: tuple[tuple[PrimeIdeal, int], ...] = ()
+    __slots__ = ("field", "factors")
 
-    def __post_init__(self) -> None:
+    def __init__(self, field: TotallyRealField,
+                 factors: tuple[tuple[PrimeIdeal, int], ...] = ()) -> None:
         merged: dict[PrimeIdeal, int] = {}
-        for prime, exponent in self.factors:
+        for prime, exponent in factors:
             if not isinstance(prime, PrimeIdeal):
                 raise ValidationError("ideal factors must be prime ideals")
             if exponent < 1:
                 raise ValidationError("ideal exponents must be >= 1")
             merged[prime] = merged.get(prime, 0) + exponent
-        object.__setattr__(self, "factors", tuple(sorted(merged.items())))
+        self._set((field, tuple(sorted(merged.items()))))
 
     @property
     def is_unit(self) -> bool:

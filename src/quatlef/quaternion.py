@@ -12,9 +12,8 @@ choice, so it is a documented assumption rather than data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ValidationError
+from .exact import _Value
 from .numberfield import PrimeIdeal, TotallyRealField, factorize, is_prime
 from .numberfield import kronecker_symbol, split_prime
 
@@ -25,32 +24,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(_Value):
     """Ramification data of a quaternion algebra over the base field."""
 
-    field: TotallyRealField
-    ram_finite: tuple[PrimeIdeal, ...] = ()
-    ram_real_count: int = 0
+    __slots__ = ("field", "ram_finite", "ram_real_count")
 
-    def __post_init__(self) -> None:
-        primes = tuple(sorted(self.ram_finite))
+    def __init__(self, field: TotallyRealField, ram_finite: tuple[PrimeIdeal, ...] = (),
+                 ram_real_count: int = 0) -> None:
+        primes = tuple(sorted(ram_finite))
         if len(set(primes)) != len(primes):
             raise ValidationError("finite ramified primes must be pairwise distinct")
         for prime in primes:
-            if prime not in split_prime(self.field, prime.p):
+            if prime not in split_prime(field, prime.p):
                 raise ValidationError(
-                    f"prime {prime} does not belong to {self.field.describe()}"
+                    f"prime {prime} does not belong to {field.describe()}"
                 )
-        if not 0 <= self.ram_real_count <= self.field.num_real_places:
+        if not 0 <= ram_real_count <= field.num_real_places:
             raise ValidationError(
                 "ramified real place count must lie in [0, number of real places]"
             )
-        if (len(primes) + self.ram_real_count) % 2:
+        if (len(primes) + ram_real_count) % 2:
             raise ValidationError(
                 "total number of ramified places must be even (Hilbert reciprocity)"
             )
-        object.__setattr__(self, "ram_finite", primes)
+        self._set((field, primes, ram_real_count))
 
     @property
     def r(self) -> int:

@@ -16,6 +16,7 @@ from math import comb, factorial, pi
 from types import SimpleNamespace
 
 from . import finitegrp, lefschetz, numberfield
+from .errors import QuatlefError, ValidationError
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -487,12 +488,18 @@ SUITES = {
 
 
 def run_suites(names: list[str] | None = None) -> dict[str, list[Check]]:
-    """Run the requested suites (all by default) and return their checks."""
+    """Run the requested suites (all by default) and return their checks.
+    A suite that raises QuatlefError, such as a broken invariant, is one
+    failed check named after it, so that the other suites still report."""
     if names is None:
         names = list(SUITES)
     unknown = [name for name in names if name not in SUITES]
     if unknown:
-        from .errors import ValidationError
-
         raise ValidationError(f"unknown verification suites: {unknown}")
-    return {name: SUITES[name]() for name in names}
+    results = {}
+    for name in names:
+        try:
+            results[name] = SUITES[name]()
+        except QuatlefError as exc:
+            results[name] = [(name, False, str(exc))]
+    return results

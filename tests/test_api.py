@@ -1,10 +1,31 @@
 """The library API documented in README.md and the package export list."""
 
+import copy
+import os
+import pickle
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import quatlef
+from quatlef import (
+    EulerCharReport,
+    GenusReport,
+    Ideal,
+    LefschetzInput,
+    LefschetzReport,
+    PrimeIdeal,
+    QuadraticCharacter,
+    QuaternionAlgebra,
+    SignatureClass,
+    SymbolicScalar,
+    TotallyRealField,
+    ValidationError,
+    ideal_from_integer,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -36,3 +57,203 @@ def test_package_exports_each_module_name_once():
         assert module.__name__.startswith("quatlef.")
         assert name in module.__all__
         assert getattr(module, name) is obj
+
+
+_Q = TotallyRealField.rationals()
+_Q5 = TotallyRealField.real_quadratic(5)
+_Q5_REPR = (
+    "TotallyRealField(kind='real-quadratic', d=5, degree=2, abs_discriminant=5,"
+    " num_real_places=2, zeta_neg_table=(), splitting_table=())"
+)
+_P3 = "PrimeIdeal(p=3, f=2, e=1, label='')"
+_HAMILTON = f"QuaternionAlgebra(field={_Q5_REPR}, ram_finite=(), ram_real_count=2)"
+_LEVEL3 = f"Ideal(field={_Q5_REPR}, factors=(({_P3}, 1),))"
+_REPORT = (
+    "value=Fraction(2, 1), n=1, two_power=Fraction(1, 2), level_norm_power=9,"
+    " disc_power=1, m_factors=(Fraction(-1, 24),), warnings=(), zero_reason=None"
+)
+
+
+def _report(cls, **changes):
+    fields = dict(
+        value=Fraction(2),
+        n=1,
+        two_power=Fraction(1, 2),
+        level_norm_power=9,
+        disc_power=1,
+        m_factors=(Fraction(-1, 24),),
+    )
+    if cls is LefschetzReport:
+        fields["trace_w"] = Fraction(1)
+    else:
+        fields.update(signature_class=SignatureClass(((1, 0),)), binomial_factor=1)
+    return cls(**{**fields, **changes})
+
+
+# per public value type: a builder called with no arguments, or with one
+# field changed; the name of that field and another value for it; the
+# exact repr of the value built with no arguments
+_VALUES = [
+    (
+        lambda **kw: SymbolicScalar(**{"coeff": Fraction(8, 3), "pi_exp": 6, **kw}),
+        "pi_exp",
+        4,
+        "SymbolicScalar(coeff=Fraction(8, 3), pi_exp=6)",
+    ),
+    (
+        lambda **kw: QuadraticCharacter(**{"fundamental_discriminant": 5, **kw}),
+        "fundamental_discriminant",
+        8,
+        "QuadraticCharacter(fundamental_discriminant=5)",
+    ),
+    (
+        lambda **kw: PrimeIdeal(**{"p": 7, "f": 2, "e": 1, "label": "a", **kw}),
+        "label",
+        "b",
+        "PrimeIdeal(p=7, f=2, e=1, label='a')",
+    ),
+    (
+        lambda **kw: TotallyRealField(
+            **{"kind": "real-quadratic", "d": 5, "degree": 2, "abs_discriminant": 5,
+               "num_real_places": 2, **kw}
+        ),
+        "d",
+        13,
+        _Q5_REPR,
+    ),
+    (
+        lambda **kw: Ideal(**{"field": _Q5, "factors": ((PrimeIdeal(3, 2), 1),), **kw}),
+        "factors",
+        ((PrimeIdeal(3, 2), 2),),
+        _LEVEL3,
+    ),
+    (
+        lambda **kw: QuaternionAlgebra(**{"field": _Q5, "ram_real_count": 2, **kw}),
+        "ram_real_count",
+        0,
+        _HAMILTON,
+    ),
+    (
+        lambda **kw: SignatureClass(**{"signatures": ((2, 0), (2, 0)), **kw}),
+        "signatures",
+        ((0, 2), (2, 0)),
+        "SignatureClass(signatures=((2, 0), (2, 0)))",
+    ),
+    (
+        lambda **kw: LefschetzInput(
+            **{"field": _Q5, "algebra": QuaternionAlgebra(_Q5, (), 2), "n": 2,
+               "level": ideal_from_integer(_Q5, 3), **kw}
+        ),
+        "trace_w",
+        Fraction(5, 3),
+        f"LefschetzInput(field={_Q5_REPR}, algebra={_HAMILTON}, n=2,"
+        f" level={_LEVEL3}, trace_w=Fraction(1, 1), assume_torsion_free=False)",
+    ),
+    (
+        lambda **kw: _report(LefschetzReport, **kw),
+        "trace_w",
+        Fraction(2),
+        f"LefschetzReport({_REPORT}, trace_w=Fraction(1, 1))",
+    ),
+    (
+        lambda **kw: _report(EulerCharReport, **kw),
+        "zero_reason",
+        "base field has a complex place",
+        f"EulerCharReport({_REPORT}, signature_class="
+        "SignatureClass(signatures=((1, 0),)), binomial_factor=1)",
+    ),
+    (
+        lambda **kw: GenusReport(**{"genus": 11, "b1": 22, "chi": -20, **kw}),
+        "warnings",
+        ("torsion unverified",),
+        "GenusReport(genus=11, b1=22, chi=-20, warnings=())",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "build, name, other, text", _VALUES, ids=[text.split("(")[0] for *_, text in _VALUES]
+)
+def test_value_types_are_immutable_values(build, name, other, text):
+    value = build()
+    for change in (lambda: setattr(value, name, other), lambda: delattr(value, name)):
+        with pytest.raises(AttributeError):
+            change()
+    assert getattr(value, name) != other
+    assert value == build() and hash(value) == hash(build())
+    assert value != build(**{name: other})
+    assert repr(value) == text
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == text
+
+
+def test_prime_ideals_sort_by_characteristic_degree_index_label():
+    primes = [PrimeIdeal(3), PrimeIdeal(2, 1, 1, "b"), PrimeIdeal(2, 2), PrimeIdeal(2, 1, 2),
+              PrimeIdeal(2, 1, 1, "a")]
+    assert [str(p) for p in sorted(primes)] == ["2:1:1:a", "2:1:1:b", "2:1:2", "2:2:1", "3:1:1"]
+    assert PrimeIdeal(2) < PrimeIdeal(3) <= PrimeIdeal(3) and PrimeIdeal(5) > PrimeIdeal(3, 2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: QuadraticCharacter(3), "3 is not a fundamental discriminant"),
+        (lambda: PrimeIdeal(4), "residue characteristic 4 is not prime"),
+        (lambda: PrimeIdeal(2, 0), "residue degree and ramification index must be >= 1"),
+        (lambda: Ideal(_Q, ((2, 1),)), "ideal factors must be prime ideals"),
+        (lambda: Ideal(_Q, ((PrimeIdeal(2), 0),)), "ideal exponents must be >= 1"),
+        (
+            lambda: QuaternionAlgebra(_Q, (PrimeIdeal(2), PrimeIdeal(2))),
+            "finite ramified primes must be pairwise distinct",
+        ),
+        (
+            lambda: QuaternionAlgebra(_Q5, (PrimeIdeal(3), PrimeIdeal(3, 2))),
+            "prime 3:1:1 does not belong to Q(sqrt(5))",
+        ),
+        (
+            lambda: QuaternionAlgebra(_Q, (), 2),
+            "ramified real place count must lie in [0, number of real places]",
+        ),
+        (
+            lambda: QuaternionAlgebra(_Q, (PrimeIdeal(2),)),
+            "total number of ramified places must be even (Hilbert reciprocity)",
+        ),
+        (
+            lambda: LefschetzInput(_Q5, QuaternionAlgebra(_Q), 1, ideal_from_integer(_Q5, 3)),
+            "algebra is defined over a different field",
+        ),
+        (
+            lambda: LefschetzInput(_Q, QuaternionAlgebra(_Q), 0, ideal_from_integer(_Q, 3)),
+            "matrix size n must be >= 1",
+        ),
+        (
+            lambda: LefschetzInput(_Q, QuaternionAlgebra(_Q), 1, Ideal(_Q)),
+            "level must be a proper ideal",
+        ),
+        (
+            lambda: LefschetzInput(
+                _Q5, QuaternionAlgebra(_Q5, (), 2), 1, ideal_from_integer(_Q5, 3)
+            ),
+            "totally definite algebras need n >= 2 (strong approximation)",
+        ),
+    ],
+)
+def test_value_constructors_refuse_bad_fields_in_the_same_words(build, message):
+    with pytest.raises(ValidationError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    """The command line starts without dataclasses and the modules it
+    brings in (inspect, ast, dis): its set-up is a cost of every call."""
+    code = (
+        "import quatlef.cli, sys;"
+        " print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

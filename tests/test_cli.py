@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatlef import finitegrp, numberfield
+from quatlef import finitegrp, numberfield, verify
+from quatlef.errors import InvariantError
 from quatlef.cli import _FLAGS, _csv_text, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -649,6 +650,23 @@ def test_verify_detects_tampered_constant(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["verify", "--suite", "finite-orders"])
     assert code == 1
     assert "FAIL [finite-orders] sp_order(2,2)" in out
+
+
+def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
+    def broken():
+        raise InvariantError("sign law violated")
+
+    monkeypatch.setitem(verify.SUITES, "lefschetz", broken)
+    argv = ["verify", "--suite", "volumes,lefschetz,binomial"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 1
+    assert out.splitlines() == [
+        "volumes: 6 passed, 0 failed",
+        "lefschetz: 0 passed, 1 failed",
+        "  FAIL [lefschetz] lefschetz: sign law violated",
+        "binomial: 60 passed, 0 failed",
+        "total: 66 passed, 1 failed",
+    ]
 
 
 # README's external descriptor of Q(sqrt5) against the native field: the
