@@ -58,8 +58,8 @@ from .numberfield import (
     Ideal,
     PrimeIdeal,
     TotallyRealField,
+    _integer_factors,
     dedekind_zeta_neg,
-    factorize,
     split_prime,
     zeta_f_positive_even_numeric,
 )
@@ -238,7 +238,7 @@ def check_torsion_necessary(level: Ideal) -> bool:
     return _passes_torsion(level.factors, split_prime(level.field, 2))
 
 
-def _passes_torsion(factors, above_two: list[PrimeIdeal]) -> bool:
+def _passes_torsion(factors, above_two: tuple[PrimeIdeal, ...]) -> bool:
     """check_torsion_necessary of a level's factors, given the primes above 2."""
     return not all(prime in above_two and exp <= prime.e for prime, exp in factors)
 
@@ -280,11 +280,11 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
 
 class _Primes:
     """The data of one request, an algebra and n over any number of levels,
-    each computed once: the primes above each rational prime, zeta_F(1-2j)
-    for j <= n, and each (norm, exponent)'s part of the closed form."""
+    each computed once: zeta_F(1-2j) for j <= n and each (norm, exponent)'s
+    part of the closed form."""
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
-        self.algebra, self.n, self.splits, self.parts = algebra, n, {}, {}
+        self.algebra, self.n, self.parts = algebra, n, {}
         self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
             # j = n first, so that the zeta caps refuse it before any row is
@@ -292,11 +292,6 @@ class _Primes:
             self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
             self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
-
-    def split(self, p: int) -> list[PrimeIdeal]:
-        if p not in self.splits:
-            self.splits[p] = split_prime(self.algebra.field, p)
-        return self.splits[p]
 
     def closed_form(self, local, two_exp: int) -> Fraction:
         """2^(-two_exp) N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the
@@ -326,9 +321,9 @@ class _Primes:
 
 def _index(algebra: QuaternionAlgebra, n: int, factors, memo: dict) -> int:
     """The index of the level of these factors; memo keeps each local factor."""
-    index = 1
+    index, ramified = 1, set(algebra.ram_finite)
     for prime, a in factors:
-        key = ("ramified" if prime in algebra.ram_finite else "split", prime.norm, a)
+        key = ("ramified" if prime in ramified else "split", prime.norm, a)
         if key not in memo:
             memo[key] = finitegrp.local_index_factor(prime.norm, key[0], n, a)
         index *= memo[key]
@@ -378,9 +373,8 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     for level in levels:
         norm = level**field.degree
-        # the factors of ideal_from_integer(field, level), in any order
-        factors = [(P, P.e * a) for p, a in factorize(level) for P in primes.split(p)]
-        if not _passes_torsion(factors, primes.split(2)):
+        factors = _integer_factors(field, level)
+        if not _passes_torsion(factors, split_prime(field, 2)):
             yield level, norm, None
             continue
         local = _local_primes(algebra, factors)

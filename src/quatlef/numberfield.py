@@ -302,53 +302,9 @@ class TotallyRealField(_Value):
         )
 
     @classmethod
-    def external(
-        cls,
-        degree: int,
-        abs_discriminant: int,
-        num_real_places: int,
-        zeta_neg: tuple[Fraction, ...] = (),
-        splitting: dict[int, list[tuple[int, int]]] | None = None,
-    ) -> "TotallyRealField":
-        if degree < 1:
-            raise ValidationError("degree must be >= 1")
-        if abs_discriminant < 1:
-            raise ValidationError("absolute discriminant must be >= 1")
-        if not 0 <= num_real_places <= degree:
-            raise ValidationError("number of real places must lie in [0, degree]")
-        zeta_neg = tuple(Fraction(v) for v in zeta_neg)
-        if num_real_places == degree:
-            for idx, value in enumerate(zeta_neg):
-                j = idx + 1
-                expected_positive = (j * degree) % 2 == 0
-                if value == 0 or (value > 0) != expected_positive:
-                    raise ValidationError(
-                        f"zeta value for j={j} must be nonzero of sign"
-                        f" (-1)^(j*degree); got {value}"
-                    )
-        table = []
-        for p, pairs in sorted((splitting or {}).items()):
-            if not is_prime(p):
-                raise ValidationError(f"splitting table key {p} is not prime")
-            pairs = tuple((int(f), int(e)) for f, e in pairs)
-            if not pairs or any(f < 1 or e < 1 for f, e in pairs):
-                raise ValidationError(f"invalid splitting data above {p}")
-            if sum(e * f for f, e in pairs) != degree:
-                raise ValidationError(
-                    f"splitting above {p} violates sum(e*f) = degree"
-                )
-            table.append((p, pairs))
-        return cls(
-            kind=_KIND_EXTERNAL,
-            degree=degree,
-            abs_discriminant=abs_discriminant,
-            num_real_places=num_real_places,
-            zeta_neg_table=zeta_neg,
-            splitting_table=tuple(table),
-        )
-
-    @classmethod
     def from_descriptor(cls, data: dict) -> "TotallyRealField":
+        """An external field from its descriptor: the shape of the dict is
+        checked, every entry converted, then the values checked."""
         if not isinstance(data, dict):
             raise ValidationError("descriptor must be a JSON object")
         unknown = set(data) - _DESCRIPTOR_KEYS
@@ -377,15 +333,44 @@ class TotallyRealField(_Value):
             )
         # an integer entry is a JSON number or text; both are read as text
         splitting = {
-            _int(str(p)): [tuple(_int(str(x)) for x in pair) for pair in pairs]
+            _int(str(p)): tuple(tuple(_int(str(x)) for x in pair) for pair in pairs)
             for p, pairs in table.items()
         }
-        return cls.external(
-            degree=_int(str(data["degree"])),
-            abs_discriminant=_int(str(data["abs_discriminant"])),
-            num_real_places=_int(str(data["num_real_places"])),
-            zeta_neg=zeta_neg,
-            splitting=splitting,
+        degree = _int(str(data["degree"]))
+        abs_discriminant = _int(str(data["abs_discriminant"]))
+        num_real_places = _int(str(data["num_real_places"]))
+        if degree < 1:
+            raise ValidationError("degree must be >= 1")
+        if abs_discriminant < 1:
+            raise ValidationError("absolute discriminant must be >= 1")
+        if not 0 <= num_real_places <= degree:
+            raise ValidationError("number of real places must lie in [0, degree]")
+        if num_real_places == degree:
+            for j, value in enumerate(zeta_neg, start=1):
+                expected_positive = (j * degree) % 2 == 0
+                if value == 0 or (value > 0) != expected_positive:
+                    raise ValidationError(
+                        f"zeta value for j={j} must be nonzero of sign"
+                        f" (-1)^(j*degree); got {value}"
+                    )
+        # keys such as "2" and "02" are one key by now, so the sort compares keys only
+        splitting_table = tuple(sorted(splitting.items()))
+        for p, pairs in splitting_table:
+            if not is_prime(p):
+                raise ValidationError(f"splitting table key {p} is not prime")
+            if not pairs or any(f < 1 or e < 1 for f, e in pairs):
+                raise ValidationError(f"invalid splitting data above {p}")
+            if sum(e * f for f, e in pairs) != degree:
+                raise ValidationError(
+                    f"splitting above {p} violates sum(e*f) = degree"
+                )
+        return cls(
+            kind=_KIND_EXTERNAL,
+            degree=degree,
+            abs_discriminant=abs_discriminant,
+            num_real_places=num_real_places,
+            zeta_neg_table=zeta_neg,
+            splitting_table=splitting_table,
         )
 
     @classmethod
@@ -417,26 +402,28 @@ def _field_from_text(text: str, digit_limit: int) -> TotallyRealField:
     return TotallyRealField.from_descriptor(_read_json(text))
 
 
-def split_prime(field: TotallyRealField, p: int) -> list[PrimeIdeal]:
-    """The primes of the field above the rational prime p."""
+@lru_cache(maxsize=None)
+def split_prime(field: TotallyRealField, p: int) -> tuple[PrimeIdeal, ...]:
+    """The primes of the field above the rational prime p, built once per
+    field and p; a refused p is not kept."""
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if field.kind == _KIND_RATIONALS:
-        return [PrimeIdeal(p)]
+        return (PrimeIdeal(p),)
     if field.kind == _KIND_QUADRATIC:
         symbol = kronecker_symbol(field.abs_discriminant, p)
         if symbol == 1:
-            return [PrimeIdeal(p, 1, 1, "a"), PrimeIdeal(p, 1, 1, "b")]
+            return (PrimeIdeal(p, 1, 1, "a"), PrimeIdeal(p, 1, 1, "b"))
         if symbol == -1:
-            return [PrimeIdeal(p, 2, 1)]
-        return [PrimeIdeal(p, 1, 2)]
+            return (PrimeIdeal(p, 2, 1),)
+        return (PrimeIdeal(p, 1, 2),)
     for q, pairs in field.splitting_table:
         if q == p:
             primes = []
             for idx, (f, e) in enumerate(pairs):
                 label = chr(ord("a") + idx) if len(pairs) > 1 else ""
                 primes.append(PrimeIdeal(p, f, e, label))
-            return primes
+            return tuple(primes)
     raise ExternalFieldError(f"prime {p} missing from the external splitting table")
 
 
@@ -491,15 +478,18 @@ class Ideal(_Value):
         return ",".join(parts)
 
 
+def _integer_factors(field: TotallyRealField, n: int) -> list[tuple[PrimeIdeal, int]]:
+    """The (P, e*a) factors of the ideal (n), for each p^a exactly dividing n."""
+    return [
+        (prime, prime.e * a) for p, a in factorize(n) for prime in split_prime(field, p)
+    ]
+
+
 def ideal_from_integer(field: TotallyRealField, n: int) -> Ideal:
     """The principal ideal generated by the rational integer n >= 2."""
     if n < 2:
         raise ValidationError("level integer must be >= 2")
-    pairs = []
-    for p, a in factorize(n):
-        for prime in split_prime(field, p):
-            pairs.append((prime, prime.e * a))
-    return Ideal(field, tuple(pairs))
+    return Ideal(field, tuple(_integer_factors(field, n)))
 
 
 # the characters of the prime discriminants -4, 8 and -8 on one period

@@ -342,7 +342,10 @@ class TestEulerChar:
             euler_char_fixed_component(HAM5, 2, ideal_from_integer(Q5, 3), SignatureClass(()))
 
     def test_complex_place_gives_zero(self):
-        field = TotallyRealField.external(4, 725, 2, (), {2: [(4, 1)], 3: [(4, 1)]})
+        field = TotallyRealField.from_descriptor({
+            "degree": 4, "abs_discriminant": 725, "num_real_places": 2,
+            "splitting": {"2": [[4, 1]], "3": [[4, 1]]},
+        })
         algebra = QuaternionAlgebra(field, (), 2)
         level = Ideal(field, ((split_prime(field, 3)[0], 1),))
         report = euler_char_fixed_component(
@@ -564,7 +567,10 @@ class TestFixedPointSpaceDim:
 
 class TestAdelicNumeric:
     def test_external_field_rejected(self):
-        field = TotallyRealField.external(2, 5, 2, (Fraction(1, 30),), {2: [(2, 1)], 3: [(2, 1)]})
+        field = TotallyRealField.from_descriptor({
+            "degree": 2, "abs_discriminant": 5, "num_real_places": 2, "zeta_neg": ["1/30"],
+            "splitting": {"2": [[2, 1]], "3": [[2, 1]]},
+        })
         algebra = QuaternionAlgebra(field, (), 2)
         level = Ideal(field, ((split_prime(field, 3)[0], 1),))
         with pytest.raises(ValidationError):

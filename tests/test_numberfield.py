@@ -1,6 +1,7 @@
 import builtins
 import json
 import math
+import re
 import sys
 import threading
 from array import array
@@ -290,6 +291,29 @@ class TestSplitting:
         with pytest.raises(ValidationError):
             split_prime(Q5, 6)
 
+    def test_primes_built_once_per_field_and_prime(self):
+        primes = split_prime(TotallyRealField.real_quadratic(5), 11)
+        assert isinstance(primes, tuple)
+        assert split_prime(TotallyRealField.real_quadratic(5), 11) is primes
+        assert ideal_from_integer(Q5, 11).factors == tuple((prime, 1) for prime in primes)
+
+    @pytest.mark.parametrize(
+        "field, p, error",
+        [
+            (Q5, 6, ValidationError),
+            (TotallyRealField.from_descriptor(
+                {"degree": 1, "abs_discriminant": 1, "num_real_places": 1,
+                 "splitting": {"2": [[1, 1]]}}
+            ), 7, ExternalFieldError),
+        ],
+    )
+    def test_refused_prime_is_never_kept(self, field, p, error):
+        kept = split_prime.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(error):
+                split_prime(field, p)
+        assert split_prime.cache_info().currsize == kept
+
     @given(st.sampled_from(SMALL_PRIMES), st.sampled_from([2, 3, 5, 7, 13]))
     def test_quadratic_ef_sums_to_two(self, p, d):
         field = TotallyRealField.real_quadratic(d)
@@ -431,7 +455,10 @@ class TestNumericZeta:
                 assert abs(got - exact) <= bound, (field, j, terms)
 
     def test_external_rejected(self):
-        ext = TotallyRealField.external(2, 5, 2, (Fraction(1, 30),), {2: [(2, 1)]})
+        ext = TotallyRealField.from_descriptor({
+            "degree": 2, "abs_discriminant": 5, "num_real_places": 2, "zeta_neg": ["1/30"],
+            "splitting": {"2": [[2, 1]]},
+        })
         with pytest.raises(ValidationError):
             zeta_f_positive_even_numeric(ext, 1, 10**4)
 
@@ -646,13 +673,45 @@ class TestExternalField:
         with pytest.raises(ValidationError, match="list of \\[f, e\\] pairs"):
             TotallyRealField.from_descriptor(bad)
 
+    @pytest.mark.parametrize(
+        "descriptor, message",
+        [
+            # every entry is converted before any value is checked
+            ({"degree": 0, "abs_discriminant": 5, "num_real_places": 0,
+              "splitting": {"2": [[1, "x"]]}}, "not an integer: 'x'"),
+            ({"degree": 2, "abs_discriminant": 0, "num_real_places": 2},
+             "absolute discriminant must be >= 1"),
+            # zeta entries are converted before the splitting's shape is checked
+            ({"degree": 2, "abs_discriminant": 5, "num_real_places": 2,
+              "zeta_neg": ["x"], "splitting": {"2": [1, 2]}}, "not a rational: 'x'"),
+            ({"degree": 0, "abs_discriminant": 0, "num_real_places": 0,
+              "zeta_neg": ["1/30"], "splitting": {"4": [[1, 1]]}}, "degree must be >= 1"),
+            ({"degree": 2, "abs_discriminant": 5, "num_real_places": 2,
+              "zeta_neg": ["-1/30"], "splitting": {"4": [[1, 1]]}},
+             "zeta value for j=1 must be nonzero of sign (-1)^(j*degree); got -1/30"),
+            ({"degree": 2, "abs_discriminant": 5, "num_real_places": 2,
+              "splitting": {"5": [[1, 1]], "4": [[2, 1]]}},
+             "splitting table key 4 is not prime"),
+            # "2" and "02" are one prime, and the pairs given last are kept
+            ({"degree": 2, "abs_discriminant": 5, "num_real_places": 2,
+              "splitting": {"2": [[2, 1]], "02": [[1, 1]]}},
+             "splitting above 2 violates sum(e*f) = degree"),
+        ],
+    )
+    def test_checks_keep_their_order(self, descriptor, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            TotallyRealField.from_descriptor(descriptor)
+
     def test_bad_zeta_sign_rejected(self):
         bad = dict(self.DESCRIPTOR, zeta_neg=["-1/30"])
         with pytest.raises(ValidationError):
             TotallyRealField.from_descriptor(bad)
 
     def test_complex_places_allowed_without_sign_check(self):
-        field = TotallyRealField.external(4, 725, 2, (), {2: [(4, 1)]})
+        field = TotallyRealField.from_descriptor({
+            "degree": 4, "abs_discriminant": 725, "num_real_places": 2,
+            "splitting": {"2": [[4, 1]]},
+        })
         assert not field.is_totally_real
 
     # from_json_file keeps the fields of the last few descriptor texts
@@ -745,7 +804,9 @@ def test_real_quadratic_validation():
 
 def test_character_of_real_quadratic_fields_only():
     assert Q2.character() == QuadraticCharacter(8)
-    ext = TotallyRealField.external(2, 5, 2)
+    ext = TotallyRealField.from_descriptor(
+        {"degree": 2, "abs_discriminant": 5, "num_real_places": 2}
+    )
     for field in (Q, ext):
         with pytest.raises(ValidationError, match="only real quadratic fields have a character"):
             field.character()

@@ -140,9 +140,8 @@ def test_table_rows_equal_the_library(capsys, spec, kind, n):
 )
 def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n):
     # the table's own calls; the algebra flags are parsed before it starts
-    calls = {"split_prime": [], "local_index_factor": [], "dedekind_zeta_neg": []}
-    for module, name in ((lefschetz, "split_prime"), (finitegrp, "local_index_factor"),
-                         (lefschetz, "dedekind_zeta_neg")):
+    calls = {"local_index_factor": [], "dedekind_zeta_neg": []}
+    for module, name in ((finitegrp, "local_index_factor"), (lefschetz, "dedekind_zeta_neg")):
         original = getattr(module, name)
 
         def counting(*args, _name=name, _original=original):
@@ -150,12 +149,14 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
             return _original(*args)
 
         monkeypatch.setattr(module, name, counting)
+    split_prime.cache_clear()
     assert main(argv) == 0
     out, _err = capsys.readouterr()
     assert out.count(",true,") == rows
     # each rational prime split once, 2 included
-    primes = [p for _field, p in calls["split_prime"]]
-    assert sorted(primes) == sorted(set(primes)) and 2 in primes
+    low, _, high = argv[argv.index("--levels") + 1].partition(":")
+    primes = {p for m in range(int(low), int(high) + 1) for p, _a in factorize(m)} | {2}
+    assert split_prime.cache_info().misses == len(primes)
     # each local_index_factor(N(P), kind, n, a) once
     index_args = calls["local_index_factor"]
     assert index_args and len(index_args) == len(set(index_args))

@@ -1,0 +1,122 @@
+"""A tampering matrix for ``quatlef verify``: each row replaces one private
+function with a wrong formula and names the verify suites that must each
+report a failed check.
+
+The rows are the tamperings T1, T2, T6 and T7 of ROADMAP's sweep. A row
+that no suite catches yet is a strict xfail naming the ROADMAP item meant
+to catch it, so that the day a suite starts to catch it the row must be
+made a plain pass. Each row runs only its suites through
+``verify.run_suites`` (not the session-cached ``verified`` fixture), and
+clears every cache a tampered value can reach before and after it runs.
+"""
+
+from itertools import cycle, islice
+from math import prod
+
+import pytest
+
+from quatlef import finitegrp, lefschetz, numberfield, verify
+
+
+def _t1_local_part(norm, js, in_level):
+    """_local_part with N^j + (-1)^(j+1) for a ramified prime off the level
+    at j >= 2."""
+    num = den = 1
+    for j in js:
+        power = norm ** (2 * j if in_level else j)
+        if in_level:
+            num *= power - 1
+        else:
+            num *= power + (-1) ** (j + 1 if j >= 2 else j)
+        den *= power
+    return num, den
+
+
+def _t2_local_part(norm, js, in_level):
+    """_local_part with N^2j in place of N^2j - 1 for a level prime at j >= 2."""
+    num = den = 1
+    for j in js:
+        power = norm ** (2 * j if in_level else j)
+        if in_level:
+            num *= power if j >= 2 else power - 1
+        else:
+            num *= power + (-1) ** j
+        den *= power
+    return num, den
+
+
+def _t6_character_table(discriminant):
+    """_character_table that keeps only the first odd prime's Legendre table
+    (and the 2-part), repeated over one period of |D|."""
+    period = abs(discriminant)
+    odd = [p for p, _e in numberfield.factorize(period) if p != 2]
+    odd_part = prod(p if p % 4 == 1 else -p for p in odd)
+    factors = [numberfield._legendre_table(p) for p in odd[:1]]
+    two_part = discriminant // odd_part
+    if two_part != 1:
+        factors.append(numberfield._TWO_PART_TABLES[two_part])
+    table = [1]
+    for factor in factors:
+        size = len(table) * len(factor)
+        table = [a * b for a, b in zip(islice(cycle(table), size), islice(cycle(factor), size))]
+    return list(islice(cycle(table), period))
+
+
+def _t7_ramified_local_order(n, q):
+    """ramified_local_order with the sign of its j = 2 term flipped."""
+    finitegrp._require_rank(n, q)
+    return q ** (n * (3 * n + 1) // 2) * prod(
+        q**j - (-1) ** j * (-1 if j == 2 else 1) for j in range(1, n + 1)
+    )
+
+
+def _clear_caches():
+    numberfield.dedekind_zeta_neg.cache_clear()
+    numberfield.gen_bernoulli.cache_clear()
+    numberfield._power_sum_state = None
+    numberfield._series_table = (0, [])
+    numberfield._series_prefixes.clear()
+
+
+@pytest.fixture
+def clean_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+# (id, module, function, replacement, suites that must each fail)
+_ROWS = [
+    pytest.param(
+        lefschetz, "_local_part", _t1_local_part,
+        ["lefschetz", "index", "decomposition", "adelic"],
+        id="T1",
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 1: no exact adelic route checks the ramified local parts",
+        ),
+    ),
+    pytest.param(
+        lefschetz, "_local_part", _t2_local_part, ["lefschetz", "signs", "adelic"], id="T2"
+    ),
+    pytest.param(
+        numberfield, "_character_table", _t6_character_table, ["zeta"],
+        id="T6",
+        marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="ROADMAP item 2: no siegel suite checks zeta over several odd primes",
+        ),
+    ),
+    pytest.param(
+        finitegrp, "ramified_local_order", _t7_ramified_local_order, ["finite-orders"],
+        id="T7",
+    ),
+]
+
+
+@pytest.mark.parametrize("module, name, replacement, suites", _ROWS)
+def test_tampering_is_caught(monkeypatch, clean_caches, module, name, replacement, suites):
+    monkeypatch.setattr(module, name, replacement)
+    results = verify.run_suites(suites)
+    failed = {suite: sum(not ok for _name, ok, _detail in results[suite]) for suite in suites}
+    assert all(failed.values()), failed
