@@ -22,7 +22,8 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
-from .exact import _digit_limit_error, _int, _read_json, format_rational, parse_rational
+from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
+                    format_rational, parse_rational)
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -234,6 +235,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             try:
                 value = int(str(value))
             except ValueError:
+                _check_digit_runs(str(value))
                 raise ValidationError(
                     f"config key {key!r} must be an integer, not {json.dumps(value)}"
                 ) from None

@@ -43,6 +43,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(str(text).strip())
     except (ValueError, ZeroDivisionError) as exc:
+        _check_digit_runs(str(text))
         raise ValidationError(f"not a rational: {text!r}") from exc
 
 
@@ -55,6 +56,15 @@ def _int(text: str) -> int:
         return int(text)
     except ValueError:
         raise ValidationError(f"not an integer: {text!r}") from None
+
+
+def _check_digit_runs(text: str) -> None:
+    """Refuse text in which one run of digits, the most that Python reads as
+    one integer, is longer than its text-to-integer limit."""
+    runs = "".join(c if c.isdigit() or c == "_" else " " for c in text).split()
+    longest = max((len(run.replace("_", "")) for run in runs), default=0)
+    if 0 < sys.get_int_max_str_digits() < longest:
+        raise _read_limit_error()
 
 
 def _read_limit_error() -> ValidationError:

@@ -8,14 +8,15 @@ The pieces, in the order they combine:
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``
   in integers, from each prime's ``_local_part``; it gives a report's
   ``m_factors``.
-* ``_Primes.closed_form`` is the one assembly of the closed form
-  ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)``: one integer
-  ratio of per-prime parts and the zeta product, each computed once per
-  request, with the sign law checked. ``lefschetz_number`` takes it at
-  ``e = r`` for a range of one level; ``_table_rows`` gives each table row
-  from its value X at ``e = 0``: the Lefschetz number ``X tr / 2^r``, each
-  component ``X / 2^(nr)`` times its binomial, and for a Fuchsian
-  ``n = 1`` row the genus, checked against ``X / 2^r``.
+* ``_closed_form`` gives a single-level report its value as the product
+  of the factors it prints, ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2)
+  prod_j M(j)`` at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for
+  a component. ``_Primes.closed_form`` is the table's kernel: the form X
+  at ``e = 0`` as one integer ratio of per-prime parts and the zeta
+  product, each computed once per request, from which ``_table_rows``
+  gives the Lefschetz number ``X tr / 2^r``, each component ``X / 2^(nr)``
+  times its binomial, and for a Fuchsian ``n = 1`` row the genus, checked
+  against ``X / 2^r``. Both check the sign law with ``_Primes.check_sign``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -40,7 +41,7 @@ The pieces, in the order they combine:
   equation.
 
 Everything is a pure function of immutable values and safe to call
-concurrently; batch evaluation may run rows in parallel.
+concurrently.
 """
 
 from __future__ import annotations
@@ -152,24 +153,20 @@ class LefschetzInput(_Value):
 class _ClosedFormReport(_Value):
     """Value of a closed form plus its factor-by-factor breakdown.
 
-    The value always equals two_power * level_norm_power * disc_power
-    * scale * prod(m_factors) exactly; when the base field has a complex
-    place every m factor is zero and zero_reason says so. A subclass
-    passes its own fields first, as one tuple; the last is its scale.
+    The value is two_power * level_norm_power * disc_power * scale
+    * prod(m_factors), computed as that product; when the base field has
+    a complex place every m factor is zero and zero_reason says so. A
+    subclass passes its own fields first, as one tuple.
     """
 
     __slots__ = ("value", "n", "two_power", "level_norm_power", "disc_power",
                  "m_factors", "warnings", "zero_reason")
 
-    def __init__(self, scale: tuple, /, *, value: Fraction, n: int, two_power: Fraction,
+    def __init__(self, own: tuple, /, *, value: Fraction, n: int, two_power: Fraction,
                  level_norm_power: int, disc_power: int, m_factors: tuple[Fraction, ...],
                  warnings: tuple[str, ...] = (), zero_reason: str | None = None) -> None:
         self._set((value, n, two_power, level_norm_power, disc_power, m_factors,
-                   warnings, zero_reason, *scale))
-
-    def factor_product(self) -> Fraction:
-        start = self.two_power * self.level_norm_power * self.disc_power * self._values[-1]
-        return prod(self.m_factors, start=start)
+                   warnings, zero_reason, *own))
 
 
 class LefschetzReport(_ClosedFormReport):
@@ -293,14 +290,14 @@ class _Primes:
             self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
 
-    def closed_form(self, local, two_exp: int) -> Fraction:
-        """2^(-two_exp) N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the
-        level L of these _local_primes, as one integer ratio reduced once;
-        zero with a complex place, else checked to have sign (-1)^(s n(n+1)/2)."""
-        algebra, n, parts = self.algebra, self.n, self.parts
-        if not algebra.field.is_totally_real:
+    def closed_form(self, local) -> Fraction:
+        """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of
+        these _local_primes, as one integer ratio reduced once; zero with a
+        complex place, else sign-checked."""
+        n, parts = self.n, self.parts
+        if not self.algebra.field.is_totally_real:
             return Fraction(0)
-        num, den = self.num, self.den << two_exp
+        num, den = self.num, self.den
         for prime, a in local:
             norm = prime.norm
             part = parts.get((norm, a))
@@ -309,14 +306,17 @@ class _Primes:
                 part = parts[norm, a] = (part_num * norm ** (a * n * (2 * n + 1)), part_den)
             num *= part[0]
             den *= part[1]
-        expected_sign = (-1) ** (algebra.s * n * (n + 1) // 2)
-        # every factor of den is positive, so num carries the sign
-        if num == 0 or (num > 0) != (expected_sign > 0):
+        return self.check_sign(Fraction(num, den))
+
+    def check_sign(self, value: Fraction) -> Fraction:
+        """value, checked to have the sign (-1)^(s n(n+1)/2) of the closed form."""
+        expected_sign = (-1) ** (self.algebra.s * self.n * (self.n + 1) // 2)
+        if value == 0 or (value > 0) != (expected_sign > 0):
             raise InvariantError(
-                f"sign law violated: closed-form product {Fraction(num, den)},"
+                f"sign law violated: closed-form product {value},"
                 f" expected sign {expected_sign}"
             )
-        return Fraction(num, den)
+        return value
 
 
 def _index(algebra: QuaternionAlgebra, n: int, factors, memo: dict) -> int:
@@ -333,8 +333,9 @@ def _index(algebra: QuaternionAlgebra, n: int, factors, memo: dict) -> int:
 def _closed_form(
     algebra: QuaternionAlgebra, n: int, level: Ideal, override: bool, two_exp: int
 ) -> tuple[dict, Fraction]:
-    """One level's closed form, a range of one, before scaling, and the report
-    fields of both types, past the torsion gate (override: assume_torsion_free)."""
+    """The report fields of both types for one level, past the torsion gate
+    (override: assume_torsion_free), and the value before scaling: the
+    product of the factors, sign-checked."""
     if check_torsion_necessary(level):
         warnings = (WARN_TORSION_UNVERIFIED,)
     elif override:
@@ -344,22 +345,20 @@ def _closed_form(
             "level divides (2), so the congruence group has 2-torsion;"
             " pass assume_torsion_free to evaluate the formula anyway"
         )
-    primes, local = _Primes(algebra, n), _local_primes(algebra, level.factors)
-    value = primes.closed_form(local, two_exp)
+    # built first, so that the zeta caps refuse j = n before any factor
+    primes = _Primes(algebra, n)
     real = algebra.field.is_totally_real
-    shared = dict(
-        n=n,
-        two_power=Fraction(1, 2**two_exp),
-        level_norm_power=level.norm() ** (n * (2 * n + 1)),
-        disc_power=primes.disc_power,
-        m_factors=tuple(
-            m_factor(j, level, algebra) if real else Fraction(0)
-            for j in range(1, n + 1)
-        ),
-        warnings=warnings,
-        zero_reason=None if real else ZERO_COMPLEX_PLACE,
+    level_norm_power = level.norm() ** (n * (2 * n + 1))
+    m_factors = tuple(
+        m_factor(j, level, algebra) if real else Fraction(0) for j in range(1, n + 1)
     )
-    return shared, value
+    # the product of the printed factors, in integers and reduced once
+    num = prod([m.numerator for m in m_factors], start=level_norm_power * primes.disc_power)
+    value = Fraction(num, prod([m.denominator for m in m_factors]) << two_exp)
+    shared = dict(n=n, two_power=Fraction(1, 2**two_exp), level_norm_power=level_norm_power,
+                  disc_power=primes.disc_power, m_factors=m_factors, warnings=warnings,
+                  zero_reason=None if real else ZERO_COMPLEX_PLACE)
+    return shared, primes.check_sign(value) if real else value
 
 
 def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Fraction):
@@ -378,7 +377,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
             yield level, norm, None
             continue
         local = _local_primes(algebra, factors)
-        unit = primes.closed_form(local, 0)
+        unit = primes.closed_form(local)
         component = unit / 2 ** (n * algebra.r)
         texts = {b: format_rational(component * b) for b in dict.fromkeys(binomials)}
         genus = None

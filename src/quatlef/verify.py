@@ -5,8 +5,10 @@ pin the closed forms against independent routes: exhaustive enumeration
 for the finite group orders and indices, the functional equation between
 exact negative zeta values and truncated series at positive even
 integers, and the floating-point mass-formula path against the exact
-Euler characteristics. The component decomposition scales one closed form
-by each class's binomial, so it checks only the binomial identity.
+Euler characteristics. ``decomposition`` compares every component's Euler
+characteristic with the exact adelic mass formula (Harder's Gauss-Bonnet
+theorem in the paper's adelic form), which shares only zeta_F(1-2j) with
+the closed form.
 """
 
 from __future__ import annotations
@@ -363,22 +365,46 @@ def suite_binomial() -> list[Check]:
     return checks
 
 
+def _exact_mass_formula(algebra, n: int, level, cls: SignatureClass) -> Fraction:
+    """The mass formula of euler_char_adelic_numeric in exact arithmetic, for
+    a totally real field of degree g. The functional equation gives zeta_F(2j)
+    as (-1)^(jg) zeta_F(1-2j) (2^(2j) / (2 (2j-1)!))^g times
+    pi^(2jg) |d_F|^(-(4j-1)/2); over j <= n those powers of pi cancel the
+    volume's pi^(g n(n+1)), and those of |d_F| the formula's |d_F|^(d/2)."""
+    field, d = algebra.field, n * (2 * n + 1)
+    g = field.degree
+    dim = lefschetz.fixed_point_space_dim(algebra, n, cls)
+    value = Fraction((-1) ** (dim // 2) * lefschetz.weyl_quotient(n, algebra.s, cls))
+    value /= lefschetz.vol_sp_compact(n).coeff ** g
+    value *= level.norm() ** d / lefschetz.global_modulus_factor(algebra, n)
+    for prime, _exp in level.factors:
+        value *= Fraction(finitegrp.sp_order(n, prime.norm), prime.norm**d)
+    for prime in algebra.ram_finite:
+        if level.valuation(prime) == 0:
+            q = prime.norm
+            value *= Fraction(finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q))
+    for j in range(1, n + 1):
+        gamma = Fraction(2 ** (2 * j), 2 * factorial(2 * j - 1)) ** g
+        value *= (-1) ** (j * g) * dedekind_zeta_neg(field, j) * gamma
+    return value
+
+
 def suite_decomposition() -> list[Check]:
     grid = decomposition_grid()
     failures = []
     for inp in grid:
-        closed = lefschetz_number(inp).value
-        summed = lefschetz_via_decomposition(inp)
-        if closed != summed:
-            failures.append(f"{inp}: {closed} != {summed}")
-    checks = [
+        for report in euler_char_components(inp.algebra, inp.n, inp.level):
+            cls = report.signature_class
+            exact = _exact_mass_formula(inp.algebra, inp.n, inp.level, cls)
+            if report.value != exact:
+                failures.append(f"{inp} class {cls}: {report.value} != {exact}")
+    return [
         (
-            f"decomposition identity on {len(grid)} inputs",
+            f"components = exact mass formula on {len(grid)} inputs",
             not failures and len(grid) >= 50,
             "; ".join(failures[:3]) or f"{len(grid)} inputs, all equal",
         )
     ]
-    return checks
 
 
 def suite_signs() -> list[Check]:

@@ -887,6 +887,41 @@ _FUZZ_CONFIG = st.none() | st.lists(
 ).map(dict)
 
 
+def test_over_long_integer_text_refused_in_one_short_line(capsys, tmp_path):
+    """A 4,400-digit integer in a rational or a config integer gets the
+    read-limit line, not an error that repeats the whole input."""
+    big = "9" * 4400
+    refusal = [
+        "error: an input integer has more than 4300 digits,"
+        " the limit for reading an integer from text"
+    ]
+    config = tmp_path / "cfg.json"
+    descriptor = tmp_path / "field.json"
+    descriptor.write_text(json.dumps({
+        "degree": 1, "abs_discriminant": 1, "num_real_places": 1, "zeta_neg": [big],
+    }), encoding="utf-8")
+    lefschetz = ["lefschetz", "--field", "q", "--split", "--level", "3"]
+    requests = [
+        ([*lefschetz, "--n", "1", "--trace-w", big], None),
+        ([*lefschetz, "--n", "1", "--trace-w", f"{big}/7"], None),
+        ([*lefschetz, "--n", "1", "--config", str(config)], {"trace_w": big}),
+        ([*lefschetz, "--config", str(config)], {"n": big}),
+        (["zeta", "--field", f"external:{descriptor}", "--jmax", "1"], None),
+    ]
+    for argv, data in requests:
+        if data is not None:
+            config.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out, err.splitlines()) == (2, "", refusal), argv
+    # parts each within the limit still parse, and a non-integer keeps its message
+    half = "9" * 4300
+    code, out, _ = run_cli(capsys, [*lefschetz, "--n", "1", "--trace-w", f"{half}/{half}"])
+    assert code == 0 and '"trace_w": "1"' in out
+    config.write_text(json.dumps({"n": 1.5}), encoding="utf-8")
+    code, _, err = run_cli(capsys, [*lefschetz, "--config", str(config)])
+    assert (code, err.splitlines()) == (2, ["error: config key 'n' must be an integer, not 1.5"])
+
+
 @pytest.fixture(scope="module")
 def fuzz_config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"

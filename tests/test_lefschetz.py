@@ -53,6 +53,12 @@ def level_q(n):
     return ideal_from_integer(Q, n)
 
 
+def _factor_product(report, scale):
+    """two_power * level_norm_power * disc_power * scale * prod(m_factors)."""
+    start = report.two_power * report.level_norm_power * report.disc_power * scale
+    return prod(report.m_factors, start=start)
+
+
 class TestTorsionCheck:
     def test_level_two_fails(self):
         assert check_torsion_necessary(level_q(2)) is False
@@ -185,8 +191,9 @@ class TestLefschetzNumber:
             assert report.value == -20 * trace
 
     def test_report_value_equals_factor_product(self):
-        """The value comes from _Primes.closed_form and the factors from
-        m_factor, one per j: two computations that must agree."""
+        """A report's value is the product of its factors; the table's kernel
+        _Primes.closed_form, one integer ratio of per-prime parts, must give
+        the same value for the same level."""
         inputs = decomposition_grid()
         for algebra, n, lvl in ((SPLIT, 1, 3), (RAM23, 1, 5), (SPLIT, 3, 5)):
             inputs.append(LefschetzInput(Q, algebra, n, level_q(lvl)))
@@ -207,12 +214,32 @@ class TestLefschetzNumber:
             report = lefschetz_number(LefschetzInput(
                 inp.field, inp.algebra, inp.n, inp.level, Fraction(5, 3), inp.assume_torsion_free
             ))
-            assert report.value == report.factor_product(), inp
+            primes = lefschetz._Primes(inp.algebra, inp.n)
+            local = lefschetz._local_primes(inp.algebra, inp.level.factors)
+            table = primes.closed_form(local) / 2**inp.algebra.r * Fraction(5, 3)
+            assert report.value == table == _factor_product(report, report.trace_w), inp
             assert len(report.m_factors) == inp.n
             real = inp.field.is_totally_real
             assert (report.value != 0) is real
             assert (report.zero_reason is None) is real
         assert [inp.field.is_totally_real for inp in inputs].count(False) == 1
+
+    def test_single_level_reports_skip_the_table_kernel(self, monkeypatch):
+        """Only the table calls _Primes.closed_form: a single-level report is
+        the product of its own factors."""
+        def refused(*args):
+            raise AssertionError("single-level path called the table kernel")
+
+        monkeypatch.setattr(lefschetz._Primes, "closed_form", refused)
+        inp = LefschetzInput(Q, RAM23, 1, level_q(5), trace_w=Fraction(3))
+        assert lefschetz_number(inp).value == -60
+        assert betti_lower_bound(inp) == 20
+        assert genus_fuchsian(RAM23, level_q(5)).genus == 11
+        level3, cls = ideal_from_integer(Q5, 3), SignatureClass(((2, 0), (2, 0)))
+        assert euler_char_fixed_component(HAM5, 2, level3, cls).value == 119556
+        assert [r.value for r in euler_char_components(HAM5, 2, level3)] == [119556] * 4
+        with pytest.raises(AssertionError, match="table kernel"):
+            lefschetz._Primes(SPLIT, 1).closed_form([])
 
     def test_totally_definite_needs_n_at_least_2(self):
         with pytest.raises(ValidationError):
@@ -326,7 +353,7 @@ class TestEulerChar:
         cls = SignatureClass(((2, 0), (2, 0)))
         report = euler_char_fixed_component(HAM5, 2, level3, cls)
         assert report.value == 119556
-        assert report.factor_product() == report.value
+        assert _factor_product(report, report.binomial_factor) == report.value
         assert report.binomial_factor == 1
 
     def test_all_four_classes_equal_here(self):
@@ -387,7 +414,7 @@ def _assert_components_match(algebra, n, level, assume_torsion_free=False):
             assert getattr(got, name) == getattr(want, name), name
         cls = got.signature_class
         assert got.binomial_factor == prod(comb(n, p) for p, _q in cls), str(cls)
-        assert got.value == got.factor_product()
+        assert got.value == _factor_product(got, got.binomial_factor)
     return batch
 
 

@@ -250,20 +250,29 @@ def test_power_sums_conductor_one(monkeypatch):
 
 
 def test_gen_bernoulli_matches_sympy_polynomials():
+    """B_{k,chi} with both the Bernoulli polynomials and the character values
+    taken from sympy, over the small characters and conductors with three
+    odd primes."""
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
+    characters = [*SMALL_CHARACTERS, *map(QuadraticCharacter, (105, 165, -195, -231, -420))]
+    values = {
+        chi: [int(sympy.kronecker_symbol(chi.fundamental_discriminant, a))
+              for a in range(1, chi.conductor + 1)]
+        for chi in characters
+    }
     # k >= 2 only: sympy's B_1 is +1/2, but its B_k(x) for k >= 2 is the usual one
     for k in range(2, 11):
         # B_k(x) = (1/den) * sum_j num[j] x^j with integer num[j]
         poly = sympy.Poly(sympy.bernoulli(k, x), x)
         den = int(sympy.ilcm(*[c.q for c in poly.all_coeffs()]))
         num = [int(c * den) for c in reversed(poly.all_coeffs())]
-        for chi in SMALL_CHARACTERS:
+        for chi in characters:
             f = chi.conductor
             # f^k * B_k(a/f) * den = sum_j num[j] a^j f^(k-j), an integer
             total = sum(
-                chi(a) * sum(c * a**j * f ** (k - j) for j, c in enumerate(num))
-                for a in range(1, f + 1)
+                value * sum(c * a**j * f ** (k - j) for j, c in enumerate(num))
+                for a, value in enumerate(values[chi], start=1)
             )
             assert gen_bernoulli(k, chi) == Fraction(total, den * f), (chi, k)
 

@@ -1,8 +1,9 @@
 """``quatlef table`` against the library and against a per-row oracle.
 
 A table assembles each row from per-prime data computed once per request
-(``lefschetz._Primes``); the library functions assemble one level the same
-way. Every column must still equal what ``lefschetz_number``,
+(``lefschetz._Primes.closed_form``, the table's kernel); the library
+functions give one level as the product of the factors their reports
+print. Every column must still equal what ``lefschetz_number``,
 ``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
 for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.

@@ -2,14 +2,18 @@
 function with a wrong formula and names the verify suites that must each
 report a failed check.
 
-The rows are the tamperings T1, T2, T6 and T7 of ROADMAP's sweep. A row
-that no suite catches yet is a strict xfail naming the ROADMAP item meant
-to catch it, so that the day a suite starts to catch it the row must be
-made a plain pass. Each row runs only its suites through
-``verify.run_suites`` (not the session-cached ``verified`` fixture), and
-clears every cache a tampered value can reach before and after it runs.
+The rows are the tamperings T1-T7 of ROADMAP's sweep. T3, T4 and T5 change
+an inline factor of the single-level closed form, so they replace
+``lefschetz._closed_form`` with a wrapper that changes one returned report
+field and the value by the same factor. A row that no suite catches yet
+(T6) is a strict xfail naming the ROADMAP item meant to catch it, so that
+the day a suite starts to catch it the row must be made a plain pass. Each
+row runs only its suites through ``verify.run_suites`` (not the
+session-cached ``verified`` fixture), and clears every cache a tampered
+value can reach before and after it runs.
 """
 
+from fractions import Fraction
 from itertools import cycle, islice
 from math import prod
 
@@ -43,6 +47,35 @@ def _t2_local_part(norm, js, in_level):
             num *= power + (-1) ** j
         den *= power
     return num, den
+
+
+def _tampered_closed_form(change):
+    """lefschetz._closed_form with change(algebra, n, level) -> (field, factor)
+    applied to a returned report field and to the returned value."""
+    original = lefschetz._closed_form
+
+    def tampered(algebra, n, level, override, two_exp):
+        shared, value = original(algebra, n, level, override, two_exp)
+        field, factor = change(algebra, n, level)
+        shared[field] *= factor
+        return shared, value * factor
+
+    return tampered
+
+
+def _t3_change(algebra, n, level):
+    """The level-norm exponent n(2n+1) + 1 for n >= 2."""
+    return "level_norm_power", level.norm() if n >= 2 else 1
+
+
+def _t4_change(algebra, n, level):
+    """One extra power of 2 in the denominator for n >= 2 and r > 0."""
+    return "two_power", Fraction(1, 2) if n >= 2 and algebra.r > 0 else 1
+
+
+def _t5_change(algebra, n, level):
+    """The d(D) exponent n(n+1)/2 + 1 for n >= 3."""
+    return "disc_power", algebra.signed_reduced_discriminant() if n >= 3 else 1
 
 
 def _t6_character_table(discriminant):
@@ -87,17 +120,22 @@ def clean_caches():
 
 # (id, module, function, replacement, suites that must each fail)
 _ROWS = [
+    pytest.param(lefschetz, "_local_part", _t1_local_part, ["decomposition"], id="T1"),
     pytest.param(
-        lefschetz, "_local_part", _t1_local_part,
-        ["lefschetz", "index", "decomposition", "adelic"],
-        id="T1",
-        marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP item 1: no exact adelic route checks the ramified local parts",
-        ),
+        lefschetz, "_local_part", _t2_local_part,
+        ["lefschetz", "decomposition", "signs", "adelic"], id="T2",
     ),
     pytest.param(
-        lefschetz, "_local_part", _t2_local_part, ["lefschetz", "signs", "adelic"], id="T2"
+        lefschetz, "_closed_form", _tampered_closed_form(_t3_change),
+        ["lefschetz", "decomposition", "adelic"], id="T3",
+    ),
+    pytest.param(
+        lefschetz, "_closed_form", _tampered_closed_form(_t4_change),
+        ["lefschetz", "decomposition", "adelic"], id="T4",
+    ),
+    pytest.param(
+        lefschetz, "_closed_form", _tampered_closed_form(_t5_change),
+        ["decomposition", "signs"], id="T5",
     ),
     pytest.param(
         numberfield, "_character_table", _t6_character_table, ["zeta"],
@@ -108,8 +146,8 @@ _ROWS = [
         ),
     ),
     pytest.param(
-        finitegrp, "ramified_local_order", _t7_ramified_local_order, ["finite-orders"],
-        id="T7",
+        finitegrp, "ramified_local_order", _t7_ramified_local_order,
+        ["finite-orders", "decomposition"], id="T7",
     ),
 ]
 
