@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
 from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
-                    format_rational, parse_rational)
+                    _read_limit_error, format_rational, parse_rational)
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -50,6 +50,16 @@ _TABLE_ROW_CAP = 10**4
 _WITH_ALGEBRA = ("lefschetz", "euler-char", "index", "genus", "table")
 _WITH_FIELD = ("zeta", *_WITH_ALGEBRA)
 
+
+def _int_flag(text: str) -> int:
+    """int(text), but text longer than Python reads is refused in one line."""
+    if 0 < sys.get_int_max_str_digits() < sum(map(str.isdigit, text)):
+        raise argparse.ArgumentTypeError(str(_read_limit_error()))
+    return int(text)
+
+
+_int_flag.__name__ = "int"  # named in argparse's "invalid int value: '1.5'"
+
 # Every flag once, in usage order: (subcommands, flag, argparse keywords).
 # Each flag but --config is also a config key, checked against the same
 # keywords. Every default is None, so that a config value fills any flag not
@@ -64,10 +74,10 @@ _FLAGS = (
     (_WITH_ALGEBRA, "--split", dict(action="store_true", default=None,
                                     help="the split (matrix) algebra")),
     (_WITH_ALGEBRA, "--hilbert", dict(help="presentation a,b over Q (i^2=a, j^2=b)")),
-    (_WITH_ALGEBRA, "--ram-real", dict(type=int, help="ramified real place count")),
-    (("zeta",), "--jmax", dict(type=int, required=True)),
+    (_WITH_ALGEBRA, "--ram-real", dict(type=_int_flag, help="ramified real place count")),
+    (("zeta",), "--jmax", dict(type=_int_flag, required=True)),
     (("lefschetz", "euler-char", "index", "table"), "--n",
-     dict(type=int, required=True)),
+     dict(type=_int_flag, required=True)),
     (("lefschetz", "euler-char", "index", "genus"), "--level", dict(required=True)),
     (("table",), "--levels", dict(required=True, help="inclusive integer range lo:hi")),
     (("zeta", "lefschetz", "euler-char", "index", "genus"), "--format",
@@ -78,7 +88,7 @@ _FLAGS = (
     (("euler-char",), "--signature",
      dict(help="semicolon list of p,q pairs, one per place")),
     (("euler-char",), "--adelic-terms",
-     dict(type=int, help="include the floating-point mass-formula cross-check")),
+     dict(type=_int_flag, help="include the floating-point mass-formula cross-check")),
     (("genus",), "--weights", dict(help="comma list of even weights")),
     (("verify",), "--suite", dict(help="comma list of suite names")),
 )
@@ -230,7 +240,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             raise ValidationError(
                 f"config key {key!r} must be true or false, not {json.dumps(value)}"
             )
-        elif spec.get("type") is int:
+        elif spec.get("type") is _int_flag:
             # the flag's own conversion of its text: 1.5 and true are rejected
             try:
                 value = int(str(value))

@@ -17,7 +17,7 @@ import json
 import sys
 import threading
 from fractions import Fraction
-from math import comb, pi
+from math import comb, gcd, pi
 
 from .errors import ValidationError
 
@@ -96,9 +96,18 @@ def format_rational(value: Fraction | int) -> str:
     """Render an exact rational as ``"p/q"``, or just ``"p"`` when integral.
     A value beyond the digit limit of Python's integer-to-text conversion
     raises ValidationError."""
-    value = Fraction(value)
+    return _ratio_text(*Fraction(value).as_integer_ratio())
+
+
+def _ratio_text(num: int, den: int, scale_num=1, scale_den=1, shift=0) -> str:
+    """format_rational of num/den * scale_num/scale_den / 2^shift, both ratios in
+    lowest terms with positive denominators, reduced by cross gcds and shifts."""
+    g, h = gcd(num, scale_den), gcd(scale_num, den)
+    num, den = num // g * (scale_num // h), den // h * (scale_den // g)
+    k = min((num & -num).bit_length() - 1, shift) if num else shift
+    num, den = num >> k, den << (shift - k)
     try:
-        return str(value)
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise _digit_limit_error() from None
 

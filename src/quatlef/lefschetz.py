@@ -11,12 +11,12 @@ The pieces, in the order they combine:
 * ``_closed_form`` gives a single-level report its value as the product
   of the factors it prints, ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2)
   prod_j M(j)`` at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for
-  a component. ``_Primes.closed_form`` is the table's kernel: the form X
-  at ``e = 0`` as one integer ratio of per-prime parts and the zeta
-  product, each computed once per request, from which ``_table_rows``
-  gives the Lefschetz number ``X tr / 2^r``, each component ``X / 2^(nr)``
-  times its binomial, and for a Fuchsian ``n = 1`` row the genus, checked
-  against ``X / 2^r``. Both check the sign law with ``_Primes.check_sign``.
+  a component. ``_Primes.closed_form``, the table's kernel, gives the form
+  X at ``e = 0`` in integers, ``num/den`` reduced once from per-prime parts
+  and a zeta product kept per request, and checks the sign law on ``num``
+  against a sign fixed per request. ``_table_rows`` prints from it, by
+  ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
+  component ``X b / 2^(nr)``, and checks a Fuchsian row's genus on ``X / 2^r``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -48,11 +48,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, isfinite, prod
+from math import comb, factorial, gcd, isfinite, prod
 
 from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
-from .exact import SymbolicScalar, _Value, format_rational
+from .exact import SymbolicScalar, _ratio_text, _Value
 from .numberfield import (
     _MAX_SERIES_TERMS,
     _MAX_ZETA_INDEX,
@@ -277,26 +277,27 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
 
 class _Primes:
     """The data of one request, an algebra and n over any number of levels,
-    each computed once: zeta_F(1-2j) for j <= n and each (norm, exponent)'s
-    part of the closed form."""
+    each computed once: zeta_F(1-2j) for j <= n, the sign (-1)^(s n(n+1)/2)
+    and each (norm, exponent)'s part of the closed form."""
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
-        self.algebra, self.n, self.parts = algebra, n, {}
+        self.algebra, self.n, self.parts, self.sign = algebra, n, {}, 0
         self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
+            self.sign = (-1) ** (algebra.s * n * (n + 1) // 2)
             # j = n first, so that the zeta caps refuse it before any row is
             # built, and so that one pass of power sums serves every smaller j
             self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
             self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
 
-    def closed_form(self, local) -> Fraction:
+    def closed_form(self, local) -> tuple[int, int]:
         """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of
-        these _local_primes, as one integer ratio reduced once; zero with a
-        complex place, else sign-checked."""
+        these _local_primes, as (num, den) reduced once, den > 0; (0, 1)
+        with a complex place, else sign-checked."""
         n, parts = self.n, self.parts
         if not self.algebra.field.is_totally_real:
-            return Fraction(0)
+            return 0, 1
         num, den = self.num, self.den
         for prime, a in local:
             norm = prime.norm
@@ -306,22 +307,22 @@ class _Primes:
                 part = parts[norm, a] = (part_num * norm ** (a * n * (2 * n + 1)), part_den)
             num *= part[0]
             den *= part[1]
-        return self.check_sign(Fraction(num, den))
+        g = gcd(num, den)
+        return self.check_sign(num // g, den // g)
 
-    def check_sign(self, value: Fraction) -> Fraction:
-        """value, checked to have the sign (-1)^(s n(n+1)/2) of the closed form."""
-        expected_sign = (-1) ** (self.algebra.s * self.n * (self.n + 1) // 2)
-        if value == 0 or (value > 0) != (expected_sign > 0):
+    def check_sign(self, num: int, den: int) -> tuple[int, int]:
+        """(num, den), checked to have the closed form's sign, 0 off a totally real field."""
+        if (num > 0) - (num < 0) != self.sign:
             raise InvariantError(
-                f"sign law violated: closed-form product {value},"
-                f" expected sign {expected_sign}"
+                f"sign law violated: closed-form product {_ratio_text(num, den)},"
+                f" expected sign {self.sign}"
             )
-        return value
+        return num, den
 
 
-def _index(algebra: QuaternionAlgebra, n: int, factors, memo: dict) -> int:
+def _index(ramified, n: int, factors, memo: dict) -> int:
     """The index of the level of these factors; memo keeps each local factor."""
-    index, ramified = 1, set(algebra.ram_finite)
+    index = 1
     for prime, a in factors:
         key = ("ramified" if prime in ramified else "split", prime.norm, a)
         if key not in memo:
@@ -358,7 +359,8 @@ def _closed_form(
     shared = dict(n=n, two_power=Fraction(1, 2**two_exp), level_norm_power=level_norm_power,
                   disc_power=primes.disc_power, m_factors=m_factors, warnings=warnings,
                   zero_reason=None if real else ZERO_COMPLEX_PLACE)
-    return shared, primes.check_sign(value) if real else value
+    primes.check_sign(value.numerator, value.denominator)
+    return shared, value
 
 
 def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Fraction):
@@ -368,24 +370,28 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     condition, else the index and the text of each closed-form column."""
     _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    primes, indices, field = _Primes(algebra, n), {}, algebra.field
+    primes, indices, field, r = _Primes(algebra, n), {}, algebra.field, algebra.r
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
+    distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
+    trace_num, trace_den = trace_w.as_integer_ratio()
+    above_two = ()
     for level in levels:
         norm = level**field.degree
         factors = _integer_factors(field, level)
-        if not _passes_torsion(factors, split_prime(field, 2)):
+        # after the first row's own primes, which a descriptor may lack first
+        above_two = above_two or split_prime(field, 2)
+        if not _passes_torsion(factors, above_two):
             yield level, norm, None
             continue
         local = _local_primes(algebra, factors)
-        unit = primes.closed_form(local)
-        component = unit / 2 ** (n * algebra.r)
-        texts = {b: format_rational(component * b) for b in dict.fromkeys(binomials)}
+        num, den = primes.closed_form(local)
+        texts = {b: _ratio_text(num, den, b, 1, n * r) for b in distinct}
         genus = None
         if fuchsian:
-            genus = _checked_genus(algebra, local, component, primes.zetas[-1])
-        lefschetz = format_rational(unit * trace_w / 2**algebra.r)
+            genus = _checked_genus(algebra, local, Fraction(num, den << r), primes.zetas[-1])
+        lefschetz = _ratio_text(num, den, trace_num, trace_den, r)
         chis = "|".join(texts[b] for b in binomials)
-        yield level, norm, (_index(algebra, n, factors, indices), lefschetz, chis, genus)
+        yield level, norm, (_index(ramified, n, factors, indices), lefschetz, chis, genus)
 
 
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
@@ -532,7 +538,7 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     result is an integer by construction.
     """
     _check_level(algebra, level, n)
-    return _index(algebra, n, level.factors, {})
+    return _index(algebra.ram_finite, n, level.factors, {})
 
 
 def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatlef import finitegrp, numberfield, verify
+from quatlef import finitegrp, lefschetz, numberfield, verify
 from quatlef.errors import InvariantError
 from quatlef.cli import _FLAGS, _csv_text, main
 
@@ -806,6 +807,24 @@ def test_invariant_guard_holds_under_optimize(argv):
     assert proc.stderr.startswith("error: sign law violated")
 
 
+@pytest.mark.parametrize(
+    "levels, zeta, product",
+    [
+        ("5:5", Fraction(1, 12), "20"),
+        # level 2 fails the torsion check, so level 3 is the first closed form
+        ("2:12", Fraction(1, 12), "6"),
+        ("5:12", Fraction(1, 7), "240/7"),
+    ],
+)
+def test_table_sign_law_message(capsys, monkeypatch, levels, zeta, product):
+    """A tampered zeta product breaks the sign law in the table's integer
+    kernel: the error names the first row's closed form in lowest terms."""
+    monkeypatch.setattr(lefschetz, "dedekind_zeta_neg", lambda field, j: zeta)
+    argv = ["table", "--field", "q", "--ram", "2,3", "--n", "1", "--levels", levels]
+    message = f"error: sign law violated: closed-form product {product}, expected sign -1\n"
+    assert run_cli(capsys, argv) == (1, "", message)
+
+
 def test_no_assert_statement_in_package():
     # python -O strips assert statements, so no guard may rely on one
     for path in sorted((REPO_ROOT / "src" / "quatlef").glob("*.py")):
@@ -920,6 +939,32 @@ def test_over_long_integer_text_refused_in_one_short_line(capsys, tmp_path):
     config.write_text(json.dumps({"n": 1.5}), encoding="utf-8")
     code, _, err = run_cli(capsys, [*lefschetz, "--config", str(config)])
     assert (code, err.splitlines()) == (2, ["error: config key 'n' must be an integer, not 1.5"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--field", "q", "--jmax"],
+        ["lefschetz", "--field", "q", "--split", "--level", "3", "--n"],
+        ["index", "--field", "quad:5", "--level", "3", "--n", "1", "--ram-real"],
+        ["euler-char", "--field", "q", "--split", "--n", "1", "--level", "3", "--adelic-terms"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+def test_over_long_int_flag_refused_in_one_short_line(capsys, argv):
+    """An int flag given 4,400 digits ends in the read-limit line, not in a
+    line that repeats the whole input; a non-integer keeps argparse's line."""
+    prefix = f"quatlef {argv[0]}: error: argument {argv[-1]}: "
+    for value, message in (
+        ("9" * 4400, "an input integer has more than 4300 digits,"
+                     " the limit for reading an integer from text"),
+        ("1.5", "invalid int value: '1.5'"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, value])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err.splitlines()[-1]) == (2, "", prefix + message)
+        assert len(err) < 1000
 
 
 @pytest.fixture(scope="module")

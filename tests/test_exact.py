@@ -9,6 +9,7 @@ from quatlef.errors import ValidationError
 from quatlef.exact import (
     SymbolicScalar,
     _int,
+    _ratio_text,
     bernoulli,
     bernoulli_poly_eval,
     format_rational,
@@ -143,6 +144,12 @@ class TestRationalSerialisation:
     @given(small_rationals)
     def test_format_parse_inverse(self, q):
         assert parse_rational(format_rational(q)) == q
+
+    @given(small_rationals, small_rationals, st.integers(0, 8))
+    def test_scaled_ratio_text_is_the_reduced_product(self, x, scale, shift):
+        # the table's columns: a reduced ratio times a reduced scale over 2^shift
+        text = _ratio_text(x.numerator, x.denominator, scale.numerator, scale.denominator, shift)
+        assert text == format_rational(x * scale / 2**shift)
 
     def test_exponent_beyond_digit_limit_refused(self):
         # 1e4300 stands for a 4301-digit integer, which _int refuses typed out

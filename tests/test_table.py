@@ -1,14 +1,16 @@
 """``quatlef table`` against the library and against a per-row oracle.
 
 A table assembles each row from per-prime data computed once per request
-(``lefschetz._Primes.closed_form``, the table's kernel); the library
-functions give one level as the product of the factors their reports
-print. Every column must still equal what ``lefschetz_number``,
+(``lefschetz._Primes.closed_form``, the table's kernel), as one reduced
+integer ratio from which the Lefschetz and component columns are printed
+without a ``Fraction``; the library functions give one level as the
+product of the factors their reports print. Every column must still equal what ``lefschetz_number``,
 ``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
 for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.
 """
 
+import contextlib
 import csv
 import io
 import json
@@ -16,6 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatlef import finitegrp, lefschetz
 from quatlef.cli import main
@@ -35,7 +39,7 @@ from quatlef.numberfield import (
     ideal_from_integer,
     split_prime,
 )
-from quatlef.quaternion import QuaternionAlgebra
+from quatlef.quaternion import QuaternionAlgebra, hilbert_ramification_q
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 Q5_DESCRIPTOR = GOLDEN / "q5.json"
@@ -264,6 +268,73 @@ def test_table_equals_the_per_row_fraction_path(capsys, spec, kind, n, lo, hi):
                 "--levels", f"{first}:{last}", f"--trace-w={_ORACLE_TRACE}"]
         got += _table(capsys, argv)
     assert got == [_oracle_row(algebra, n, m, _ORACLE_TRACE) for m in levels]
+
+
+_SQUAREFREE = [d for d in range(2, 41) if all(d % (p * p) for p in (2, 3, 5))]
+
+
+@st.composite
+def _table_requests(draw):
+    """(argv, algebra, n, levels, trace) of one table over Q or Q(sqrt d),
+    d <= 40 squarefree, with a split, finitely ramified, Fuchsian or (over Q)
+    Hilbert-symbol algebra."""
+    d = draw(st.sampled_from([1, *_SQUAREFREE]))
+    field = TotallyRealField.rationals() if d == 1 else TotallyRealField.real_quadratic(d)
+    spec = "q" if d == 1 else f"quad:{d}"
+    kind = draw(st.sampled_from(["split", "finite", "fuchsian"] + ["hilbert"] * (d == 1)))
+    if kind == "hilbert":
+        a, b = draw(st.lists(st.sampled_from([-7, -3, -2, -1, 2, 3, 5, 6]), min_size=2,
+                             max_size=2, unique=True))
+        flags, algebra = [f"--hilbert={a},{b}"], hilbert_ramification_q(a, b)
+    else:
+        ram = draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 13]), min_size=2, max_size=2,
+                            unique=True))
+        # over Q(sqrt d) the Fuchsian algebra ramifies at one prime and one real place
+        ram, ram_real = {"split": ((), 0), "finite": (ram, 0)}.get(
+            kind, (ram, 0) if d == 1 else (ram[:1], 1))
+        flags = _algebra_flags(ram, ram_real)
+        algebra = QuaternionAlgebra(
+            field, tuple(split_prime(field, p)[0] for p in ram), ram_real
+        )
+    # a totally definite algebra needs n >= 2
+    n = draw(st.integers(2 if algebra.is_totally_definite() else 1, 3))
+    lo = draw(st.integers(3, 400))
+    levels = range(lo, min(400, lo + draw(st.integers(0, 19))) + 1)
+    trace = draw(st.sampled_from(["1", "2", "-1/3", "3/2", "0"]))
+    argv = ["table", "--field", spec, *flags, "--n", str(n),
+            "--levels", f"{levels[0]}:{levels[-1]}", f"--trace-w={trace}"]
+    return argv, algebra, n, levels, Fraction(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(request=_table_requests())
+def test_table_kernel_equals_the_per_row_fraction_path(request):
+    argv, algebra, n, levels, trace = request
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    _header, *rows = csv.reader(io.StringIO(out.getvalue()))
+    assert rows == [_oracle_row(algebra, n, m, trace) for m in levels]
+
+
+@pytest.mark.parametrize(
+    "levels, missing", [("11:11", 2), ("11:13", 2), ("3:3", 3), ("3:11", 3), ("13:13", 13)]
+)
+def test_table_error_order_for_a_descriptor_without_two(capsys, tmp_path, levels, missing):
+    """A descriptor that splits 11 but not 2: a table whose first row
+    factors reports the prime 2 missing, and one whose first row needs a
+    prime of its own that is missing reports that prime."""
+    descriptor = tmp_path / "field.json"
+    descriptor.write_text(json.dumps({
+        "degree": 2, "abs_discriminant": 5, "num_real_places": 2, "zeta_neg": ["1/30"],
+        "splitting": {"11": [[1, 1], [1, 1]]},
+    }), encoding="utf-8")
+    argv = ["table", "--field", f"external:{descriptor}", "--split", "--n", "1",
+            "--levels", levels]
+    assert main(argv) == 2
+    message = f"error: prime {missing} missing from the external splitting table\n"
+    assert capsys.readouterr() == ("", message)
 
 
 def test_table_at_huge_levels_equals_the_per_row_fraction_path(capsys):
