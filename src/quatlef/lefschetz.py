@@ -3,20 +3,20 @@ forms of the special linear group over a quaternion algebra.
 
 The pieces, in the order they combine:
 
-* ``m_factor`` builds the per-degree local factor
+* ``_Primes.closed_form`` is the one kernel: it gives the value of every
+  report and every table row, the closed form
+  ``X = N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)`` with
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
-  * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``
-  in integers, from each prime's ``_local_part``; it gives a report's
-  ``m_factors``.
-* ``_closed_form`` gives a single-level report its value as the product
-  of the factors it prints, ``2^(-e) N(level)^(n(2n+1)) d(D)^(n(n+1)/2)
-  prod_j M(j)`` at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for
-  a component. ``_Primes.closed_form``, the table's kernel, gives the form
-  X at ``e = 0`` in integers, ``num/den`` reduced once from per-prime parts
+  * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``, as
+  ``num/den`` in integers, reduced once from each prime's ``_local_part``
   and a zeta product kept per request, and checks the sign law on ``num``
-  against a sign fixed per request. ``_table_rows`` prints from it, by
-  ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
-  component ``X b / 2^(nr)``, and checks a Fuchsian row's genus on ``X / 2^r``.
+  against a sign fixed per request. ``_closed_form`` turns it into a
+  single-level report's value ``X / 2^e``, at ``e = r`` for
+  ``lefschetz_number`` and ``e = nr`` for a component, beside the factors
+  the report prints (``m_factor`` gives each ``M(j)``). ``_table_rows``
+  prints from it, by ``exact._ratio_text``, the Lefschetz number
+  ``X tr / 2^r`` and each component ``X b / 2^(nr)``, and checks a
+  Fuchsian row's genus on ``X / 2^r``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -153,10 +153,10 @@ class LefschetzInput(_Value):
 class _ClosedFormReport(_Value):
     """Value of a closed form plus its factor-by-factor breakdown.
 
-    The value is two_power * level_norm_power * disc_power * scale
-    * prod(m_factors), computed as that product; when the base field has
-    a complex place every m factor is zero and zero_reason says so. A
-    subclass passes its own fields first, as one tuple.
+    The value, from the kernel _Primes.closed_form, equals two_power
+    * level_norm_power * disc_power * scale * prod(m_factors); when the
+    base field has a complex place every m factor is zero and zero_reason
+    says so. A subclass passes its own fields first, as one tuple.
     """
 
     __slots__ = ("value", "n", "two_power", "level_norm_power", "disc_power",
@@ -266,6 +266,8 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
     _check_level(algebra, level)
+    if not algebra.field.is_totally_real:
+        return Fraction(0)  # zeta_F(1-2j) vanishes at a complex place
     zeta = dedekind_zeta_neg(algebra.field, j)
     num, den = zeta.numerator, zeta.denominator
     for prime, a in _local_primes(algebra, level.factors):
@@ -308,10 +310,7 @@ class _Primes:
             num *= part[0]
             den *= part[1]
         g = gcd(num, den)
-        return self.check_sign(num // g, den // g)
-
-    def check_sign(self, num: int, den: int) -> tuple[int, int]:
-        """(num, den), checked to have the closed form's sign, 0 off a totally real field."""
+        num, den = num // g, den // g
         if (num > 0) - (num < 0) != self.sign:
             raise InvariantError(
                 f"sign law violated: closed-form product {_ratio_text(num, den)},"
@@ -336,7 +335,7 @@ def _closed_form(
 ) -> tuple[dict, Fraction]:
     """The report fields of both types for one level, past the torsion gate
     (override: assume_torsion_free), and the value before scaling: the
-    product of the factors, sign-checked."""
+    kernel's closed form over 2^two_exp."""
     if check_torsion_necessary(level):
         warnings = (WARN_TORSION_UNVERIFIED,)
     elif override:
@@ -348,19 +347,14 @@ def _closed_form(
         )
     # built first, so that the zeta caps refuse j = n before any factor
     primes = _Primes(algebra, n)
-    real = algebra.field.is_totally_real
-    level_norm_power = level.norm() ** (n * (2 * n + 1))
-    m_factors = tuple(
-        m_factor(j, level, algebra) if real else Fraction(0) for j in range(1, n + 1)
-    )
-    # the product of the printed factors, in integers and reduced once
-    num = prod([m.numerator for m in m_factors], start=level_norm_power * primes.disc_power)
-    value = Fraction(num, prod([m.denominator for m in m_factors]) << two_exp)
-    shared = dict(n=n, two_power=Fraction(1, 2**two_exp), level_norm_power=level_norm_power,
-                  disc_power=primes.disc_power, m_factors=m_factors, warnings=warnings,
-                  zero_reason=None if real else ZERO_COMPLEX_PLACE)
-    primes.check_sign(value.numerator, value.denominator)
-    return shared, value
+    num, den = primes.closed_form(_local_primes(algebra, level.factors))
+    shared = dict(n=n, two_power=Fraction(1, 2**two_exp),
+                  level_norm_power=level.norm() ** (n * (2 * n + 1)),
+                  disc_power=primes.disc_power,
+                  m_factors=tuple(m_factor(j, level, algebra) for j in range(1, n + 1)),
+                  warnings=warnings,
+                  zero_reason=None if algebra.field.is_totally_real else ZERO_COMPLEX_PLACE)
+    return shared, Fraction(num, den << two_exp)
 
 
 def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Fraction):

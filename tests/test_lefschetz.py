@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from quatlef import lefschetz
 from quatlef.errors import ExternalFieldError, NotFuchsianError, TorsionError, ValidationError
+from quatlef.finitegrp import sp_order
 from quatlef.lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -139,6 +140,14 @@ class TestMFactor:
         with pytest.raises(ValidationError):
             m_factor(1, Ideal(Q), SPLIT)
 
+    def test_complex_place_gives_the_reported_zero(self):
+        """zeta_F(1-2j) vanishes when F has a complex place, so M(j) is the 0
+        that a report prints, not a missing zeta-table entry."""
+        field = TotallyRealField.from_json_file(str(GOLDEN / "imaginary.json"))
+        level, algebra = ideal_from_integer(field, 3), QuaternionAlgebra(field, (), 0)
+        assert m_factor(1, level, algebra) == 0
+        assert lefschetz_number(LefschetzInput(field, algebra, 2, level)).m_factors == (0, 0)
+
     def test_integer_local_part_equals_the_per_prime_product(self):
         # the reference multiplies one Fraction per prime, as the formula reads
         def per_prime(j, level, algebra):
@@ -224,22 +233,25 @@ class TestLefschetzNumber:
             assert (report.zero_reason is None) is real
         assert [inp.field.is_totally_real for inp in inputs].count(False) == 1
 
-    def test_single_level_reports_skip_the_table_kernel(self, monkeypatch):
-        """Only the table calls _Primes.closed_form: a single-level report is
-        the product of its own factors."""
+    def test_single_level_reports_use_the_table_kernel(self, monkeypatch):
+        """Every single-level report takes its value from _Primes.closed_form,
+        the kernel that the table prints from and quatlef verify checks."""
         def refused(*args):
             raise AssertionError("single-level path called the table kernel")
 
         monkeypatch.setattr(lefschetz._Primes, "closed_form", refused)
         inp = LefschetzInput(Q, RAM23, 1, level_q(5), trace_w=Fraction(3))
-        assert lefschetz_number(inp).value == -60
-        assert betti_lower_bound(inp) == 20
-        assert genus_fuchsian(RAM23, level_q(5)).genus == 11
         level3, cls = ideal_from_integer(Q5, 3), SignatureClass(((2, 0), (2, 0)))
-        assert euler_char_fixed_component(HAM5, 2, level3, cls).value == 119556
-        assert [r.value for r in euler_char_components(HAM5, 2, level3)] == [119556] * 4
-        with pytest.raises(AssertionError, match="table kernel"):
-            lefschetz._Primes(SPLIT, 1).closed_form([])
+        reports = [
+            lambda: lefschetz_number(inp),
+            lambda: betti_lower_bound(inp),
+            lambda: genus_fuchsian(RAM23, level_q(5)),
+            lambda: euler_char_fixed_component(HAM5, 2, level3, cls),
+            lambda: euler_char_components(HAM5, 2, level3),
+        ]
+        for report in reports:
+            with pytest.raises(AssertionError, match="table kernel"):
+                report()
 
     def test_totally_definite_needs_n_at_least_2(self):
         with pytest.raises(ValidationError):
@@ -443,6 +455,91 @@ class TestEulerCharComponents:
             euler_char_components(HAM5, 2, level2)
         with pytest.raises(TorsionError):
             _one_by_one(HAM5, 2, level2)
+
+
+def _mul(x, y):
+    """(u + v φ)(s + t φ) with φ^2 = φ + 1."""
+    (u, v), (s, t) = x, y
+    return u * s + v * t, u * t + v * s + v * t
+
+
+def _unit_count(a, b, basis, phi):
+    """|O^x| for the order O with this Z_F-basis in the totally definite
+    algebra (a, b) over F = Q(√5) when phi, else Q (a, b negative integers).
+
+    A number x of F is written 2x = u + v φ, with v = 0 over Q. A basis
+    element is given by 2x for its coordinates on 1, i, j, k (i^2 = a,
+    j^2 = b); it has none past its own place in the basis, where it has 1/2
+    or 1. nrd = x0^2 - a x1^2 - b x2^2 + ab x3^2, so norm 1 bounds both
+    conjugates of every coordinate by 1: |u + v φ| <= 2 at each real place
+    gives |v| <= 1 and |u| <= 2."""
+    coords = [(u, v) for u in range(-2, 3) for v in (range(-1, 2) if phi else (0,))]
+    weights = (1, -a, -b, a * b)
+    count = 0
+    for x in product(coords, repeat=4):
+        squares = [_mul(c, c) for c in x]
+        norm = tuple(sum(w * sq[k] for w, sq in zip(weights, squares)) for k in (0, 1))
+        if norm != (4, 0):
+            continue
+        rest = list(x)
+        for t in range(3, -1, -1):  # back-substitution on the triangular basis
+            (u, v), own = rest[t], basis[t][t][0]
+            if u % own or v % own:
+                break
+            c = (u // own, v // own)
+            rest = [(r[0] - m[0], r[1] - m[1]) for r, m in
+                    ((r, _mul(c, e)) for r, e in zip(rest, basis[t]))]
+        else:
+            count += 1
+    return count
+
+
+def _rational(*coords):
+    return tuple((c, 0) for c in coords)
+
+
+# twice the basis of a maximal order: the Hurwitz order of (-1,-1) over Q;
+# Z<1, i, (1+j)/2, (i+k)/2> in (-1,-3) over Q; and the icosians,
+# Z_F<1, i, (φ + φ^-1 i + j)/2, (1+i+j+k)/2> in (-1,-1) over Q(√5)
+HURWITZ = (-1, -1, (_rational(2, 0, 0, 0), _rational(0, 2, 0, 0),
+                    _rational(0, 0, 2, 0), _rational(1, 1, 1, 1)), False)
+ORDER_3 = (-1, -3, (_rational(2, 0, 0, 0), _rational(0, 2, 0, 0),
+                    _rational(1, 0, 1, 0), _rational(0, 1, 0, 1)), False)
+ICOSIANS = (-1, -1, (_rational(2, 0, 0, 0), _rational(0, 2, 0, 0),
+                     ((0, 1), (-1, 1), (1, 0), (0, 0)), _rational(1, 1, 1, 1)), True)
+
+
+class TestCountedOracle:
+    """A compact component counts lattice classes with level structure.
+
+    For a totally definite algebra with maximal order O and the compact
+    class (n, 0) at every real place, the component at a torsion-free prime
+    level of norm q is |Sp_n(O/level)| = sp_order(n, q) times the mass of
+    the genus of O^n (Eichler; Hashimoto and Koseki, Tohoku Math. J. 41,
+    1989). Where that genus has one class, the mass is 1/(n! |O^x|^n), so
+    the closed form must equal a count of the units of O. The count shares
+    no zeta value, power of 2 or d(D) power with the closed form."""
+
+    def test_unit_counts(self):
+        assert _unit_count(*HURWITZ) == 24
+        assert _unit_count(*ORDER_3) == 12
+        assert _unit_count(*ICOSIANS) == 120
+
+    @pytest.mark.parametrize("algebra, order, n, lvl, want", [
+        pytest.param(QuaternionAlgebra(Q, split_prime(Q, 2), 1), HURWITZ, 2, 3, 45,
+                     id="ram2-n2-level3"),
+        pytest.param(QuaternionAlgebra(Q, split_prime(Q, 2), 1), HURWITZ, 3, 3, 110565,
+                     id="ram2-n3-level3"),
+        pytest.param(QuaternionAlgebra(Q, split_prime(Q, 3), 1), ORDER_3, 2, 5, 32500,
+                     id="ram3-n2-level5"),
+        pytest.param(HAM5, ICOSIANS, 2, 3, 119556, id="icosians-n2-level3"),
+    ])
+    def test_compact_component_is_the_lattice_count(self, algebra, order, n, lvl, want):
+        level = ideal_from_integer(algebra.field, lvl)
+        compact = SignatureClass(((n, 0),) * algebra.r)
+        report = euler_char_fixed_component(algebra, n, level, compact)
+        count = Fraction(sp_order(n, level.norm()), factorial(n) * _unit_count(*order) ** n)
+        assert report.value == count == want
 
 
 class TestDecomposition:

@@ -1,10 +1,10 @@
 """``quatlef table`` against the library and against a per-row oracle.
 
 A table assembles each row from per-prime data computed once per request
-(``lefschetz._Primes.closed_form``, the table's kernel), as one reduced
+(``lefschetz._Primes.closed_form``, the closed-form kernel), as one reduced
 integer ratio from which the Lefschetz and component columns are printed
-without a ``Fraction``; the library functions give one level as the
-product of the factors their reports print. Every column must still equal what ``lefschetz_number``,
+without a ``Fraction``; the library functions take one level's value from
+the same kernel. Every column must still equal what ``lefschetz_number``,
 ``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
 for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.

@@ -2,15 +2,17 @@
 function with a wrong formula and names the verify suites that must each
 report a failed check.
 
-The rows are the tamperings T1-T7 of ROADMAP's sweep. T3, T4 and T5 change
-an inline factor of the single-level closed form, so they replace
-``lefschetz._closed_form`` with a wrapper that changes one returned report
-field and the value by the same factor. A row that no suite catches yet
-(T6) is a strict xfail naming the ROADMAP item meant to catch it, so that
-the day a suite starts to catch it the row must be made a plain pass. Each
-row runs only its suites through ``verify.run_suites`` (not the
-session-cached ``verified`` fixture), and clears every cache a tampered
-value can reach before and after it runs.
+The rows are the tamperings T1-T7 of ROADMAP's sweep, and T8. T3, T4 and T5
+change an inline factor of the single-level closed form, so they replace
+``lefschetz._closed_form``, which takes its value from the kernel
+``_Primes.closed_form``, with a wrapper that changes one returned report
+field and the value by the same factor. T8 tampers with the kernel itself,
+the one place every report's and every table row's value is assembled. A
+row that no suite catches yet (T6) is a strict xfail naming the ROADMAP
+item meant to catch it, so that the day a suite starts to catch it the row
+must be made a plain pass. Each row runs only its suites through
+``verify.run_suites`` (not the session-cached ``verified`` fixture), and
+clears every cache a tampered value can reach before and after it runs.
 """
 
 from fractions import Fraction
@@ -103,6 +105,18 @@ def _t7_ramified_local_order(n, q):
     )
 
 
+_kernel = lefschetz._Primes.closed_form
+
+
+def _t8_closed_form(self, local):
+    """_Primes.closed_form with the level-norm exponent n(2n+1) + 1 for n >= 2:
+    num times N(P)^a for each level prime."""
+    num, den = _kernel(self, local)
+    if self.n >= 2:
+        num *= prod(prime.norm**a for prime, a in local)
+    return num, den
+
+
 def _clear_caches():
     numberfield.dedekind_zeta_neg.cache_clear()
     numberfield.gen_bernoulli.cache_clear()
@@ -148,6 +162,10 @@ _ROWS = [
     pytest.param(
         finitegrp, "ramified_local_order", _t7_ramified_local_order,
         ["finite-orders", "decomposition"], id="T7",
+    ),
+    pytest.param(
+        lefschetz._Primes, "closed_form", _t8_closed_form,
+        ["lefschetz", "decomposition", "adelic"], id="T8",
     ),
 ]
 
