@@ -262,13 +262,15 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, pieces: list[str]) -> None:
+    """Write the pieces in order to the --out file, or to stdout without
+    one; each piece is handed over as it is, never joined with the rest."""
     out = getattr(args, "out", None)
     if out:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _csv_field(value) -> str:
@@ -279,9 +281,11 @@ def _csv_field(value) -> str:
 
 
 def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
-    """The CSV text of the rows, as csv.writer with a newline terminator
-    writes rows of two or more fields: None is empty, a field holding a
-    comma, a quote or a newline is quoted with its quotes doubled."""
+    """The CSV text of a key/value report's rows, as csv.writer with a
+    newline terminator writes rows of two or more fields: None is empty, a
+    field holding a comma, a quote or a newline is quoted with its quotes
+    doubled. ``table`` writes its rows itself: none of its fields needs
+    quoting."""
     try:
         return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
     except ValueError:
@@ -297,7 +301,7 @@ def _emit_report(args, payload: dict, rows: list[list], header=("key", "value"))
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         except ValueError:
             raise _digit_limit_error() from None
-    _emit(args, text)
+    _emit(args, [text])
     return 0
 
 
@@ -434,17 +438,21 @@ def _cmd_table(args) -> int:
     lo, hi = _int(lo_text), _int(hi_text or lo_text)
     if hi - lo + 1 > _TABLE_ROW_CAP:
         raise ValidationError(f"level range exceeds the {_TABLE_ROW_CAP} row cap")
-    header = "level,norm,torsion_ok,index,lefschetz,chi_components,genus,b1,note"
-    rows = []
+    # rows as pieces, each chi_components text passed on as it is; no table
+    # field holds a comma, a quote or a newline, so none is quoted
+    pieces = ["level,norm,torsion_ok,index,lefschetz,chi_components,genus,b1,note\n"]
     levels = range(max(lo, 2), hi + 1)
     for level, norm, columns in _table_rows(algebra, args.n, levels, _trace_w(args)):
-        if columns is None:
-            rows.append([level, norm, "false"] + [""] * 5 + ["torsion check failed"])
-            continue
-        index, lefschetz, chis, genus = columns
-        genus_b1 = ["", ""] if genus is None else [genus, 2 * genus]
-        rows.append([level, norm, "true", index, lefschetz, chis, *genus_b1, ""])
-    _emit(args, _csv_text(header.split(","), rows))
+        try:
+            if columns is None:
+                pieces.append(f"{level},{norm},false,,,,,,torsion check failed\n")
+                continue
+            index, lefschetz, chis, genus = columns
+            genus_b1 = "," if genus is None else f"{genus},{2 * genus}"
+            pieces += (f"{level},{norm},true,{index},{lefschetz},", chis, f",{genus_b1},\n")
+        except ValueError:
+            raise _digit_limit_error() from None
+    _emit(args, pieces)
     return 0
 
 

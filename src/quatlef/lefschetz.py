@@ -13,10 +13,13 @@ The pieces, in the order they combine:
   against a sign fixed per request. ``_closed_form`` turns it into a
   single-level report's value ``X / 2^e``, at ``e = r`` for
   ``lefschetz_number`` and ``e = nr`` for a component, beside the factors
-  the report prints (``m_factor`` gives each ``M(j)``). ``_table_rows``
-  prints from it, by ``exact._ratio_text``, the Lefschetz number
-  ``X tr / 2^r`` and each component ``X b / 2^(nr)``, and checks a
-  Fuchsian row's genus on ``X / 2^r``.
+  the report prints: each ``M(j)`` comes from the level's one
+  ``_local_primes`` list, through the helper that ``m_factor`` calls
+  after its checks. ``_table_rows`` prints from it, by
+  ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
+  distinct component ``X b / 2^(nr)`` once, joins those texts in class
+  order into the one ``chi_components`` string that the CLI writes out
+  as it is, and checks a Fuchsian row's genus on ``X / 2^r``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -266,11 +269,16 @@ def m_factor(j: int, level: Ideal, algebra: QuaternionAlgebra) -> Fraction:
     if j < 1:
         raise ValidationError("factor index j must be >= 1")
     _check_level(algebra, level)
+    return _m_factor(j, algebra, _local_primes(algebra, level.factors))
+
+
+def _m_factor(j: int, algebra: QuaternionAlgebra, local) -> Fraction:
+    """M(j) for the level of these _local_primes, past m_factor's checks."""
     if not algebra.field.is_totally_real:
         return Fraction(0)  # zeta_F(1-2j) vanishes at a complex place
     zeta = dedekind_zeta_neg(algebra.field, j)
     num, den = zeta.numerator, zeta.denominator
-    for prime, a in _local_primes(algebra, level.factors):
+    for prime, a in local:
         part_num, part_den = _local_part(prime.norm, (j,), a > 0)
         num *= part_num
         den *= part_den
@@ -323,9 +331,10 @@ def _index(ramified, n: int, factors, memo: dict) -> int:
     """The index of the level of these factors; memo keeps each local factor."""
     index = 1
     for prime, a in factors:
-        key = ("ramified" if prime in ramified else "split", prime.norm, a)
+        norm = prime.norm
+        key = ("ramified" if prime in ramified else "split", norm, a)
         if key not in memo:
-            memo[key] = finitegrp.local_index_factor(prime.norm, key[0], n, a)
+            memo[key] = finitegrp.local_index_factor(norm, key[0], n, a)
         index *= memo[key]
     return index
 
@@ -347,11 +356,12 @@ def _closed_form(
         )
     # built first, so that the zeta caps refuse j = n before any factor
     primes = _Primes(algebra, n)
-    num, den = primes.closed_form(_local_primes(algebra, level.factors))
+    local = _local_primes(algebra, level.factors)
+    num, den = primes.closed_form(local)
     shared = dict(n=n, two_power=Fraction(1, 2**two_exp),
                   level_norm_power=level.norm() ** (n * (2 * n + 1)),
                   disc_power=primes.disc_power,
-                  m_factors=tuple(m_factor(j, level, algebra) for j in range(1, n + 1)),
+                  m_factors=tuple(_m_factor(j, algebra, local) for j in range(1, n + 1)),
                   warnings=warnings,
                   zero_reason=None if algebra.field.is_totally_real else ZERO_COMPLEX_PLACE)
     return shared, Fraction(num, den << two_exp)
@@ -384,7 +394,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
         if fuchsian:
             genus = _checked_genus(algebra, local, Fraction(num, den << r), primes.zetas[-1])
         lefschetz = _ratio_text(num, den, trace_num, trace_den, r)
-        chis = "|".join(texts[b] for b in binomials)
+        chis = "|".join(map(texts.__getitem__, binomials))
         yield level, norm, (_index(ramified, n, factors, indices), lefschetz, chis, genus)
 
 
@@ -425,10 +435,14 @@ def _check_class_count(r: int, n: int) -> None:
 
 def _class_binomials(r: int, n: int) -> list[int]:
     """binomial_factor(n) of every class of h1_signature_classes(r, n), in
-    that order and under the same cap, without building the classes."""
+    that order and under the same cap, built one place at a time without
+    building the classes."""
     _check_class_count(r, n)
     per_place = [comb(n, q) for q in range(0, n + 1, 2)]
-    return [prod(c) for c in product(per_place, repeat=r)]
+    out = [1]
+    for _place in range(r):
+        out = [x * c for x in out for c in per_place]
+    return out
 
 
 def weyl_quotient(n: int, s: int, signature_class: SignatureClass) -> int:
@@ -544,8 +558,9 @@ def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> in
     num = abs(algebra.signed_reduced_discriminant() * zeta.numerator)
     den = zeta.denominator << algebra.field.degree
     for prime, a in local:
-        power = prime.norm ** (2 if a else 1)
-        num *= prime.norm ** (3 * a) * (power - 1)
+        norm = prime.norm
+        power = norm ** (2 if a else 1)
+        num *= norm ** (3 * a) * (power - 1)
         den *= power
     g = Fraction(num, den) + 1
     if g.denominator != 1:

@@ -253,6 +253,23 @@ class TestLefschetzNumber:
             with pytest.raises(AssertionError, match="table kernel"):
                 report()
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_report_lists_its_local_primes_once(self, monkeypatch, n):
+        """A report builds the level's _local_primes once and takes both its
+        value and its n printed M(j) factors from that one list."""
+        calls = []
+        original = lefschetz._local_primes
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(lefschetz, "_local_primes", counting)
+        report = lefschetz_number(LefschetzInput(Q, RAM23, n, level_q(5)))
+        assert len(calls) == 1
+        assert report.m_factors == tuple(m_factor(j, level_q(5), RAM23)
+                                         for j in range(1, n + 1))
+
     def test_totally_definite_needs_n_at_least_2(self):
         with pytest.raises(ValidationError):
             LefschetzInput(Q5, HAM5, 1, ideal_from_integer(Q5, 3))

@@ -365,3 +365,85 @@ def test_large_table_fields_read_back_under_a_raised_field_limit():
     assert len(rows) == 2
     assert all(len(row) == len(header) for row in rows)
     assert max(len(row[header.index("chi_components")]) for row in rows) > default
+
+
+# field spec -> (level ranges the field factors, largest n, algebras); level
+# 2 fails the torsion check, and n = 8 over the four real places of
+# Q(sqrt2, sqrt5) gives the 625 signature classes of the class-sum benchmark
+_WRITER_FIELDS = {
+    "q": (["2:12", "2:40"], 3, {
+        "split": ((), 0), "finite": ((3, 5), 0), "fuchsian": ((2, 3), 0),
+    }),
+    "quad:5": (["2:12", "2:30"], 3, {
+        "split": ((), 0), "finite": ((2, 3), 0), "fuchsian": ((2,), 1),
+    }),
+    "quad:10": (["2:12"], 3, {
+        "split": ((), 0), "finite": ((2, 5), 0), "fuchsian": ((3,), 1),
+    }),
+    f"external:{Q5_DESCRIPTOR}": (["2:2", "4:5", "10:11"], 2, {
+        "split": ((), 0), "finite": ((2, 5), 0), "fuchsian": ((2,), 1),
+    }),
+    f"external:{BIQUADRATIC_DESCRIPTOR}": (["2:4", "2:7"], 8, {
+        "split": ((), 0), "definite": ((), 4), "two places": ((), 2),
+    }),
+}
+
+
+@st.composite
+def _writer_requests(draw):
+    spec = draw(st.sampled_from(sorted(_WRITER_FIELDS)))
+    ranges, n_max, algebras = _WRITER_FIELDS[spec]
+    ram, ram_real = algebras[draw(st.sampled_from(sorted(algebras)))]
+    # a totally definite algebra needs n >= 2
+    n = draw(st.integers(2 if ram_real == 4 else 1, n_max))
+    levels = draw(st.sampled_from(ranges))
+    trace = draw(st.sampled_from(["1", "-1/3", "3/2", "0"]))
+    return ["table", "--field", spec, *_algebra_flags(ram, ram_real), "--n", str(n),
+            "--levels", levels, f"--trace-w={trace}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=_writer_requests())
+def test_table_bytes_equal_csv_writer(argv):
+    """The table writes its rows without quoting any field; csv.writer,
+    which quotes a field holding a comma, a quote or a newline, must write
+    the same bytes for the same rows."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    text = out.getvalue()
+    default = csv.field_size_limit(len(text))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    finally:
+        csv.field_size_limit(default)
+    assert len(rows) > 1
+    rewritten = io.StringIO()
+    csv.writer(rewritten, lineterminator="\n").writerows(rows)
+    assert rewritten.getvalue() == text
+
+
+def _golden_case(name: str) -> tuple[list[str], dict]:
+    """The argv of a golden case, fixture paths resolved, and its record."""
+    recorded = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))[name]
+    return [arg.replace("@/", f"{GOLDEN}/") for arg in recorded["argv"]], recorded
+
+
+@pytest.mark.parametrize("case", ["table-biquadratic-n8", "table-fuchsian-quad5"])
+def test_table_out_file_holds_the_stdout_bytes(capsys, tmp_path, case):
+    argv, recorded = _golden_case(case)
+    target = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert target.read_bytes() == recorded["stdout"].encode("utf-8")
+
+
+def test_table_error_writes_no_out_file(capsys, tmp_path):
+    """A row beyond the digit limit refuses the whole table: stdout stays
+    empty and the --out file is never created."""
+    argv, recorded = _golden_case("err-digit-limit-table")
+    target = tmp_path / "table.csv"
+    assert main([*argv, "--out", str(target)]) == 2
+    assert capsys.readouterr() == ("", recorded["stderr"])
+    assert not target.exists()
