@@ -4,6 +4,9 @@ Subcommands: zeta, lefschetz, euler-char, index, genus, table, verify.
 Field, algebra and level specifications mirror the library constructors.
 Each flag is declared once, in ``_FLAGS``; a JSON config file can supply
 any flag through that flag's own checks, with explicit flags winning.
+A well-formed command line is read straight from that table
+(``_read_flags``); argparse, built from the same table, parses the rest,
+so it prints every help text, usage line and syntax error.
 Exact rationals serialise as "p/q" strings everywhere; floats appear only
 in the explicitly requested numeric cross-check with a stated tolerance.
 
@@ -46,6 +49,7 @@ from .numberfield import (
 from .quaternion import QuaternionAlgebra, hilbert_ramification_q
 
 _TABLE_ROW_CAP = 10**4
+_FIELDS_KEPT = 64  # q and quad:<d> fields kept by _native_field
 
 _WITH_ALGEBRA = ("lefschetz", "euler-char", "index", "genus", "table")
 _WITH_FIELD = ("zeta", *_WITH_ALGEBRA)
@@ -105,12 +109,21 @@ _CONFIG["ram_primes"] = _CONFIG["ram"]
 
 def _parse_field(spec: str) -> TotallyRealField:
     spec = spec.strip()
+    if spec.startswith("external:"):
+        # read on every call, so that a missing or changed file is seen
+        return TotallyRealField.from_json_file(spec[len("external:") :])
+    return _native_field(spec)
+
+
+@functools.lru_cache(maxsize=_FIELDS_KEPT)
+def _native_field(spec: str) -> TotallyRealField:
+    """The field of a ``q`` or ``quad:<d>`` spec, one object per text, so
+    that the caches keyed by field find it by identity; a refused spec is
+    not kept."""
     if spec.lower() == "q":
         return TotallyRealField.rationals()
     if spec.startswith("quad:"):
         return TotallyRealField.real_quadratic(_int(spec[len("quad:") :]))
-    if spec.startswith("external:"):
-        return TotallyRealField.from_json_file(spec[len("external:") :])
     raise ValidationError(
         f"unknown field spec {spec!r}; use q, quad:<d> or external:<path>"
     )
@@ -333,7 +346,7 @@ def _payload(args, field, algebra=None, level=None, report=None, **fields) -> di
 
 
 def _trace_w(args) -> Fraction:
-    return parse_rational(args.trace_w) if args.trace_w else Fraction(1)
+    return Fraction(1) if args.trace_w is None else parse_rational(args.trace_w)
 
 
 def _cmd_zeta(args) -> int:
@@ -457,7 +470,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = args.suite.split(",") if args.suite else None
+    names = None if args.suite is None else args.suite.split(",")
     results = verify_mod.run_suites(names)
     total_pass = total_fail = 0
     for name, checks in results.items():
@@ -485,10 +498,59 @@ _COMMANDS = {
 }
 
 
+# subcommand -> {flag: its keywords}, the flags ``_read_flags`` accepts
+_COMMAND_FLAGS = {
+    name: {flag: kwargs for commands, flag, kwargs in _FLAGS if name in commands}
+    for name in _COMMANDS
+}
+
+
+def _read_flags(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives a well-formed argv, read straight from
+    the flag table; None for any other argv, which argparse then parses.
+
+    Well formed: a subcommand, then only whole flags of it; a store_true
+    flag bare; a value flag as ``--flag=value`` with a non-empty value or
+    as ``--flag value`` with a value not starting with ``-``; each value
+    passing its flag's ``type`` and ``choices``. The last occurrence of a
+    flag wins; every flag not given is None."""
+    flags = _COMMAND_FLAGS.get(argv[0]) if argv else None
+    if flags is None:
+        return None
+    values = {"command": argv[0]} | dict.fromkeys(map(_dest, flags))
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        kwargs = flags.get(flag)
+        if kwargs is None:
+            return None
+        if kwargs.get("action") == "store_true":
+            if eq:
+                return None
+            values[_dest(flag)] = True
+            continue
+        if not eq:
+            text = next(tokens, None)
+            if text is None or text.startswith("-"):
+                return None
+        elif not text:
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[_dest(flag)] = value
+    return argparse.Namespace(**values)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process and shared by every
-    ``main`` call; parsing leaves it unchanged."""
+    """The argparse parser over the same flag table, built once per process
+    and shared by every ``main`` call; parsing leaves it unchanged. It
+    parses only what ``_read_flags`` does not accept, so it prints every
+    help text, usage line and syntax error."""
     parser = argparse.ArgumentParser(
         prog="quatlef",
         description=(
@@ -511,15 +573,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    """Run one command line (``sys.argv[1:]`` by default) and return its
+    exit code. Well-formed flags are read from ``_FLAGS`` directly; any
+    other argv goes to ``build_parser()``, which exits on help, usage and
+    syntax errors."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_flags(argv)
+    if args is None:
+        args, extra = build_parser().parse_known_args(argv)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         _apply_config(args)
-        for commands, flag, kwargs in _FLAGS:
-            if kwargs.get("required") and args.command in commands:
-                if getattr(args, _dest(flag)) is None:
-                    raise ValidationError(f"missing required option {flag}")
+        for flag, kwargs in _COMMAND_FLAGS[args.command].items():
+            if kwargs.get("required") and getattr(args, _dest(flag)) is None:
+                raise ValidationError(f"missing required option {flag}")
         return _COMMANDS[args.command][0](args)
     except TorsionError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -8,14 +8,16 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quatlef import finitegrp, lefschetz, numberfield, verify
-from quatlef.errors import InvariantError
-from quatlef.cli import _FLAGS, _csv_text, main
+from quatlef import cli, finitegrp, lefschetz, numberfield, verify
+from quatlef.errors import InvariantError, ValidationError
+from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _csv_text, _parse_field, _read_flags,
+                         build_parser, main)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -967,6 +969,17 @@ def test_over_long_int_flag_refused_in_one_short_line(capsys, argv):
         assert len(err) < 1000
 
 
+def _run_main(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one ``main`` call, SystemExit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 @pytest.fixture(scope="module")
 def fuzz_config_path(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz") / "config.json"
@@ -994,13 +1007,186 @@ def test_fuzzed_request_ends_in_success_or_one_error_line(fuzz_config_path, argv
     if config is not None:
         fuzz_config_path.write_text(json.dumps(config), encoding="utf-8")
         argv = [*argv, "--config", str(fuzz_config_path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    code, _, err = _run_main(argv)
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert code in (0, 2, 3)
     assert len(errors) == (code != 0)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
+
+
+def _either_value_form(argv: list[str]):
+    """The argv with each ``--flag=value`` token kept or split in two."""
+    return st.tuples(*(
+        st.sampled_from([[token], token.split("=", 1)])
+        if token.startswith("--") and "=" in token else st.just([token])
+        for token in argv
+    )).map(lambda parts: sum(parts, []))
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=st.sampled_from(_FUZZ_COMMANDS).flatmap(_fuzz_argv).flatmap(_either_value_form),
+       config=_FUZZ_CONFIG)
+def test_flag_reader_leaves_every_byte_as_argparse_gives_it(fuzz_config_path, argv, config):
+    """With the flag reader off, so that argparse parses every argv, main
+    gives the same exit code, stdout and stderr."""
+    if config is not None:
+        fuzz_config_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = [*argv, "--config", str(fuzz_config_path)]
+    with mock.patch.object(cli, "_read_flags", return_value=None):
+        through_argparse = _run_main(argv)
+    assert _run_main(argv) == through_argparse
+
+
+def test_well_formed_requests_never_reach_argparse(capsys, monkeypatch, tmp_path):
+    """One request of each subcommand, in both value forms, with the
+    store_true flags, a negative --trace-w and a config file, runs with
+    argparse unavailable."""
+    def no_parser():
+        raise AssertionError("argparse parsed a well-formed request")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"field": "q", "ram": "2,3", "n": 1}), encoding="utf-8")
+    requests = [
+        ["zeta", "--field=quad:5", "--jmax", "2", "--format=csv"],
+        ["lefschetz", "--field", "q", "--split", "--n=1", "--level", "5", "--trace-w=-1/3",
+         "--assume-torsion-free"],
+        ["euler-char", "--config", str(config), "--level=5", "--format", "json"],
+        ["index", "--field", "quad:5", "--ram-real=2", "--n", "2", "--level", "3"],
+        ["genus", "--field", "q", "--ram", "2,3", "--level", "5", "--weights=2,4",
+         "--assume-torsion-free", "--format", "csv"],
+        ["table", "--field", "q", "--ram=2,3", "--n", "1", "--levels", "5:7", "--trace-w=-1/3"],
+        ["verify", "--suite=volumes,binomial"],
+    ]
+    assert sorted(request[0] for request in requests) == sorted(_COMMAND_FLAGS)
+    for argv in requests:
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
+def test_flag_table_uses_only_keywords_the_reader_handles():
+    """A flag with nargs, append or a default of its own would be misread by
+    _read_flags; such a flag must fail here first."""
+    for _, flag, kwargs in _FLAGS:
+        assert kwargs.keys() <= {"help", "type", "choices", "required", "default", "action"}, flag
+        assert kwargs.get("action", "store_true") == "store_true", flag
+        assert kwargs.get("default") is None, flag
+
+
+def _argparse_values(argv: list[str]) -> dict:
+    """The namespace argparse gives an argv it accepts whole, without the
+    subparser it records."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            args, extra = build_parser().parse_known_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refused {argv}: {err.getvalue()}")
+    assert extra == []
+    values = vars(args)
+    del values["parser"]
+    return values
+
+
+def _check_reader_agrees(argv: list[str]) -> bool:
+    """Whenever the reader accepts an argv, argparse accepts it whole and
+    gives the same namespace; True if the reader accepted it."""
+    args = _read_flags(argv)
+    if args is not None:
+        assert vars(args) == _argparse_values(argv), argv
+    return args is not None
+
+
+_READER_VALUES = ["", "-1", "-1/3", "1.5", "x", "xml", "a b", "-x y", "--n", "9" * 4400,
+                  "2", "json", "csv", "q", "2,3"]
+_ALL_FLAGS = sorted({flag for _, flag, _ in _FLAGS})
+
+
+def _reader_argv(command: str):
+    """The command, then mostly its own whole flags, each bare if store_true
+    and else with a value in either form, mostly one the flag takes; and now
+    and then a token the reader leaves to argparse: a value flag without its
+    value, an abbreviation, another subcommand's flag, -h, --help, --, or a
+    positional."""
+    own = _COMMAND_FLAGS.get(command) or _COMMAND_FLAGS["lefschetz"]
+    noise = st.sampled_from(_READER_VALUES)
+
+    def with_value(flag: str, value):
+        return value.map(lambda v: [f"{flag}={v}"]) | value.map(lambda v: [flag, v])
+
+    def whole(flag: str):
+        kwargs = own[flag]
+        if kwargs.get("action") == "store_true":
+            return st.one_of(st.just([flag]), st.just([flag]), with_value(flag, noise))
+        takes = (["2", "17"] if "type" in kwargs
+                 else list(kwargs.get("choices", ["q", "2,3", "a b", "x"])))
+        return with_value(flag, st.sampled_from(takes) | st.sampled_from(takes) | noise)
+
+    other = (st.sampled_from(sorted(own)).map(lambda f: [f])
+             | st.sampled_from(sorted(own)).map(lambda f: f[: max(3, len(f) - 2)]).flatmap(
+                 lambda f: with_value(f, noise))
+             | st.sampled_from(_ALL_FLAGS).flatmap(lambda f: with_value(f, noise))
+             | st.sampled_from([["-h"], ["--help"], ["--"]])
+             | noise.map(lambda v: [v]))
+    fragment = st.one_of(*[st.sampled_from(sorted(own)).flatmap(whole)] * 8, other)
+    return st.lists(fragment, max_size=6).map(lambda parts: [command, *sum(parts, [])])
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.sampled_from([*_COMMAND_FLAGS, "bogus", "--field"]).flatmap(_reader_argv))
+@example(argv=["lefschetz", "--split=x"])
+@example(argv=["lefschetz", "--trace-w", "-1"])
+@example(argv=["lefschetz", "--trace-w=-1/3", "--n", "2", "--n=3"])
+@example(argv=["zeta", "--format", "xml"])
+@example(argv=["zeta", "--field="])
+@example(argv=["euler-char", "--signature", ""])
+@example(argv=["verify", "--suite"])
+def test_flag_reader_agrees_with_argparse(argv):
+    _check_reader_agrees(argv)
+
+
+def test_flag_reader_agrees_with_argparse_on_every_golden_argv():
+    """The reader accepts every golden argv but argparse's own cases, the
+    help pages and usage errors, and agrees with argparse on each."""
+    corpus = json.loads((_GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+    left_to_argparse = {name for name, case in corpus.items()
+                        if not _check_reader_agrees(case["argv"])}
+    assert left_to_argparse == {
+        "help", *(f"help-{command}" for command in _COMMAND_FLAGS),
+        "err-usage-unknown-flag", "err-usage-bad-int", "err-usage-bad-choice",
+    }
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "5", "--trace-w="],
+     "not a rational: ''"),
+    (["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "5", "--trace-w", ""],
+     "not a rational: ''"),
+    (["table", "--field", "q", "--split", "--n", "1", "--levels", "5:6", "--trace-w="],
+     "not a rational: ''"),
+    (["verify", "--suite="], "unknown verification suites: ['']"),
+    (["verify", "--suite", ""], "unknown verification suites: ['']"),
+])
+def test_empty_trace_w_or_suite_refused(capsys, argv, error):
+    assert run_cli(capsys, argv) == (2, "", f"error: {error}\n")
+
+
+def test_config_trace_w_null_is_the_default_and_empty_is_refused(capsys, tmp_path):
+    config = tmp_path / "config.json"
+    argv = ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"]
+    config.write_text(json.dumps({"trace_w": None}), encoding="utf-8")
+    assert run_cli(capsys, [*argv, "--config", str(config)]) == run_cli(capsys, argv)
+    config.write_text(json.dumps({"trace_w": ""}), encoding="utf-8")
+    assert run_cli(capsys, [*argv, "--config", str(config)]) == (
+        2, "", "error: not a rational: ''\n")
+
+
+def test_native_field_built_once_per_text():
+    """q and quad:<d> give one field object per text, so that the caches
+    keyed by field find it by identity; a refused spec is never kept."""
+    assert _parse_field("quad:5") is _parse_field(" quad:5 ")
+    assert _parse_field("q") is _parse_field("q")
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="squarefree"):
+            _parse_field("quad:4")
