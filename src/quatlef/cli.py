@@ -22,6 +22,8 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 from . import verify as verify_mod
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
@@ -98,12 +100,10 @@ _FLAGS = (
 )
 
 
-def _dest(flag: str) -> str:
-    return flag[2:].replace("-", "_")
-
-
+# flag -> its dest, as argparse derives it
+_DESTS = {flag: flag[2:].replace("-", "_") for _, flag, _ in _FLAGS}
 # config key -> its flag's keywords; ``ram_primes`` is another name for ``ram``
-_CONFIG = {_dest(flag): kwargs for _, flag, kwargs in _FLAGS if flag != "--config"}
+_CONFIG = {_DESTS[flag]: kwargs for _, flag, kwargs in _FLAGS if flag != "--config"}
 _CONFIG["ram_primes"] = _CONFIG["ram"]
 
 
@@ -305,13 +305,38 @@ def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
         raise _digit_limit_error() from None
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) of a payload value whose
+    lines start with this indent: a dict with str keys, a list, str, int,
+    finite float, bool or None; any other value raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)  # ValueError past the digit limit
+    inner = indent + "  "
+    if kind is dict:  # a key that is no str raises TypeError in the encoder
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+                 for key in sorted(value)]
+    elif kind is list:
+        items = [_json_text(item, inner) for item in value]
+    elif kind is float and isfinite(value):
+        return float.__repr__(value)
+    elif value is None or kind is bool:
+        return "null" if value is None else "true" if value else "false"
+    else:
+        raise TypeError(f"{kind.__name__} is not a JSON payload type")
+    start, end = "{}" if kind is dict else "[]"
+    return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
+
+
 def _emit_report(args, payload: dict, rows: list[list], header=("key", "value")) -> int:
     """Write the JSON payload, or the command's CSV rows under --format csv."""
     if args.format == "csv":
         text = _csv_text(header, rows)
     else:
         try:
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = _json_text(payload) + "\n"
         except ValueError:
             raise _digit_limit_error() from None
     _emit(args, [text])
@@ -517,7 +542,7 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
     flags = _COMMAND_FLAGS.get(argv[0]) if argv else None
     if flags is None:
         return None
-    values = {"command": argv[0]} | dict.fromkeys(map(_dest, flags))
+    values = {"command": argv[0]} | dict.fromkeys(map(_DESTS.__getitem__, flags))
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, text = token.partition("=")
@@ -527,7 +552,7 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
         if kwargs.get("action") == "store_true":
             if eq:
                 return None
-            values[_dest(flag)] = True
+            values[_DESTS[flag]] = True
             continue
         if not eq:
             text = next(tokens, None)
@@ -541,7 +566,7 @@ def _read_flags(argv: list[str]) -> argparse.Namespace | None:
             return None
         if "choices" in kwargs and value not in kwargs["choices"]:
             return None
-        values[_dest(flag)] = value
+        values[_DESTS[flag]] = value
     return argparse.Namespace(**values)
 
 
@@ -587,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _apply_config(args)
         for flag, kwargs in _COMMAND_FLAGS[args.command].items():
-            if kwargs.get("required") and getattr(args, _dest(flag)) is None:
+            if kwargs.get("required") and getattr(args, _DESTS[flag]) is None:
                 raise ValidationError(f"missing required option {flag}")
         return _COMMANDS[args.command][0](args)
     except TorsionError as exc:

@@ -8,14 +8,17 @@ The pieces, in the order they combine:
   ``X = N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)`` with
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``, as
-  ``num/den`` in integers, reduced once from each prime's ``_local_part``
-  and a zeta product kept per request, and checks the sign law on ``num``
-  against a sign fixed per request. ``_closed_form`` turns it into a
-  single-level report's value ``X / 2^e``, at ``e = r`` for
-  ``lefschetz_number`` and ``e = nr`` for a component, beside the factors
-  the report prints: each ``M(j)`` comes from the level's one
-  ``_local_primes`` list, through the helper that ``m_factor`` calls
-  after its checks. ``_table_rows`` prints from it, by
+  ``num/den`` in integers. Its input is N(level) and the (num, den) parts
+  of prod_j M(j), each a product of ``_local_part``s (``_Primes.part``);
+  it multiplies them into a zeta product kept per request, reduces once
+  and checks the sign law on ``num`` against a sign fixed per request.
+  ``_closed_form`` turns it into a single-level report's value ``X / 2^e``,
+  at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for a component,
+  beside the factors the report prints: each ``M(j)`` comes from the
+  level's one ``_local_primes`` list, through the helper that ``m_factor``
+  calls after its checks. ``_table_rows`` keeps one record per ``p^a``
+  dividing a level of the table, with its primes, index and part, and
+  multiplies a row from its records; it prints from the row's ``X``, by
   ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
   distinct component ``X b / 2^(nr)`` once, joins those texts in class
   order into the one ``chi_components`` string that the CLI writes out
@@ -62,8 +65,8 @@ from .numberfield import (
     Ideal,
     PrimeIdeal,
     TotallyRealField,
-    _integer_factors,
     dedekind_zeta_neg,
+    factorize,
     split_prime,
     zeta_f_positive_even_numeric,
 )
@@ -288,7 +291,7 @@ def _m_factor(j: int, algebra: QuaternionAlgebra, local) -> Fraction:
 class _Primes:
     """The data of one request, an algebra and n over any number of levels,
     each computed once: zeta_F(1-2j) for j <= n, the sign (-1)^(s n(n+1)/2)
-    and each (norm, exponent)'s part of the closed form."""
+    and each (norm, in level)'s part of prod_j M(j)."""
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
         self.algebra, self.n, self.parts, self.sign = algebra, n, {}, 0
@@ -301,22 +304,24 @@ class _Primes:
             self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
 
-    def closed_form(self, local) -> tuple[int, int]:
-        """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of
-        these _local_primes, as (num, den) reduced once, den > 0; (0, 1)
+    def part(self, norm: int, in_level: bool) -> tuple[int, int]:
+        """_local_part of a prime over every j <= n, kept per (norm, in_level)."""
+        key = norm, in_level
+        if key not in self.parts:
+            self.parts[key] = _local_part(norm, range(1, self.n + 1), in_level)
+        return self.parts[key]
+
+    def closed_form(self, level_norm: int, parts) -> tuple[int, int]:
+        """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of this
+        norm, whose primes and the ramified primes off it give prod_j M(j)
+        these (num, den) parts, as (num, den) reduced once, den > 0; (0, 1)
         with a complex place, else sign-checked."""
-        n, parts = self.n, self.parts
         if not self.algebra.field.is_totally_real:
             return 0, 1
-        num, den = self.num, self.den
-        for prime, a in local:
-            norm = prime.norm
-            part = parts.get((norm, a))
-            if part is None:
-                part_num, part_den = _local_part(norm, range(1, n + 1), a > 0)
-                part = parts[norm, a] = (part_num * norm ** (a * n * (2 * n + 1)), part_den)
-            num *= part[0]
-            den *= part[1]
+        num, den = self.num * level_norm ** (self.n * (2 * self.n + 1)), self.den
+        for part_num, part_den in parts:
+            num *= part_num
+            den *= part_den
         g = gcd(num, den)
         num, den = num // g, den // g
         if (num > 0) - (num < 0) != self.sign:
@@ -355,11 +360,11 @@ def _closed_form(
             " pass assume_torsion_free to evaluate the formula anyway"
         )
     # built first, so that the zeta caps refuse j = n before any factor
-    primes = _Primes(algebra, n)
+    primes, norm = _Primes(algebra, n), level.norm()
     local = _local_primes(algebra, level.factors)
-    num, den = primes.closed_form(local)
+    num, den = primes.closed_form(norm, [primes.part(p.norm, a > 0) for p, a in local])
     shared = dict(n=n, two_power=Fraction(1, 2**two_exp),
-                  level_norm_power=level.norm() ** (n * (2 * n + 1)),
+                  level_norm_power=norm ** (n * (2 * n + 1)),
                   disc_power=primes.disc_power,
                   m_factors=tuple(_m_factor(j, algebra, local) for j in range(1, n + 1)),
                   warnings=warnings,
@@ -371,31 +376,45 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     """(m, norm of (m), columns) for each level m of a ``quatlef table``,
     after checking the setting, the class cap and the zeta caps once, in
     that order. columns is None when (m) fails the torsion necessary
-    condition, else the index and the text of each closed-form column."""
+    condition, else the index and the text of each closed-form column.
+    Each p^a exactly dividing a level has one record, built the first time
+    a row meets it: the parts of prod_j M(j) of the primes P above p, the
+    index of (p^a), and its (P, e a) factors."""
     _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    primes, indices, field, r = _Primes(algebra, n), {}, algebra.field, algebra.r
+    primes, records, indices, field, r = _Primes(algebra, n), {}, {}, algebra.field, algebra.r
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
+    # (p, (P, 0), part) of each ramified P, for the levels that p does not divide
+    off = [(p.p, (p, 0), primes.part(p.norm, False)) for p in algebra.ram_finite]
     trace_num, trace_den = trace_w.as_integer_ratio()
+    # at trace 1 and n r = r the Lefschetz number and each component share a text
+    one_text = trace_num == trace_den and n * r == r
     above_two = ()
     for level in levels:
-        norm = level**field.degree
-        factors = _integer_factors(field, level)
-        # after the first row's own primes, which a descriptor may lack first
+        norm, row = level**field.degree, []
+        for key in factorize(level):
+            if key not in records:
+                factors = [(prime, prime.e * key[1]) for prime in split_prime(field, key[0])]
+                parts = [primes.part(prime.norm, True) for prime, _a in factors]
+                records[key] = parts, _index(ramified, n, factors, indices), factors
+            row.append(records[key])
+        # after the first row's own primes, which a descriptor may lack first;
+        # a level with two rational primes has a factor off (2)
         above_two = above_two or split_prime(field, 2)
-        if not _passes_torsion(factors, above_two):
+        if len(row) == 1 and not _passes_torsion(row[0][2], above_two):
             yield level, norm, None
             continue
-        local = _local_primes(algebra, factors)
-        num, den = primes.closed_form(local)
+        parts = [part for record in row for part in record[0]]
+        num, den = primes.closed_form(norm, parts + [part for p, _, part in off if level % p])
         texts = {b: _ratio_text(num, den, b, 1, n * r) for b in distinct}
         genus = None
         if fuchsian:
+            local = [f for rec in row for f in rec[2]] + [f for p, f, _ in off if level % p]
             genus = _checked_genus(algebra, local, Fraction(num, den << r), primes.zetas[-1])
-        lefschetz = _ratio_text(num, den, trace_num, trace_den, r)
+        lefschetz = texts[1] if one_text else _ratio_text(num, den, trace_num, trace_den, r)
         chis = "|".join(map(texts.__getitem__, binomials))
-        yield level, norm, (_index(ramified, n, factors, indices), lefschetz, chis, genus)
+        yield level, norm, (prod([record[1] for record in row]), lefschetz, chis, genus)
 
 
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:

@@ -478,18 +478,14 @@ class Ideal(_Value):
         return ",".join(parts)
 
 
-def _integer_factors(field: TotallyRealField, n: int) -> list[tuple[PrimeIdeal, int]]:
-    """The (P, e*a) factors of the ideal (n), for each p^a exactly dividing n."""
-    return [
-        (prime, prime.e * a) for p, a in factorize(n) for prime in split_prime(field, p)
-    ]
-
-
 def ideal_from_integer(field: TotallyRealField, n: int) -> Ideal:
-    """The principal ideal generated by the rational integer n >= 2."""
+    """The principal ideal generated by the rational integer n >= 2: the
+    (P, e*a) factors for each p^a exactly dividing n."""
     if n < 2:
         raise ValidationError("level integer must be >= 2")
-    return Ideal(field, tuple(_integer_factors(field, n)))
+    return Ideal(field, tuple(
+        (prime, prime.e * a) for p, a in factorize(n) for prime in split_prime(field, p)
+    ))
 
 
 # the characters of the prime discriminants -4, 8 and -8 on one period

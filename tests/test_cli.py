@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,8 +17,9 @@ from hypothesis import strategies as st
 
 from quatlef import cli, finitegrp, lefschetz, numberfield, verify
 from quatlef.errors import InvariantError, ValidationError
-from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _csv_text, _parse_field, _read_flags,
-                         build_parser, main)
+from quatlef.quaternion import QuaternionAlgebra
+from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _csv_text, _json_text, _parse_field,
+                         _read_flags, build_parser, main)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -470,6 +472,63 @@ def test_csv_text_matches_csv_writer(rows):
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     assert _csv_text(header, body) == buffer.getvalue()
+
+
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-10**500, max_value=10**500),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x01\x1f\x7f\n\r\téü€\u2028😀', max_size=6),
+)
+_JSON_PAYLOADS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=_JSON_PAYLOADS)
+@example(payload={})
+@example(payload=[])
+@example(payload={"a": {}, "b": [], "c": [{}, []]})
+@example(payload={"values": [{"j": 1, "value": "-1/12"}, {"j": 2, "value": "1/120"}]})
+@example(payload={"adelic_numeric": {"value": -17861996.40166765, "rel_tolerance": 1e-05,
+                                     "terms": 200000}})
+@example(payload={"zero_reason": None, "warnings": [], "ok": True, "big": -(10**499)})
+def test_json_text_matches_json_dumps(payload):
+    """The report writer gives the bytes of json.dumps(indent=2, sort_keys=True)
+    for every payload type: nested dicts and lists, empty ones included;
+    str with non-ASCII, control characters, quotes and backslashes; bool;
+    None; int of any size below the digit limit; finite float."""
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [(1, 2), {1: "a"}, {"a": {2: None}}, float("inf"),
+                                   float("nan"), 1j, Fraction(1, 2), b"x"])
+def test_json_text_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json_text({"key": [value]})
+
+
+def test_json_int_past_the_digit_limit_is_one_error_line(capsys):
+    """An index of more than 4300 digits reaches the JSON writer as an int,
+    which refuses it in the package's one line."""
+    field = numberfield.TotallyRealField.real_quadratic(5)
+    algebra = QuaternionAlgebra(field, (), 2)
+    index = lefschetz.congruence_index(algebra, 40, numberfield.ideal_from_integer(field, 3))
+    assert math.log10(index) > 4300
+    argv = ["index", "--field", "quad:5", "--ram-real", "2", "--n", "40", "--level", "3"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: a value has more than 4300 digits, the limit for writing an integer as"
+        " text; a smaller --n or --level shortens it\n"
+    )
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):

@@ -201,8 +201,8 @@ class TestLefschetzNumber:
 
     def test_report_value_equals_factor_product(self):
         """A report's value is the product of its factors; the table's kernel
-        _Primes.closed_form, one integer ratio of per-prime parts, must give
-        the same value for the same level."""
+        _Primes.closed_form, one integer ratio of the level norm's power and
+        the per-prime parts, must give the same value for the same level."""
         inputs = decomposition_grid()
         for algebra, n, lvl in ((SPLIT, 1, 3), (RAM23, 1, 5), (SPLIT, 3, 5)):
             inputs.append(LefschetzInput(Q, algebra, n, level_q(lvl)))
@@ -225,7 +225,9 @@ class TestLefschetzNumber:
             ))
             primes = lefschetz._Primes(inp.algebra, inp.n)
             local = lefschetz._local_primes(inp.algebra, inp.level.factors)
-            table = Fraction(*primes.closed_form(local)) / 2**inp.algebra.r * Fraction(5, 3)
+            parts = [primes.part(prime.norm, a > 0) for prime, a in local]
+            kernel = primes.closed_form(inp.level.norm(), parts)
+            table = Fraction(*kernel) / 2**inp.algebra.r * Fraction(5, 3)
             assert report.value == table == _factor_product(report, report.trace_w), inp
             assert len(report.m_factors) == inp.n
             real = inp.field.is_totally_real

@@ -1,10 +1,14 @@
 """``quatlef table`` against the library and against a per-row oracle.
 
-A table assembles each row from per-prime data computed once per request
-(``lefschetz._Primes.closed_form``, the closed-form kernel), as one reduced
-integer ratio from which the Lefschetz and component columns are printed
-without a ``Fraction``; the library functions take one level's value from
-the same kernel. Every column must still equal what ``lefschetz_number``,
+A table keeps one record per prime power ``p^a`` that divides one of its
+levels, built the first time a row meets it: the primes above ``p`` with
+their exponents, the index factor and the primes' parts of
+``prod_j M(j)``. A row multiplies its records. Its value comes from the
+closed-form kernel ``lefschetz._Primes.closed_form``, which takes the
+level's norm and those parts and returns one reduced integer ratio, from
+which the Lefschetz and component columns are printed without a
+``Fraction``; the library functions take one level's value from the same
+kernel. Every column must still equal what ``lefschetz_number``,
 ``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
 for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.
@@ -167,6 +171,57 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
     assert index_args and len(index_args) == len(set(index_args))
     # zeta_F(1-2j) once per j <= n, j = n first
     assert [j for _field, j in calls["dedekind_zeta_neg"]] == list(range(n, 0, -1))
+
+
+_KERNEL_TABLES = [
+    ["table", "--field", "q", "--split", "--n", "2", "--levels", "2:30"],
+    ["table", "--field", "quad:5", "--ram", "2,3", "--n", "1", "--levels", "2:30",
+     "--trace-w=-1/3"],
+    ["table", "--field", "quad:13", "--ram", "3", "--ram-real", "1", "--n", "2",
+     "--levels", "3:40"],
+    ["table", "--field", "quad:5", "--ram-real", "2", "--n", "4", "--levels", "3:9"],
+]
+
+
+@pytest.mark.parametrize("argv", _KERNEL_TABLES + [
+    # a Fuchsian n = 1 table, whose genus column is checked against the value
+    ["table", "--field", "q", "--ram", "2,3", "--n", "1", "--levels", "5:9"],
+])
+def test_table_rows_use_the_kernel(monkeypatch, argv):
+    """Every table takes its rows' values from _Primes.closed_form, the
+    kernel that the single-level reports use and quatlef verify checks."""
+    def refused(*args):
+        raise AssertionError("table called the kernel")
+
+    monkeypatch.setattr(lefschetz._Primes, "closed_form", refused)
+    with pytest.raises(AssertionError, match="called the kernel"):
+        main(argv)
+
+
+@pytest.mark.parametrize("argv", _KERNEL_TABLES)
+def test_every_table_row_is_the_kernels_value(capsys, monkeypatch, argv):
+    """With the kernel's value tripled, each row that passes the torsion
+    check calls it once, with its level's norm, and prints three times its
+    Lefschetz number and components: no row takes its value another way."""
+    rows = _table(capsys, argv)
+    kernel, norms = lefschetz._Primes.closed_form, []
+
+    def tripled(self, level_norm, parts):
+        norms.append(level_norm)
+        num, den = kernel(self, level_norm, parts)
+        return 3 * num, den
+
+    monkeypatch.setattr(lefschetz._Primes, "closed_form", tripled)
+    tripled_rows = _table(capsys, argv)
+    passing = [row for row in rows if row[2] == "true"]
+    assert passing and norms == [int(row[1]) for row in passing]
+    for row, tripled_row in zip(rows, tripled_rows):
+        assert tripled_row[:4] == row[:4]
+        if row[2] == "true":
+            chis = [str(3 * Fraction(chi)) for chi in row[5].split("|")]
+            assert tripled_row[4:6] == [str(3 * Fraction(row[4])), "|".join(chis)]
+        else:
+            assert tripled_row == row
 
 
 # The per-row Fraction path: for each level, the ideal from

@@ -108,12 +108,12 @@ def _t7_ramified_local_order(n, q):
 _kernel = lefschetz._Primes.closed_form
 
 
-def _t8_closed_form(self, local):
+def _t8_closed_form(self, level_norm, parts):
     """_Primes.closed_form with the level-norm exponent n(2n+1) + 1 for n >= 2:
-    num times N(P)^a for each level prime."""
-    num, den = _kernel(self, local)
+    num times N(L)."""
+    num, den = _kernel(self, level_norm, parts)
     if self.n >= 2:
-        num *= prod(prime.norm**a for prime, a in local)
+        num *= level_norm
     return num, den
 
 
