@@ -299,10 +299,7 @@ def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
     field holding a comma, a quote or a newline is quoted with its quotes
     doubled. ``table`` writes its rows itself: none of its fields needs
     quoting."""
-    try:
-        return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
-    except ValueError:
-        raise _digit_limit_error() from None
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -331,14 +328,12 @@ def _json_text(value, indent: str = "\n") -> str:
 
 
 def _emit_report(args, payload: dict, rows: list[list], header=("key", "value")) -> int:
-    """Write the JSON payload, or the command's CSV rows under --format csv."""
-    if args.format == "csv":
-        text = _csv_text(header, rows)
-    else:
-        try:
-            text = _json_text(payload) + "\n"
-        except ValueError:
-            raise _digit_limit_error() from None
+    """Write the JSON payload, or the command's CSV rows under --format csv;
+    an int past the digit limit raises ValueError in either writer."""
+    try:
+        text = _csv_text(header, rows) if args.format == "csv" else _json_text(payload) + "\n"
+    except ValueError:
+        raise _digit_limit_error() from None
     _emit(args, [text])
     return 0
 

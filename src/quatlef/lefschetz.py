@@ -9,9 +9,10 @@ The pieces, in the order they combine:
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``, as
   ``num/den`` in integers. Its input is N(level) and the (num, den) parts
-  of prod_j M(j), each a product of ``_local_part``s (``_Primes.part``);
-  it multiplies them into a zeta product kept per request, reduces once
-  and checks the sign law on ``num`` against a sign fixed per request.
+  of prod_j M(j), each a product of ``_local_part``s (``_Primes.part``;
+  a table keeps them in its per-``p^a`` records); it multiplies them into
+  a zeta product kept per request, reduces once and checks the sign law
+  on ``num`` against a sign fixed per request.
   ``_closed_form`` turns it into a single-level report's value ``X / 2^e``,
   at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for a component,
   beside the factors the report prints: each ``M(j)`` comes from the
@@ -42,9 +43,10 @@ The pieces, in the order they combine:
   Betti-bound helpers are the downstream corollaries.
 * ``euler_char_adelic_numeric`` re-evaluates an Euler characteristic in
   floating point straight from the mass-formula shape (Weyl quotient,
-  compact-group volume, modulus factor, local orders, zeta series), so
-  the exact and numeric paths check each other through the functional
-  equation.
+  compact-group volume, modulus factor, zeta series, and the finite
+  places' local orders of ``_mass_local_orders``, which verify's exact
+  mass formula shares), so the exact and numeric paths check each other
+  through the functional equation.
 
 Everything is a pure function of immutable values and safe to call
 concurrently.
@@ -290,11 +292,11 @@ def _m_factor(j: int, algebra: QuaternionAlgebra, local) -> Fraction:
 
 class _Primes:
     """The data of one request, an algebra and n over any number of levels,
-    each computed once: zeta_F(1-2j) for j <= n, the sign (-1)^(s n(n+1)/2)
-    and each (norm, in level)'s part of prod_j M(j)."""
+    each computed once: zeta_F(1-2j) for j <= n and the sign
+    (-1)^(s n(n+1)/2)."""
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
-        self.algebra, self.n, self.parts, self.sign = algebra, n, {}, 0
+        self.algebra, self.n, self.sign = algebra, n, 0
         self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
             self.sign = (-1) ** (algebra.s * n * (n + 1) // 2)
@@ -305,11 +307,8 @@ class _Primes:
             self.den = prod([z.denominator for z in self.zetas])
 
     def part(self, norm: int, in_level: bool) -> tuple[int, int]:
-        """_local_part of a prime over every j <= n, kept per (norm, in_level)."""
-        key = norm, in_level
-        if key not in self.parts:
-            self.parts[key] = _local_part(norm, range(1, self.n + 1), in_level)
-        return self.parts[key]
+        """_local_part of a prime over every j <= n."""
+        return _local_part(norm, range(1, self.n + 1), in_level)
 
     def closed_form(self, level_norm: int, parts) -> tuple[int, int]:
         """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of this
@@ -332,15 +331,15 @@ class _Primes:
         return num, den
 
 
-def _index(ramified, n: int, factors, memo: dict) -> int:
-    """The index of the level of these factors; memo keeps each local factor."""
-    index = 1
+def _index(ramified, n: int, factors) -> int:
+    """The index of the level of these factors: one local factor per
+    distinct (norm, kind, exponent), used for each factor of that key."""
+    index, local = 1, {}
     for prime, a in factors:
-        norm = prime.norm
-        key = ("ramified" if prime in ramified else "split", norm, a)
-        if key not in memo:
-            memo[key] = finitegrp.local_index_factor(norm, key[0], n, a)
-        index *= memo[key]
+        key = prime.norm, "ramified" if prime in ramified else "split", a
+        if key not in local:
+            local[key] = finitegrp.local_index_factor(key[0], key[1], n, a)
+        index *= local[key]
     return index
 
 
@@ -382,7 +381,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     index of (p^a), and its (P, e a) factors."""
     _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    primes, records, indices, field, r = _Primes(algebra, n), {}, {}, algebra.field, algebra.r
+    primes, records, field, r = _Primes(algebra, n), {}, algebra.field, algebra.r
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
     # (p, (P, 0), part) of each ramified P, for the levels that p does not divide
@@ -397,7 +396,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
             if key not in records:
                 factors = [(prime, prime.e * key[1]) for prime in split_prime(field, key[0])]
                 parts = [primes.part(prime.norm, True) for prime, _a in factors]
-                records[key] = parts, _index(ramified, n, factors, indices), factors
+                records[key] = parts, _index(ramified, n, factors), factors
             row.append(records[key])
         # after the first row's own primes, which a descriptor may lack first;
         # a level with two rational primes has a factor off (2)
@@ -565,7 +564,7 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     result is an integer by construction.
     """
     _check_level(algebra, level, n)
-    return _index(algebra.ram_finite, n, level.factors, {})
+    return _index(algebra.ram_finite, n, level.factors)
 
 
 def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:
@@ -685,6 +684,21 @@ def fixed_point_space_dim(algebra: QuaternionAlgebra, n: int, cls: SignatureClas
     return dim
 
 
+def _mass_local_orders(algebra: QuaternionAlgebra, n: int, level: Ideal) -> Fraction:
+    """The mass formula's finite places, from finitegrp's local orders:
+    N(level)^d prod_{P | level} |Sp_n(F_P)| / N(P)^d prod_{P ramified, P not
+    | level} |Sp_n(F_P)| / |U_P|, with d = n(2n+1)."""
+    d = n * (2 * n + 1)
+    value = Fraction(level.norm() ** d)
+    for prime, _exp in level.factors:
+        value *= Fraction(finitegrp.sp_order(n, prime.norm), prime.norm**d)
+    for prime in algebra.ram_finite:
+        if level.valuation(prime) == 0:
+            q = prime.norm
+            value *= Fraction(finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q))
+    return value
+
+
 def euler_char_adelic_numeric(
     algebra: QuaternionAlgebra,
     n: int,
@@ -696,10 +710,9 @@ def euler_char_adelic_numeric(
     formula, independent of the exact path.
 
     (-1)^p |d_F|^(d/2) * (Weyl quotient) * vol^(-degree) * mf^(-1)
-    * prod_P N(P)^(d a_P) / |U_P|, with d = n(2n+1), 2p the symmetric
-    space dimension, vol the compact symplectic volume, mf the global
-    modulus factor, and the local orders taken from the finite-group
-    module; the convergent part of the local product is the zeta values
+    * _mass_local_orders, with d = n(2n+1), 2p the symmetric space
+    dimension, vol the compact symplectic volume and mf the global modulus
+    factor; the convergent part of the local product is the zeta values
     at 2, 4, ..., 2n evaluated by truncated series (Tamagawa number 1).
     The n series may sum at most _MAX_SERIES_TERMS terms in all. A value
     that overflows a float is rejected.
@@ -716,16 +729,7 @@ def euler_char_adelic_numeric(
         raise InvariantError(f"fixed-point space dimension {dim_x} is odd")
     sign = (-1) ** (dim_x // 2)
     weyl = weyl_quotient(n, algebra.s, signature_class)
-    local_exact = Fraction(level.norm() ** d)
-    for prime, _exp in level.factors:
-        q = prime.norm
-        local_exact *= Fraction(finitegrp.sp_order(n, q), q**d)
-    for prime in algebra.ram_finite:
-        if level.valuation(prime) == 0:
-            q = prime.norm
-            local_exact *= Fraction(
-                finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q)
-            )
+    local_exact = _mass_local_orders(algebra, n, level)
     # one series per j <= n; a single series over the cap is refused by
     # zeta_f_positive_even_numeric, before it sums a term
     if terms <= _MAX_SERIES_TERMS < n * terms:

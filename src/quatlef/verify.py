@@ -367,22 +367,19 @@ def suite_binomial() -> list[Check]:
 
 def _exact_mass_formula(algebra, n: int, level, cls: SignatureClass) -> Fraction:
     """The mass formula of euler_char_adelic_numeric in exact arithmetic, for
-    a totally real field of degree g. The functional equation gives zeta_F(2j)
+    a totally real field of degree g, with the same finite places' factor
+    (lefschetz._mass_local_orders). The functional equation gives zeta_F(2j)
     as (-1)^(jg) zeta_F(1-2j) (2^(2j) / (2 (2j-1)!))^g times
     pi^(2jg) |d_F|^(-(4j-1)/2); over j <= n those powers of pi cancel the
-    volume's pi^(g n(n+1)), and those of |d_F| the formula's |d_F|^(d/2)."""
-    field, d = algebra.field, n * (2 * n + 1)
+    volume's pi^(g n(n+1)), and those of |d_F| the formula's |d_F|^(d/2),
+    d = n(2n+1)."""
+    field = algebra.field
     g = field.degree
     dim = lefschetz.fixed_point_space_dim(algebra, n, cls)
     value = Fraction((-1) ** (dim // 2) * lefschetz.weyl_quotient(n, algebra.s, cls))
     value /= lefschetz.vol_sp_compact(n).coeff ** g
-    value *= level.norm() ** d / lefschetz.global_modulus_factor(algebra, n)
-    for prime, _exp in level.factors:
-        value *= Fraction(finitegrp.sp_order(n, prime.norm), prime.norm**d)
-    for prime in algebra.ram_finite:
-        if level.valuation(prime) == 0:
-            q = prime.norm
-            value *= Fraction(finitegrp.sp_order(n, q), finitegrp.ramified_local_order(n, q))
+    value *= lefschetz._mass_local_orders(algebra, n, level)
+    value /= lefschetz.global_modulus_factor(algebra, n)
     for j in range(1, n + 1):
         gamma = Fraction(2 ** (2 * j), 2 * factorial(2 * j - 1)) ** g
         value *= (-1) ** (j * g) * dedekind_zeta_neg(field, j) * gamma

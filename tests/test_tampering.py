@@ -2,17 +2,19 @@
 function with a wrong formula and names the verify suites that must each
 report a failed check.
 
-The rows are the tamperings T1-T7 of ROADMAP's sweep, and T8. T3, T4 and T5
-change an inline factor of the single-level closed form, so they replace
-``lefschetz._closed_form``, which takes its value from the kernel
+The rows are the tamperings T1-T7 of ROADMAP's sweep, T8 and T9. T3, T4
+and T5 change an inline factor of the single-level closed form, so they
+replace ``lefschetz._closed_form``, which takes its value from the kernel
 ``_Primes.closed_form``, with a wrapper that changes one returned report
 field and the value by the same factor. T8 tampers with the kernel itself,
-the one place every report's and every table row's value is assembled. A
-row that no suite catches yet (T6) is a strict xfail naming the ROADMAP
-item meant to catch it, so that the day a suite starts to catch it the row
-must be made a plain pass. Each row runs only its suites through
-``verify.run_suites`` (not the session-cached ``verified`` fixture), and
-clears every cache a tampered value can reach before and after it runs.
+the one place every report's and every table row's value is assembled. T9
+tampers with the mass formula's finite places, which its exact and float
+evaluations share. A row that no suite catches yet (T6) is a strict xfail
+naming the ROADMAP item meant to catch it, so that the day a suite starts
+to catch it the row must be made a plain pass. Each row runs only its
+suites through ``verify.run_suites`` (not the session-cached ``verified``
+fixture), and clears every cache a tampered value can reach before and
+after it runs.
 """
 
 from fractions import Fraction
@@ -117,6 +119,16 @@ def _t8_closed_form(self, level_norm, parts):
     return num, den
 
 
+def _t9_mass_local_orders(algebra, n, level):
+    """_mass_local_orders without the factor of the ramified primes off the
+    level."""
+    d = n * (2 * n + 1)
+    value = Fraction(level.norm() ** d)
+    for prime, _exp in level.factors:
+        value *= Fraction(finitegrp.sp_order(n, prime.norm), prime.norm**d)
+    return value
+
+
 def _clear_caches():
     numberfield.dedekind_zeta_neg.cache_clear()
     numberfield.gen_bernoulli.cache_clear()
@@ -166,6 +178,10 @@ _ROWS = [
     pytest.param(
         lefschetz._Primes, "closed_form", _t8_closed_form,
         ["lefschetz", "decomposition", "adelic"], id="T8",
+    ),
+    pytest.param(
+        lefschetz, "_mass_local_orders", _t9_mass_local_orders,
+        ["decomposition", "adelic"], id="T9",
     ),
 ]
 
