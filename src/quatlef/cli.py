@@ -32,8 +32,8 @@ from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
+    _printable_index,
     _table_rows,
-    congruence_index,
     euler_char_adelic_numeric,
     euler_char_fixed_component,
     genus_fuchsian,
@@ -327,11 +327,13 @@ def _json_text(value, indent: str = "\n") -> str:
     return f"{start}{inner}{(',' + inner).join(items)}{indent}{end}" if items else start + end
 
 
-def _emit_report(args, payload: dict, rows: list[list], header=("key", "value")) -> int:
-    """Write the JSON payload, or the command's CSV rows under --format csv;
-    an int past the digit limit raises ValueError in either writer."""
+def _emit_report(args, payload, rows, header=("key", "value")) -> int:
+    """Write the JSON payload, or the command's CSV rows under --format csv,
+    each built by calling its function only when asked for; an int past the
+    digit limit raises ValueError in either writer."""
+    data = rows() if args.format == "csv" else payload()
     try:
-        text = _csv_text(header, rows) if args.format == "csv" else _json_text(payload) + "\n"
+        text = _csv_text(header, data) if args.format == "csv" else _json_text(data) + "\n"
     except ValueError:
         raise _digit_limit_error() from None
     _emit(args, [text])
@@ -380,9 +382,12 @@ def _cmd_zeta(args) -> int:
         {"j": j, "value": format_rational(dedekind_zeta_neg(field, j))}
         for j in range(1, args.jmax + 1)
     ]
-    rows = [[v["j"], v["value"]] for v in values]
-    payload = _payload(args, field, values=values)
-    return _emit_report(args, payload, rows, ("j", "zeta_1_minus_2j"))
+    return _emit_report(
+        args,
+        lambda: _payload(args, field, values=values),
+        lambda: [[v["j"], v["value"]] for v in values],
+        ("j", "zeta_1_minus_2j"),
+    )
 
 
 def _cmd_lefschetz(args) -> int:
@@ -396,12 +401,14 @@ def _cmd_lefschetz(args) -> int:
         assume_torsion_free=bool(args.assume_torsion_free),
     )
     report = lefschetz_number(inp)
-    payload = _payload(
-        args, field, algebra, level, report, trace_w=format_rational(report.trace_w)
+    return _emit_report(
+        args,
+        lambda: _payload(
+            args, field, algebra, level, report, trace_w=format_rational(report.trace_w)
+        ),
+        lambda: [["value", format_rational(report.value)], ["n", report.n]]
+        + [["warning", w] for w in report.warnings],
     )
-    rows = [["value", format_rational(report.value)], ["n", report.n]]
-    rows += [["warning", w] for w in report.warnings]
-    return _emit_report(args, payload, rows)
 
 
 def _cmd_euler_char(args) -> int:
@@ -411,36 +418,46 @@ def _cmd_euler_char(args) -> int:
     report = euler_char_fixed_component(
         algebra, n, level, signature, bool(args.assume_torsion_free)
     )
-    payload = _payload(
-        args,
-        field,
-        algebra,
-        level,
-        report,
-        signature=str(report.signature_class),
-        binomial_factor=report.binomial_factor,
-    )
-    rows = [
-        ["value", format_rational(report.value)],
-        ["signature", str(report.signature_class)],
-    ]
-    if args.adelic_terms is not None:
-        terms = args.adelic_terms
-        numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
-        payload["adelic_numeric"] = {
-            "value": numeric,
-            "terms": terms,
-            "rel_tolerance": verify_mod.ADELIC_REL_TOL,
-        }
-        rows += [["adelic_numeric", repr(numeric)], ["adelic_terms", terms]]
+    terms = args.adelic_terms
+
+    # each builder runs the cross-check after its closed-form fields, so
+    # that a value past the digit limit is refused first
+    def payload() -> dict:
+        out = _payload(
+            args,
+            field,
+            algebra,
+            level,
+            report,
+            signature=str(report.signature_class),
+            binomial_factor=report.binomial_factor,
+        )
+        if terms is not None:
+            out["adelic_numeric"] = {
+                "value": euler_char_adelic_numeric(algebra, n, level, signature, terms),
+                "terms": terms,
+                "rel_tolerance": verify_mod.ADELIC_REL_TOL,
+            }
+        return out
+
+    def rows() -> list[list]:
+        out = [["value", format_rational(report.value)], ["signature", str(report.signature_class)]]
+        if terms is not None:
+            numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
+            out += [["adelic_numeric", repr(numeric)], ["adelic_terms", terms]]
+        return out
+
     return _emit_report(args, payload, rows)
 
 
 def _cmd_index(args) -> int:
     field, algebra, level = _setting(args)
-    value = congruence_index(algebra, args.n, level)
-    payload = _payload(args, field, algebra, level, n=args.n, index=value)
-    return _emit_report(args, payload, [["index", value]])
+    value = _printable_index(algebra, args.n, level)
+    return _emit_report(
+        args,
+        lambda: _payload(args, field, algebra, level, n=args.n, index=value),
+        lambda: [["index", value]],
+    )
 
 
 def _cmd_genus(args) -> int:
@@ -448,20 +465,22 @@ def _cmd_genus(args) -> int:
     report = genus_fuchsian(algebra, level, bool(args.assume_torsion_free))
     weights = [_int(w) for w in args.weights.split(",")] if args.weights else []
     dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
-    payload = _payload(
+    return _emit_report(
         args,
-        field,
-        algebra,
-        level,
-        genus=report.genus,
-        b1=report.b1,
-        chi=report.chi,
-        cusp_form_dims=dims,
-        warnings=list(report.warnings),
+        lambda: _payload(
+            args,
+            field,
+            algebra,
+            level,
+            genus=report.genus,
+            b1=report.b1,
+            chi=report.chi,
+            cusp_form_dims=dims,
+            warnings=list(report.warnings),
+        ),
+        lambda: [["genus", report.genus], ["b1", report.b1], ["chi", report.chi]]
+        + [[f"dim_weight_{k}", v] for k, v in sorted(dims.items())],
     )
-    rows = [["genus", report.genus], ["b1", report.b1], ["chi", report.chi]]
-    rows += [[f"dim_weight_{k}", v] for k, v in sorted(dims.items())]
-    return _emit_report(args, payload, rows)
 
 
 def _cmd_table(args) -> int:

@@ -96,7 +96,7 @@ def format_rational(value: Fraction | int) -> str:
     """Render an exact rational as ``"p/q"``, or just ``"p"`` when integral.
     A value beyond the digit limit of Python's integer-to-text conversion
     raises ValidationError."""
-    return _ratio_text(*Fraction(value).as_integer_ratio())
+    return _ratio_text(*value.as_integer_ratio())
 
 
 def _ratio_text(num: int, den: int, scale_num=1, scale_den=1, shift=0) -> str:

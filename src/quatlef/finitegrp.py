@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _MAX_STATES = 1 << 24
+# (q, kind, n) whose reduction orders local_index_factor keeps; one order
+# at n = 100 has about 40,000 log10(q) digits
+_REDUCTION_ORDERS_KEPT = 256
 
 
 def _require_prime_power(q: int) -> None:
@@ -108,13 +111,20 @@ def local_index_factor(q: int, kind: str, n: int, e: int) -> int:
     """
     if e < 1:
         raise ValidationError("prime exponent must be >= 1")
+    order = _reduction_order(q, kind, n)  # checks n, q and kind before the lift
+    return q ** ((e - 1) * (4 * n * n - 1)) * order
+
+
+@lru_cache(maxsize=_REDUCTION_ORDERS_KEPT)
+def _reduction_order(q: int, kind: str, n: int) -> int:
+    """The order of the reduction of local_index_factor, kept for the last
+    _REDUCTION_ORDERS_KEPT (q, kind, n); a refused input is not kept."""
     _require_rank(n, q)
-    lift = q ** ((e - 1) * (4 * n * n - 1))
     if kind == "split":
-        return lift * _sl_product(2 * n, q)
+        return _sl_product(2 * n, q)
     if kind == "ramified":
         lead = q ** (n * (3 * n - 1)) * (q + 1)
-        return lift * lead * prod(q ** (2 * j) - 1 for j in range(2, n + 1))
+        return lead * prod(q ** (2 * j) - 1 for j in range(2, n + 1))
     raise ValidationError(f"unknown local kind {kind!r}")
 
 

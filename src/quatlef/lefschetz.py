@@ -54,13 +54,14 @@ concurrently.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial, gcd, isfinite, prod
+from math import comb, factorial, gcd, isfinite, log10, prod
 
 from . import finitegrp
 from .errors import InvariantError, NotFuchsianError, TorsionError, ValidationError
-from .exact import SymbolicScalar, _ratio_text, _Value
+from .exact import SymbolicScalar, _digit_limit_error, _ratio_text, _Value
 from .numberfield import (
     _MAX_SERIES_TERMS,
     _MAX_ZETA_INDEX,
@@ -565,6 +566,23 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     """
     _check_level(algebra, level, n)
     return _index(algebra.ram_finite, n, level.factors)
+
+
+def _printable_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
+    """congruence_index, refused before any lift is built when a lower bound
+    on its log10 reaches one digit past sys.get_int_max_str_digits() (0: no
+    limit), so that it would not print. Each local factor is at least
+    N(P)^(a(4n^2-1) - 2n + 1), as every q^j - 1 >= q^(j-1). An exponent is
+    capped at 4 limit, past which its power alone has more than limit
+    digits, so that it fits a float; the digit of margin absorbs the float
+    error."""
+    _check_level(algebra, level, n)
+    limit = sys.get_int_max_str_digits()
+    dim, cap = 4 * n * n - 1, 4 * limit
+    digits = sum(log10(prime.norm) * min(a * dim - 2 * n + 1, cap) for prime, a in level.factors)
+    if limit and digits >= limit + 1:
+        raise _digit_limit_error()
+    return congruence_index(algebra, n, level)
 
 
 def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:

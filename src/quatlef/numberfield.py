@@ -63,6 +63,8 @@ _SMALL_PRIME_BOUND = _MILLER_RABIN_BASES[-1] ** 2
 _SMALL_PRIMES = _primes_below(_SMALL_PRIME_BOUND)
 # factorize divides out primes up to this bound, about 0.1 s of trial division
 _TRIAL_DIVISION_BOUND = 10**6
+# integers whose factorisations factorize keeps
+_FACTORISATIONS_KEPT = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -110,8 +112,14 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
     Trial division stops at _TRIAL_DIVISION_BOUND. A cofactor beyond its
     square is accepted when it is a prime or a power of one; any other is
-    refused, since it has two prime factors above the bound.
+    refused, since it has two prime factors above the bound. The pairs of
+    the last _FACTORISATIONS_KEPT n are kept; each call returns a new list.
     """
+    return list(_factorize(n))
+
+
+@lru_cache(maxsize=_FACTORISATIONS_KEPT)
+def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValidationError("can only factor positive integers")
     whole, out = n, []
@@ -127,12 +135,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if d * d > n:
         if n > 1:
             out.append((n, 1))
-        return out
+        return tuple(out)
     # every prime factor of n exceeds the bound, so n = p^e has e < log_B(n)
     for e in range(int(log(n, _TRIAL_DIVISION_BOUND)), 0, -1):
         root = _iroot(n, e)
         if root**e == n and is_prime(root):
-            return out + [(root, e)]
+            return (*out, (root, e))
     raise ValidationError(
         f"cannot factor {whole}: the cofactor {n} has no prime factor up to"
         f" {_TRIAL_DIVISION_BOUND} and is not a prime power"

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from quatlef import cli, finitegrp, lefschetz, numberfield, verify
 from quatlef.errors import InvariantError, ValidationError
+from quatlef.finitegrp import local_index_factor
 from quatlef.quaternion import QuaternionAlgebra
 from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _csv_text, _json_text, _parse_field,
                          _read_flags, build_parser, main)
@@ -516,8 +517,8 @@ def test_json_text_refuses_other_types(value):
 
 
 def test_json_int_past_the_digit_limit_is_one_error_line(capsys):
-    """An index of more than 4300 digits reaches the JSON writer as an int,
-    which refuses it in the package's one line."""
+    """An index of more than 4300 digits, which the library returns, is
+    refused by ``index`` in the package's one line."""
     field = numberfield.TotallyRealField.real_quadratic(5)
     algebra = QuaternionAlgebra(field, (), 2)
     index = lefschetz.congruence_index(algebra, 40, numberfield.ideal_from_integer(field, 3))
@@ -529,6 +530,91 @@ def test_json_int_past_the_digit_limit_is_one_error_line(capsys):
         "error: a value has more than 4300 digits, the limit for writing an integer as"
         " text; a smaller --n or --level shortens it\n"
     )
+
+
+def _digit_limit_line(limit: int) -> str:
+    return (f"error: a value has more than {limit} digits, the limit for writing an integer"
+            " as text; a smaller --n or --level shortens it\n")
+
+
+def test_index_refused_before_any_lift(capsys, monkeypatch):
+    """An index that surely passes the digit limit is refused before
+    local_index_factor builds its lift, however long the exponent."""
+    def no_lift(q, kind, n, e):
+        raise AssertionError(f"local_index_factor({q}, {kind!r}, {n}, {e}) was called")
+
+    monkeypatch.setattr(finitegrp, "local_index_factor", no_lift)
+    for level in ("3:1:1^3000000", f"3:1:1^{10**4000}", "2:1:1^2000,3:1:1^2000"):
+        argv = ["index", "--field", "q", "--split", "--n", "1", "--level", level]
+        assert run_cli(capsys, argv) == (2, "", _digit_limit_line(4300))
+    # the cap on n is still met first
+    argv = ["index", "--field", "q", "--split", "--n", "1000", "--level", "3"]
+    code, _, err = run_cli(capsys, argv)
+    assert (code, err) == (2, "error: matrix size n = 1000 exceeds the cap of n <= 100\n")
+
+
+@pytest.mark.parametrize(
+    "flags, prime, norm, kind, n, limit",
+    [
+        (["--field", "q", "--split"], "3:1:1", 3, "split", 1, 4300),
+        (["--field", "q", "--ram", "2,3"], "3:1:1", 3, "ramified", 2, 640),
+        (["--field", "quad:5", "--ram-real", "2"], "3:2:1", 9, "split", 3, 640),
+    ],
+)
+def test_index_prints_up_to_the_digit_limit(capsys, flags, prime, norm, kind, n, limit):
+    """At the largest exponent whose index has at most limit digits, index
+    prints it; one more exponent is refused, and with no limit it prints."""
+    lo, hi = 1, 4 * limit  # the largest k with local_index_factor below 10^limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if local_index_factor(norm, kind, n, mid) < 10**limit else (lo, mid - 1)
+    argv = ["index", *flags, "--n", str(n), "--format", "csv", "--level"]
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        index = local_index_factor(norm, kind, n, lo)
+        assert run_cli(capsys, [*argv, f"{prime}^{lo}"]) == (0, f"key,value\nindex,{index}\n", "")
+        # refused by the bound, or, inside its margin (the first case), by either writer
+        for fmt in ("csv", "json"):
+            refused = run_cli(capsys, [*argv, f"{prime}^{lo + 1}", "--format", fmt])
+            assert refused == (2, "", _digit_limit_line(limit))
+        sys.set_int_max_str_digits(0)
+        index = local_index_factor(norm, kind, n, lo + 1)
+        code, out, _ = run_cli(capsys, [*argv, f"{prime}^{lo + 1}"])
+        assert (code, out) == (0, f"key,value\nindex,{index}\n")
+    finally:
+        sys.set_int_max_str_digits(default)
+
+
+def test_index_keeps_one_reduction_order_per_prime(capsys):
+    """The kept reduction order of a prime serves every exponent of it."""
+    finitegrp._reduction_order.cache_clear()
+    for k in (2, 7):
+        argv = ["index", "--field", "q", "--split", "--n", "1", "--level", f"3:1:1^{k}"]
+        code, out, _ = run_cli(capsys, argv)
+        assert (code, json.loads(out)["index"]) == (0, 24 * 27 ** (k - 1))
+    info = finitegrp._reduction_order.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", "--field", "q", "--jmax", "2"],
+        ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"],
+        ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level", "3",
+         "--signature", "2,0;2,0", "--adelic-terms", "10000"],
+        ["index", "--field", "q", "--split", "--n", "1", "--level", "4"],
+        ["genus", "--field", "q", "--ram", "2,3", "--level", "5", "--weights", "2"],
+    ],
+)
+def test_csv_report_builds_no_json_payload(capsys, monkeypatch, argv):
+    def no_payload(*args, **kwargs):
+        raise AssertionError("the JSON payload was built")
+
+    monkeypatch.setattr(cli, "_payload", no_payload)
+    code, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+    assert code == 0 and out.startswith(("key,value\n", "j,zeta_1_minus_2j\n"))
 
 
 def test_config_unknown_key_rejected(capsys, tmp_path):

@@ -131,6 +131,7 @@ class TestRationalSerialisation:
         assert parse_rational("7") == 7
         assert format_rational(Fraction(-20)) == "-20"
         assert format_rational(Fraction(1, 30)) == "1/30"
+        assert format_rational(-20) == "-20"
 
     def test_garbage_rejected(self):
         with pytest.raises(ValidationError):

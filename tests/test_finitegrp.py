@@ -142,6 +142,8 @@ class TestLocalIndexFactor:
 
     @pytest.mark.parametrize("kind", ["split", "ramified"])
     def test_norm_checked_once(self, kind, monkeypatch):
+        # one check per uncached (q, kind, n): earlier tests may have kept some
+        finitegrp._reduction_order.cache_clear()
         checked = []
         original = finitegrp._require_prime_power
 
@@ -158,6 +160,27 @@ class TestLocalIndexFactor:
         with pytest.raises(ValidationError, match="^6 is not a prime power$"):
             local_index_factor(6, kind, 1, 1)
         assert checked == [6]
+
+    def test_refusal_is_not_kept(self, monkeypatch):
+        # each call checks the refused q again and refuses it in the same words
+        checked = []
+        original = finitegrp._require_prime_power
+
+        def counting(q):
+            checked.append(q)
+            return original(q)
+
+        monkeypatch.setattr(finitegrp, "_require_prime_power", counting)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="^6 is not a prime power$"):
+                local_index_factor(6, "split", 1, 1)
+            with pytest.raises(ValidationError, match="^unknown local kind 'weird'$"):
+                local_index_factor(5, "weird", 1, 1)
+        assert checked == [6, 5, 6, 5]
+
+    def test_reduction_orders_kept(self):
+        info = finitegrp._reduction_order.cache_info()
+        assert info.maxsize == finitegrp._REDUCTION_ORDERS_KEPT == 256
 
     def test_prime_power_check_agrees_with_factorize(self):
         cases = {q: q >= 2 and len(numberfield.factorize(q)) == 1 for q in range(-3, 5000)}

@@ -931,3 +931,27 @@ def test_factorize_large_cofactors():
     assert factorize(1000003**3) == [(1000003, 3)]
     with pytest.raises(ValidationError, match="cannot factor 1000000016000000063"):
         factorize((10**9 + 7) * (10**9 + 9))
+
+
+def test_factorize_refusal_is_not_kept():
+    # each call factors the refused n again and refuses it in the same words
+    messages = []
+    for _ in range(2):
+        misses = numberfield._factorize.cache_info().misses
+        with pytest.raises(ValidationError) as refused:
+            factorize((10**9 + 7) * (10**9 + 9))
+        assert numberfield._factorize.cache_info().misses == misses + 1
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_factorize_returns_a_new_list():
+    first = factorize(360)
+    first[0] = (2, 9)
+    first.append((7, 1))
+    assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
+    assert factorize(360) is not factorize(360)
+
+
+def test_factorisations_kept():
+    assert numberfield._factorize.cache_info().maxsize == numberfield._FACTORISATIONS_KEPT == 1024

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quatlef import finitegrp, lefschetz
+from quatlef import finitegrp, lefschetz, numberfield
 from quatlef.cli import main
 from quatlef.lefschetz import (
     LefschetzInput,
@@ -171,6 +171,22 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
     assert index_args and len(index_args) == len(set(index_args))
     # zeta_F(1-2j) once per j <= n, j = n first
     assert [j for _field, j in calls["dedekind_zeta_neg"]] == list(range(n, 0, -1))
+
+
+def test_table_run_twice_misses_no_cache(capsys):
+    """A second run of a table finds every factorisation and reduction order
+    it needs kept by the first."""
+    argv = ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "2",
+            "--levels", "3:60"]
+    caches = (numberfield._factorize, finitegrp._reduction_order)
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    before = [cache.cache_info() for cache in caches]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    after = [cache.cache_info() for cache in caches]
+    assert [info.misses for info in after] == [info.misses for info in before]
+    assert all(late.hits > early.hits for early, late in zip(before, after))
 
 
 _KERNEL_TABLES = [
