@@ -32,12 +32,12 @@ from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
+    _printable_component,
     _printable_index,
+    _printable_lefschetz,
     _table_rows,
     euler_char_adelic_numeric,
-    euler_char_fixed_component,
     genus_fuchsian,
-    lefschetz_number,
     modular_form_dim,
 )
 from .numberfield import (
@@ -400,7 +400,7 @@ def _cmd_lefschetz(args) -> int:
         trace_w=_trace_w(args),
         assume_torsion_free=bool(args.assume_torsion_free),
     )
-    report = lefschetz_number(inp)
+    report = _printable_lefschetz(inp)
     return _emit_report(
         args,
         lambda: _payload(
@@ -415,9 +415,7 @@ def _cmd_euler_char(args) -> int:
     field, algebra, level = _setting(args)
     signature = _parse_signature(args.signature)
     n = args.n
-    report = euler_char_fixed_component(
-        algebra, n, level, signature, bool(args.assume_torsion_free)
-    )
+    report = _printable_component(algebra, n, level, signature, bool(args.assume_torsion_free))
     terms = args.adelic_terms
 
     # each builder runs the cross-check after its closed-form fields, so

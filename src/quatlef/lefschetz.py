@@ -9,8 +9,8 @@ The pieces, in the order they combine:
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``, as
   ``num/den`` in integers. Its input is N(level) and the (num, den) parts
-  of prod_j M(j), each a product of ``_local_part``s (``_Primes.part``;
-  a table keeps them in its per-``p^a`` records); it multiplies them into
+  of prod_j M(j), each a ``_local_part`` over every ``j <= n`` (a table
+  keeps them in its per-``p^a`` records); it multiplies them into
   a zeta product kept per request, reduces once and checks the sign law
   on ``num`` against a sign fixed per request.
   ``_closed_form`` turns it into a single-level report's value ``X / 2^e``,
@@ -68,6 +68,8 @@ from .numberfield import (
     Ideal,
     PrimeIdeal,
     TotallyRealField,
+    _check_zeta_caps,
+    _zetas_log10,
     dedekind_zeta_neg,
     factorize,
     split_prime,
@@ -301,15 +303,11 @@ class _Primes:
         self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
             self.sign = (-1) ** (algebra.s * n * (n + 1) // 2)
-            # j = n first, so that the zeta caps refuse it before any row is
-            # built, and so that one pass of power sums serves every smaller j
+            # j = n first, so that the zeta caps refuse it first, and so
+            # that one pass of power sums serves every smaller j
             self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
             self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
             self.den = prod([z.denominator for z in self.zetas])
-
-    def part(self, norm: int, in_level: bool) -> tuple[int, int]:
-        """_local_part of a prime over every j <= n."""
-        return _local_part(norm, range(1, self.n + 1), in_level)
 
     def closed_form(self, level_norm: int, parts) -> tuple[int, int]:
         """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of this
@@ -362,7 +360,8 @@ def _closed_form(
     # built first, so that the zeta caps refuse j = n before any factor
     primes, norm = _Primes(algebra, n), level.norm()
     local = _local_primes(algebra, level.factors)
-    num, den = primes.closed_form(norm, [primes.part(p.norm, a > 0) for p, a in local])
+    js = range(1, n + 1)
+    num, den = primes.closed_form(norm, [_local_part(p.norm, js, a > 0) for p, a in local])
     shared = dict(n=n, two_power=Fraction(1, 2**two_exp),
                   level_norm_power=norm ** (n * (2 * n + 1)),
                   disc_power=primes.disc_power,
@@ -382,11 +381,15 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     index of (p^a), and its (P, e a) factors."""
     _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    primes, records, field, r = _Primes(algebra, n), {}, algebra.field, algebra.r
+    records, field, r, primes, js = {}, algebra.field, algebra.r, None, range(1, n + 1)
+    # the zeta caps refuse before any row; the zeta values wait for the first
+    # row with a value, which is refused first if it would not print
+    if field.is_totally_real:
+        _check_zeta_caps(field, n)
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
     # (p, (P, 0), part) of each ramified P, for the levels that p does not divide
-    off = [(p.p, (p, 0), primes.part(p.norm, False)) for p in algebra.ram_finite]
+    off = [(p.p, (p, 0), _local_part(p.norm, js, False)) for p in algebra.ram_finite]
     trace_num, trace_den = trace_w.as_integer_ratio()
     # at trace 1 and n r = r the Lefschetz number and each component share a text
     one_text = trace_num == trace_den and n * r == r
@@ -396,7 +399,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
         for key in factorize(level):
             if key not in records:
                 factors = [(prime, prime.e * key[1]) for prime in split_prime(field, key[0])]
-                parts = [primes.part(prime.norm, True) for prime, _a in factors]
+                parts = [_local_part(prime.norm, js, True) for prime, _a in factors]
                 records[key] = parts, _index(ramified, n, factors), factors
             row.append(records[key])
         # after the first row's own primes, which a descriptor may lack first;
@@ -405,6 +408,11 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
         if len(row) == 1 and not _passes_torsion(row[0][2], above_two):
             yield level, norm, None
             continue
+        if primes is None:
+            # every row prints a component, |binomial| >= 1; later norms are larger
+            level_factors = [f for record in row for f in record[2]]
+            _refuse_unprintable(algebra, n, level_factors, n * r, 1, lambda: True)
+            primes = _Primes(algebra, n)
         parts = [part for record in row for part in record[0]]
         num, den = primes.closed_form(norm, parts + [part for p, _, part in off if level % p])
         texts = {b: _ratio_text(num, den, b, 1, n * r) for b in distinct}
@@ -427,6 +435,71 @@ def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
         inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
     )
     return LefschetzReport(value=value * inp.trace_w, trace_w=inp.trace_w, **shared)
+
+
+# the most that the M(j) parts of primes take off log10 |value|: a level's
+# primes less than 0.261 per unit of degree, as prod_{P | L} prod_j
+# (1 - N(P)^-2j) >= prod_j zeta_F(2j)^-1 >= prod_j zeta(2j)^-degree, and each
+# ramified prime off it less than 0.378, as prod_{j odd} (1 - N^-j) >=
+# prod_{j odd} (1 - 2^-j)
+_LEVEL_PARTS_LOSS = 0.261
+_RAMIFIED_PART_LOSS = 0.378
+
+
+def _refuse_unprintable(
+    algebra: QuaternionAlgebra, n: int, factors, shift: int, scale, checks
+) -> None:
+    """Refuse, as _printable_index refuses an index, a closed form value
+    scale 2^-shift N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) of the level L
+    of these (P, a) factors that would not print, before any zeta value or
+    power is built: when a lower bound on its log10 reaches one digit past
+    sys.get_int_max_str_digits() (0: no limit). Only then do the refusals
+    that the library meets first run: checks(), which is False when the
+    torsion gate refuses, and the zeta caps. |d(D)| >= 1 is left out, the
+    digit of margin absorbs the float error, and an exponent is capped at 4
+    limit, past which its power alone has more than limit digits, so that
+    it fits a float. A value of 0, at a complex place or scale 0, is never
+    refused."""
+    limit, field = sys.get_int_max_str_digits(), algebra.field
+    if not (limit and scale and field.is_totally_real and 1 <= n <= _MAX_ZETA_INDEX):
+        return
+    zetas = _zetas_log10(field, n)
+    if zetas is None:
+        return  # the kernel refuses the missing zeta value
+    level_log10 = 0.0
+    for prime, a in factors:
+        level_log10 += prime.f * log10(prime.p) * min(a, 4 * limit)
+    floor = zetas + n * (2 * n + 1) * level_log10 - shift * log10(2)
+    floor -= _LEVEL_PARTS_LOSS * field.degree + _RAMIFIED_PART_LOSS * len(algebra.ram_finite)
+    if scale != 1:
+        floor += log10(abs(scale.numerator)) - log10(scale.denominator)
+    if floor >= limit + 1 and checks():
+        _check_zeta_caps(field, n)
+        raise _digit_limit_error()
+
+
+def _printable_lefschetz(inp: LefschetzInput) -> LefschetzReport:
+    """lefschetz_number, refused by _refuse_unprintable first."""
+    level = inp.level
+    _refuse_unprintable(
+        inp.algebra, inp.n, level.factors, inp.algebra.r, inp.trace_w,
+        lambda: inp.assume_torsion_free or check_torsion_necessary(level),
+    )
+    return lefschetz_number(inp)
+
+
+def _printable_component(
+    algebra: QuaternionAlgebra, n: int, level: Ideal, cls: SignatureClass, override: bool
+) -> EulerCharReport:
+    """euler_char_fixed_component, refused by _refuse_unprintable first; its
+    binomial is at least 1."""
+    def checks() -> bool:
+        _validate_setting(algebra, n, level)
+        _validate_class(cls, n, algebra.r)
+        return override or check_torsion_necessary(level)
+
+    _refuse_unprintable(algebra, n, level.factors, n * algebra.r, 1, checks)
+    return euler_char_fixed_component(algebra, n, level, cls, override)
 
 
 def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:

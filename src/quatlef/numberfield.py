@@ -20,8 +20,8 @@ import threading
 from array import array
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import chain, compress, cycle, islice, repeat
-from math import comb, lcm, log
+from itertools import accumulate, chain, compress, cycle, islice, repeat
+from math import comb, lcm, lgamma, log, log10, pi
 from operator import mul
 from os import PathLike
 
@@ -608,11 +608,7 @@ def gen_bernoulli(k: int, chi: QuadraticCharacter) -> Fraction:
         raise ValidationError(
             f"generalized Bernoulli index {k} exceeds the cap of {2 * _MAX_ZETA_INDEX}"
         )
-    if f * k > _MAX_POWER_SUM_TERMS:
-        raise ValidationError(
-            f"conductor {f} times index {k} exceeds the cap of"
-            f" {_MAX_POWER_SUM_TERMS} power-sum terms"
-        )
+    _check_power_sum_terms(f, k)
     sums = _power_sums(chi, k)
     terms = [(i, bernoulli(i)) for i in range(0, k + 1, 2)]
     scale = lcm(*(b.denominator for _i, b in terms))
@@ -651,74 +647,119 @@ def dedekind_zeta_neg(field: TotallyRealField, j: int) -> Fraction:
     return field.zeta_neg_table[j - 1]
 
 
-# terms per block of _dirichlet_series: its powers are held a block at a
-# time, and its two sums are kept at the end of every block for the
-# _SERIES_KEYS most recently used (discriminant, 2j) keys. At the 10^7-term
-# cap a key keeps 9,766 pairs of floats (about 156 KiB), so the kept sums
-# take about 4.9 MiB at worst.
+def _check_power_sum_terms(f: int, k: int) -> None:
+    if f * k > _MAX_POWER_SUM_TERMS:
+        raise ValidationError(
+            f"conductor {f} times index {k} exceeds the cap of"
+            f" {_MAX_POWER_SUM_TERMS} power-sum terms"
+        )
+
+
+def _check_zeta_caps(field: TotallyRealField, n: int) -> None:
+    """The refusals of dedekind_zeta_neg(field, n), 1 <= n <= _MAX_ZETA_INDEX,
+    which are those of every j <= n, with no zeta value computed."""
+    if field.kind == _KIND_QUADRATIC:
+        _check_power_sum_terms(field.abs_discriminant, 2 * n)
+    elif field.kind == _KIND_EXTERNAL:
+        dedekind_zeta_neg(field, n)
+
+
+def _zetas_log10(field: TotallyRealField, n: int) -> float | None:
+    """A lower bound on log10 |prod_{j<=n} dedekind_zeta_neg(field, j)| for a
+    totally real field and 1 <= n <= _MAX_ZETA_INDEX, with no Bernoulli
+    number computed: by the functional equation |zeta_F(1-2j)| =
+    d_F^(2j-1/2) (2 (2j-1)! / (2 pi)^(2j))^degree zeta_F(2j), and
+    zeta_F(2j) > 1. An external field's values are read from its table;
+    None when it lacks one."""
+    if field.kind == _KIND_EXTERNAL:
+        values = field.zeta_neg_table[:n]
+        if len(values) < n:
+            return None
+        return sum(log10(abs(z.numerator)) - log10(z.denominator) for z in values)
+    return field.degree * _GAMMA_LOG10[n] + (n * n + n / 2) * log10(field.abs_discriminant)
+
+
+# terms per block of _dirichlet_series: the powers m^(-2j) are held a block
+# at a time, and one pass over them serves every series of a call. Each
+# series keeps its sum at the end of every block for the _SERIES_KEYS most
+# recently used (discriminant, 2j) keys; the Riemann sum is kept once, under
+# (0, 2j). At the 10^7-term cap a key keeps 9,766 floats (about 76 KiB), so
+# the kept sums take about 2.4 MiB at worst.
 _SERIES_BLOCK = 2**10
 _SERIES_KEYS = 32
-# (discriminant, 2j) -> array [r_0, t_0, r_1, t_1, ...] of the two sums over
+# (discriminant, 2j) -> array [s_0, s_1, ...] of the sums over
 # m <= i * _SERIES_BLOCK, the least recently used key first. A call holds
 # _series_lock throughout, so two threads never extend one array.
 _series_prefixes: dict[tuple[int, int], array] = {}
-# the character of the most recent D as the floats 0.0, 1.0 and -1.0:
-# chi * m^(-2j) is exact, and a float product is cheaper than an int one
-_series_table: tuple[int, list[float]] = (0, [])
+# the characters of a recent call's nonzero D as the floats 0.0, 1.0 and
+# -1.0: chi * m^(-2j) is exact, and a float product is cheaper than an int one
+_series_tables: dict[int, list[float]] = {}
 _series_lock = threading.Lock()
 
 
 def _dirichlet_series(
-    discriminant: int, two_j: int, terms: int
-) -> tuple[float, float]:
-    """The truncated series sum_{m<=terms} m^(-two_j) and
-    sum_{m<=terms} chi_D(m) m^(-two_j), D = discriminant.
+    discriminants: tuple[int, ...], two_j: int, terms: int
+) -> tuple[float, ...]:
+    """The truncated series sum_{m<=terms} chi_D(m) m^(-two_j) for each D in
+    discriminants, in their order; D = 0 is the trivial character, whose
+    series is the Riemann one.
 
-    D = 0 means the trivial character, whose series is the Riemann one.
-    Each m^(-two_j) is taken once and feeds both sums. They resume from the
-    last pair kept in _series_prefixes at or below terms, so a call sums
-    fewer than _SERIES_BLOCK terms that an earlier call of its key summed,
-    and keep the pairs they pass; the character table of the most recent D
-    is kept too. Each sum runs in ascending m through one sum() per block,
-    started at the running sum, and the blocks are aligned at multiples of
-    _SERIES_BLOCK from m = 1, so a float does not depend on where a call
-    resumes. On Python <= 3.11 sum() adds floats one at a time, so each is
-    bitwise that of a per-term loop; from 3.12 sum() compensates its
-    rounding within a block, and the last digits differ from the loop's. A
-    term with chi_D(m) = 0 adds 0.0, which leaves the positive partial sum
-    unchanged and costs less than skipping it.
+    Each m^(-two_j) is taken once and feeds every series that has not yet
+    passed its block. A series resumes from the last sum kept in
+    _series_prefixes at or below terms, so a call sums fewer than
+    _SERIES_BLOCK terms that an earlier call of its key summed, and keeps
+    the sums it passes. The character tables are replaced only when a series
+    with terms left has none kept, by those of the call's series with terms
+    left. Each sum runs in ascending m through one sum() per block, started
+    at the running sum, and the blocks are aligned at multiples of
+    _SERIES_BLOCK from m = 1, so a float depends neither on where a call
+    resumes nor on the call's other series. On Python <= 3.11 sum() adds
+    floats one at a time, so each is bitwise that of a per-term loop; from
+    3.12 sum() compensates its rounding within a block, and the last digits
+    differ from the loop's. A term with chi_D(m) = 0 adds 0.0, which leaves
+    the sum unchanged and costs less than skipping it.
     """
-    global _series_table
+    global _series_tables
     with _series_lock:
-        key = (discriminant, two_j)
-        prefixes = _series_prefixes.pop(key, None) or array("d", (0.0, 0.0))
-        _series_prefixes[key] = prefixes
-        if len(_series_prefixes) > _SERIES_KEYS:
-            del _series_prefixes[next(iter(_series_prefixes))]
-        kept = min(len(prefixes) // 2 - 1, terms // _SERIES_BLOCK)
-        riemann, twisted = prefixes[2 * kept : 2 * kept + 2]
-        done = kept * _SERIES_BLOCK
-        exponent = repeat(-two_j)
-        if discriminant and done < terms:
-            if _series_table[0] != discriminant:
-                signs = (0.0, 1.0, -1.0)
-                _series_table = (
-                    discriminant,
-                    [signs[c] for c in _character_table(discriminant)],
-                )
-            table = _series_table[1]
-            chars = chain(islice(table, (done + 1) % len(table), None), cycle(table))
-        for lo in range(done + 1, terms + 1, _SERIES_BLOCK):
+        # D -> [kept sums, terms done, running sum, characters]
+        series, first, left = {}, terms, []
+        for discriminant in discriminants:
+            key = (discriminant, two_j)
+            prefixes = _series_prefixes.pop(key, None) or array("d", (0.0,))
+            _series_prefixes[key] = prefixes
+            if len(_series_prefixes) > _SERIES_KEYS:
+                del _series_prefixes[next(iter(_series_prefixes))]
+            kept = min(len(prefixes) - 1, terms // _SERIES_BLOCK)
+            done = kept * _SERIES_BLOCK
+            first = min(first, done)
+            series[discriminant] = [prefixes, done, prefixes[kept], None]
+            if discriminant and done < terms:
+                left.append(discriminant)
+        if left and not all(map(_series_tables.__contains__, left)):
+            signs = (0.0, 1.0, -1.0)
+            _series_tables = {
+                d: _series_tables.get(d) or [signs[c] for c in _character_table(d)]
+                for d in left
+            }
+        for d in left:
+            table = _series_tables[d]
+            start = (series[d][1] + 1) % len(table)
+            series[d][3] = chain(islice(table, start, None), cycle(table))
+        # a lone series is active in every block, and sums its powers as made
+        exponent, active = repeat(-two_j), series.values()
+        for lo in range(first + 1, terms + 1, _SERIES_BLOCK):
             hi = min(lo + _SERIES_BLOCK, terms + 1)
-            if discriminant:
-                powers = list(map(pow, range(lo, hi), exponent))
-                riemann = sum(powers, riemann)
-                twisted = sum(map(mul, islice(chars, hi - lo), powers), twisted)
-            else:
-                riemann = twisted = sum(map(pow, range(lo, hi), exponent), riemann)
-            if hi - 1 == len(prefixes) // 2 * _SERIES_BLOCK:
-                prefixes.extend((riemann, twisted))
-        return riemann, twisted
+            powers = map(pow, range(lo, hi), exponent)
+            if len(series) > 1:
+                active = [s for s in series.values() if s[1] < lo]
+                if len(active) > 1:
+                    powers = list(powers)
+            for s in active:
+                chars = s[3]
+                s[2] = sum(map(mul, islice(chars, hi - lo), powers) if chars else powers, s[2])
+                if hi - 1 == len(s[0]) * _SERIES_BLOCK:
+                    s[0].append(s[2])
+        return tuple([series[d][2] for d in discriminants])
 
 
 def zeta_truncation_bound(field: TotallyRealField, j: int, terms: int) -> float:
@@ -732,6 +773,12 @@ _MAX_SERIES_TERMS = 10**7
 _MAX_CONDUCTOR = 10**6
 # largest j of a zeta value at 1-2j, for every field
 _MAX_ZETA_INDEX = 100
+# log10 prod_{j<=n} 2 (2j-1)! / (2 pi)^(2j) for n = 0.._MAX_ZETA_INDEX
+_GAMMA_LOG10 = list(accumulate(
+    (log10(2) + lgamma(2 * j) / log(10) - 2 * j * log10(2 * pi)
+     for j in range(1, _MAX_ZETA_INDEX + 1)),
+    initial=0.0,
+))
 # most terms of one character's power sums: the conductor f times the
 # largest gen_bernoulli index k
 _MAX_POWER_SUM_TERMS = 4 * 10**6
@@ -756,8 +803,8 @@ def zeta_f_positive_even_numeric(
             f"{terms} series terms exceed the cap of {_MAX_SERIES_TERMS}"
         )
     if field.kind == _KIND_RATIONALS:
-        return _dirichlet_series(0, 2 * j, terms)[0]
+        return _dirichlet_series((0,), 2 * j, terms)[0]
     if field.kind == _KIND_QUADRATIC:
-        riemann, twisted = _dirichlet_series(field.abs_discriminant, 2 * j, terms)
+        riemann, twisted = _dirichlet_series((0, field.abs_discriminant), 2 * j, terms)
         return riemann * twisted
     raise ValidationError("numeric zeta needs a natively supported field")

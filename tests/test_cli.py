@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -595,6 +596,134 @@ def test_index_keeps_one_reduction_order_per_prime(capsys):
         assert (code, json.loads(out)["index"]) == (0, 24 * 27 ** (k - 1))
     info = finitegrp._reduction_order.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_closed_form_refused_before_any_zeta_value(capsys, monkeypatch):
+    """A lefschetz, euler-char or table value that surely passes the digit
+    limit is refused before any zeta value or power is built, however long
+    the exponent; the library still returns such values."""
+    q = numberfield.TotallyRealField.rationals()
+    split = QuaternionAlgebra(q, (), 0)
+    level = numberfield.Ideal(q, ((numberfield.PrimeIdeal(3), 5000),))
+    inp = lefschetz.LefschetzInput(q, split, 1, level)
+    assert math.log10(abs(lefschetz.lefschetz_number(inp).value.numerator)) > 4300
+    component = lefschetz.euler_char_fixed_component(split, 1, level, lefschetz.SignatureClass())
+    assert math.log10(abs(component.value.numerator)) > 4300
+
+    def no_kernel(algebra, n):
+        raise AssertionError(f"_Primes(n = {n}) was built")
+
+    monkeypatch.setattr(lefschetz, "_Primes", no_kernel)
+    big, external = "1" + "0" * 1500, f"external:{_GOLDEN / 'q_sqrt2_sqrt5.json'}"
+    q_split = ["--field", "q", "--split", "--n", "1"]
+    for argv in (
+        ["lefschetz", *q_split, "--level", "3:1:1^1000000"],
+        ["lefschetz", *q_split, "--level", f"3:1:1^{10**4000}", "--trace-w", "1/7"],
+        ["lefschetz", "--field", "quad:19997", "--split", "--n", "100", "--level", "3"],
+        ["lefschetz", "--field", "q", "--split", "--n", "100", "--level", "2",
+         "--assume-torsion-free"],
+        ["lefschetz", "--field", external, "--split", "--n", "8", "--level", "3:2:1:a^1000"],
+        ["euler-char", *q_split, "--level", "3:1:1^1000000"],
+        ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level",
+         "3:2:1^100000", "--signature", "2,0;2,0", "--adelic-terms", "10000"],
+        ["table", "--field", "quad:19997", "--split", "--n", "100", "--levels", "3:3"],
+        ["table", "--field", "q", "--split", "--n", "1", "--levels", f"{big}:{big}"],
+    ):
+        formats = [[]] if argv[0] == "table" else [["--format", "csv"], ["--format", "json"]]
+        for fmt in formats:
+            assert run_cli(capsys, [*argv, *fmt]) == (2, "", _digit_limit_line(4300)), argv
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["lefschetz", "--field", "q", "--split", "--n", "100", "--level", "2"], 3,
+         "error: level divides (2), so the congruence group has 2-torsion; pass"
+         " assume_torsion_free to evaluate the formula anyway\n"),
+        (["lefschetz", "--field", "quad:999997", "--split", "--n", "100", "--level", "3"], 2,
+         "error: conductor 999997 times index 200 exceeds the cap of 4000000 power-sum"
+         " terms\n"),
+        (["lefschetz", "--field", "external:@/q_sqrt2_sqrt5.json", "--split", "--n", "9",
+          "--level", "3:2:1:a^1000"], 2, "error: external zeta table has no entry for j=9\n"),
+        (["euler-char", "--field", "q", "--split", "--n", "1", "--level", "3:1:1^1000000",
+          "--signature", "1,0"], 2, "error: signature class has 1 entries, expected 0\n"),
+        (["table", "--field", "q", "--split", "--n", "100", "--levels",
+          "1000036000099:1000036000099"], 2,
+         "error: cannot factor 1000036000099: the cofactor 1000036000099 has no prime"
+         " factor up to 1000000 and is not a prime power\n"),
+    ],
+)
+def test_unprintable_value_keeps_the_earlier_refusals(capsys, argv, code, message):
+    """The torsion gate, the zeta caps, a class that does not fit and a level
+    that cannot be factored refuse before the digit bound, as they did
+    before it."""
+    argv = [arg.replace("@", str(_GOLDEN)) for arg in argv]
+    assert run_cli(capsys, argv) == (code, "", message)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lefschetz", "--field", "@IMAGINARY", "--split", "--n", "2", "--level", "3:2:1^5000"],
+        ["euler-char", "--field", "@IMAGINARY", "--split", "--n", "1", "--level", "3:2:1^5000"],
+        ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", "3:1:1^5000",
+         "--trace-w", "0"],
+    ],
+)
+def test_zero_value_is_never_refused(capsys, argv):
+    """The 0 of a complex place or of --trace-w 0 prints at any level."""
+    argv = [_IMAGINARY if arg == "@IMAGINARY" else arg for arg in argv]
+    code, out, err = run_cli(capsys, [*argv, "--format", "csv"])
+    assert (code, out.splitlines()[:2], err) == (0, ["key,value", "value,0"], "")
+
+
+def _longest_digit_run(text: str) -> int:
+    return max(map(len, re.findall(r"\d+", text)), default=0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda k: ["lefschetz", "--field", "q", "--split", "--n", "1", "--level", f"3:1:1^{k}",
+                   "--format", "csv"],
+        lambda k: ["lefschetz", "--field", "q", "--ram", "2,3", "--n", "2", "--level",
+                   f"5:1:1^{k}", "--trace-w", "1/7", "--format", "csv"],
+        lambda k: ["lefschetz", "--field", "quad:13", "--ram", "3", "--ram-real", "1", "--n",
+                   "3", "--level", f"7:2:1^{k}", "--format", "json"],
+        lambda k: ["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "3", "--level",
+                   f"3:2:1^{k}", "--signature", "3,0;3,0", "--format", "csv"],
+        lambda k: ["euler-char", "--field", f"external:{_GOLDEN / 'q_sqrt2_sqrt5.json'}",
+                   "--split", "--n", "2", "--level", f"3:2:1:a^{k}", "--format", "csv"],
+        lambda k: ["table", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--levels",
+                   f"{3**k}:{3**k}"],
+    ],
+)
+def test_closed_form_prints_up_to_the_digit_limit(capsys, argv):
+    """Under a digit limit of 640, the largest exponent whose output, written
+    with no limit, has no integer longer than the limit prints that output,
+    and the next exponent is refused: the bound refuses nothing that would
+    print."""
+    default, limit = sys.get_int_max_str_digits(), 640
+
+    def unlimited(k):
+        sys.set_int_max_str_digits(0)
+        try:
+            return run_cli(capsys, argv(k))
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    lo, hi = 1, 4 * limit
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if _longest_digit_run(unlimited(mid)[1]) <= limit else (lo, mid - 1)
+    printed = unlimited(lo)
+    assert printed[0] == 0 and _longest_digit_run(unlimited(lo + 1)[1]) > limit
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert run_cli(capsys, argv(lo)) == printed
+        assert run_cli(capsys, argv(lo + 1)) == (2, "", _digit_limit_line(limit))
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 @pytest.mark.parametrize(

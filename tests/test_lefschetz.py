@@ -225,7 +225,8 @@ class TestLefschetzNumber:
             ))
             primes = lefschetz._Primes(inp.algebra, inp.n)
             local = lefschetz._local_primes(inp.algebra, inp.level.factors)
-            parts = [primes.part(prime.norm, a > 0) for prime, a in local]
+            js = range(1, inp.n + 1)
+            parts = [lefschetz._local_part(prime.norm, js, a > 0) for prime, a in local]
             kernel = primes.closed_form(inp.level.norm(), parts)
             table = Fraction(*kernel) / 2**inp.algebra.r * Fraction(5, 3)
             assert report.value == table == _factor_product(report, report.trace_w), inp

@@ -1,18 +1,18 @@
 import builtins
 import json
 import math
+import random
 import re
 import sys
 import threading
 from array import array
 from fractions import Fraction
-from itertools import chain
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from quatlef import numberfield
+from quatlef import numberfield, verify
 from quatlef.errors import ExternalFieldError, ValidationError
 from quatlef.exact import bernoulli, bernoulli_poly_eval
 from quatlef.numberfield import (
@@ -505,94 +505,132 @@ class TestDirichletKernel:
     TERMS = sorted(
         {t + d for t in (100, BLOCK, 3 * BLOCK, LONG, 2 * LONG) for d in (-1, 0, 1)}
     )
+    DISCRIMINANTS = (0, 5, 8, 12, 13, 24, 40)
 
     @pytest.fixture(autouse=True)
     def fresh_prefixes(self, monkeypatch):
         monkeypatch.setattr(numberfield, "_series_prefixes", {})
-        monkeypatch.setattr(numberfield, "_series_table", (0, []))
+        monkeypatch.setattr(numberfield, "_series_tables", {})
+
+    @staticmethod
+    def _counted(monkeypatch, name, original):
+        """Record the first argument of every call of numberfield.<name>."""
+        taken = []
+
+        def counting(first, *rest):
+            taken.append(first)
+            return original(first, *rest)
+
+        monkeypatch.setattr(numberfield, name, counting, raising=False)
+        return taken
 
     def test_bitwise_equal_to_per_term_sums(self):
         # growing, shrinking and growing again runs a fresh start, a resume
-        # from the last kept prefix, from an earlier one, and from an exact one
+        # from the last kept prefix, from an earlier one, and from an exact
+        # one; random batches mix series at different resume points
+        rng = random.Random(34)
         calls = self.TERMS + self.TERMS[::-1] + self.TERMS
-        for discriminant in (0, 5, 8, 12, 13, 24, 40):
-            for j in (1, 2, 3):
-                want = _reference_series(discriminant, 2 * j, set(self.TERMS))
-                for terms in calls:
-                    got = numberfield._dirichlet_series(discriminant, 2 * j, terms)
-                    assert got == want[terms], (discriminant, j, terms)
-                    assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
+        for j in (1, 2, 3):
+            want = {
+                d: _reference_series(d, 2 * j, set(self.TERMS)) for d in self.DISCRIMINANTS
+            }
+            for terms in calls:
+                shape = rng.randrange(3)
+                if shape == 0:
+                    batch = (0,)
+                elif shape == 1:
+                    batch = (0, rng.choice(self.DISCRIMINANTS[1:]))
+                else:
+                    batch = tuple(rng.sample(self.DISCRIMINANTS, rng.randint(1, 4)))
+                got = numberfield._dirichlet_series(batch, 2 * j, terms)
+                assert got == tuple(want[d][terms][1] for d in batch), (batch, j, terms)
+                assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
 
     def test_resumed_series_builds_no_character_table(self, monkeypatch):
-        built = []
-        original = numberfield._character_table
-
-        def counting(discriminant):
-            built.append(discriminant)
-            return original(discriminant)
-
-        monkeypatch.setattr(numberfield, "_character_table", counting)
+        built = self._counted(monkeypatch, "_character_table", numberfield._character_table)
         terms = self.LONG + 7
-        first = numberfield._dirichlet_series(40, 2, terms)
+        first = numberfield._dirichlet_series((0, 40), 2, terms)
         assert built == [40]
         # a resumed sum, another j and a longer sum all reuse the table
-        assert numberfield._dirichlet_series(40, 2, terms + 7) != first
-        numberfield._dirichlet_series(40, 4, terms)
-        numberfield._dirichlet_series(40, 2, 2 * self.LONG + 1)
+        assert numberfield._dirichlet_series((0, 40), 2, terms + 7) != first
+        numberfield._dirichlet_series((0, 40), 4, terms)
+        numberfield._dirichlet_series((0, 40), 2, 2 * self.LONG + 1)
         assert built == [40]
-        # the table follows the most recent discriminant
-        numberfield._dirichlet_series(5, 2, terms)
-        numberfield._dirichlet_series(40, 2, 3 * self.LONG)
-        assert built == [40, 5, 40]
+        # a series summed to a kept block end needs no table
+        numberfield._dirichlet_series((0, 5, 40), 2, self.LONG)
+        assert built == [40, 5]
+        # the tables follow the most recent call that needed one not kept
+        numberfield._dirichlet_series((0, 13), 2, terms)
+        numberfield._dirichlet_series((0, 40), 2, 3 * self.LONG)
+        assert built == [40, 5, 13, 40]
+        assert set(numberfield._series_tables) == {40}
         want = _reference_series(40, 2, {3 * self.LONG})[3 * self.LONG]
-        assert numberfield._dirichlet_series(40, 2, 3 * self.LONG) == want
+        assert numberfield._dirichlet_series((0, 40), 2, 3 * self.LONG) == want
+
+    def test_rationals_call_keeps_the_character_tables(self, monkeypatch):
+        built = self._counted(monkeypatch, "_character_table", numberfield._character_table)
+        numberfield._dirichlet_series((0, 13, 40), 2, self.LONG)
+        numberfield._dirichlet_series((0,), 4, 2 * self.LONG)
+        numberfield._dirichlet_series((0, 13), 2, 2 * self.LONG)
+        numberfield._dirichlet_series((40,), 2, 2 * self.LONG)
+        assert built == [13, 40]
 
     def test_resumed_series_sums_less_than_one_block(self, monkeypatch):
         terms = 10**5
-        numberfield._dirichlet_series(13, 2, terms)
-        taken = []
-
-        def counting(m, e):
-            taken.append(m)
-            return builtins.pow(m, e)
-
-        monkeypatch.setattr(numberfield, "pow", counting, raising=False)
-        got = numberfield._dirichlet_series(13, 2, terms - 7)
+        numberfield._dirichlet_series((0, 13), 2, terms)
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        got = numberfield._dirichlet_series((0, 13), 2, terms - 7)
         assert len(taken) < self.BLOCK
         assert taken == list(range((terms - 7) // self.BLOCK * self.BLOCK + 1, terms - 6))
         assert got == _reference_series(13, 2, {terms - 7})[terms - 7]
 
+    def test_one_pass_serves_series_at_different_resume_points(self, monkeypatch):
+        numberfield._dirichlet_series((0,), 2, self.LONG)
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        got = numberfield._dirichlet_series((0, 5, 13), 2, 2 * self.LONG)
+        assert taken == list(range(1, 2 * self.LONG + 1))
+        want = {d: _reference_series(d, 2, {2 * self.LONG}) for d in (5, 13)}
+        assert got == (want[5][2 * self.LONG][0], want[5][2 * self.LONG][1],
+                       want[13][2 * self.LONG][1])
+
     def test_prefixes_are_one_float_array(self):
         for terms in (self.BLOCK - 1, self.BLOCK, 10**5):
-            numberfield._dirichlet_series(8, 4, terms)
-            prefixes = numberfield._series_prefixes[(8, 4)]
-            assert type(prefixes) is array and prefixes.typecode == "d"
-            assert len(prefixes) == 2 * (terms // self.BLOCK + 1)
+            numberfield._dirichlet_series((0, 8), 4, terms)
+            ends = set(range(self.BLOCK, terms + 1, self.BLOCK))
+            want = _reference_series(8, 4, ends | {terms})
+            for d, half in ((0, 0), (8, 1)):
+                prefixes = numberfield._series_prefixes[(d, 4)]
+                assert type(prefixes) is array and prefixes.typecode == "d"
+                assert len(prefixes) == terms // self.BLOCK + 1
+                # one sum per block end: (8, 4) keeps no Riemann half
+                assert list(prefixes) == [0.0] + [want[m][half] for m in sorted(ends)]
+        assert sorted(numberfield._series_prefixes) == [(0, 4), (8, 4)]
 
     def test_kept_keys_capped(self):
         terms = self.LONG + 1
-        keys = numberfield._SERIES_KEYS + 3
+        keys = numberfield._SERIES_KEYS // 2 + 3
         for two_j in range(2, 2 * keys + 1, 2):
-            numberfield._dirichlet_series(5, two_j, terms)
+            numberfield._dirichlet_series((0, 5), two_j, terms)
             assert len(numberfield._series_prefixes) <= numberfield._SERIES_KEYS
         # the least recently used keys went first, and an evicted key sums anew
+        assert (0, 2) not in numberfield._series_prefixes
         assert (5, 2) not in numberfield._series_prefixes
-        assert (5, 2 * keys) in numberfield._series_prefixes
+        assert {(0, 2 * keys), (5, 2 * keys)} <= numberfield._series_prefixes.keys()
         want = _reference_series(5, 2, {terms})[terms]
-        assert numberfield._dirichlet_series(5, 2, terms) == want
+        assert numberfield._dirichlet_series((0, 5), 2, terms) == want
 
     def test_threads_sharing_a_key_keep_whole_prefixes(self, monkeypatch):
         # small blocks give many prefix appends, and threads that start
-        # together sum the same fresh key side by side, switching often
+        # together sum the same fresh keys side by side, switching often
         monkeypatch.setattr(numberfield, "_SERIES_BLOCK", 2)
         terms = 20001
-        want = _reference_series(5, 2, set(range(0, terms + 1, 2)) | {terms})
+        want = _reference_series(5, 2, set(range(2, terms + 1, 2)) | {terms})
         start = threading.Barrier(4)
         got = []
 
         def call():
             start.wait()
-            got.append(numberfield._dirichlet_series(5, 2, terms))
+            got.append(numberfield._dirichlet_series((0, 5), 2, terms))
 
         threads = [threading.Thread(target=call) for _ in range(4)]
         interval = sys.getswitchinterval()
@@ -606,8 +644,38 @@ class TestDirichletKernel:
         finally:
             sys.setswitchinterval(interval)
         assert got == [want[terms]] * 4
-        prefixes = numberfield._series_prefixes[(5, 2)]
-        assert prefixes == array("d", chain((0.0, 0.0), *(want[m] for m in range(2, terms, 2))))
+        for d, half in ((0, 0), (5, 1)):
+            prefixes = numberfield._series_prefixes[(d, 2)]
+            assert prefixes == array("d", [0.0] + [want[m][half] for m in range(2, terms, 2)])
+
+    def test_functional_equation_sums_each_exponent_once(self, monkeypatch):
+        """functional-equation sums 10^6 terms of m^(-2j) once per j for its
+        three fields; each of its six checks then resumes fewer than
+        _SERIES_BLOCK terms past the last kept block end."""
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        verify.suite_functional_equation()
+        terms = verify.DEFAULT_TERMS
+        assert len(taken) == 2 * terms + 6 * (terms % self.BLOCK)
+        assert len(taken) <= 2 * terms + 6 * self.BLOCK
+        # a new field resumes the kept Riemann sum in the same pass as its own
+        taken.clear()
+        zeta_f_positive_even_numeric(Q13, 1, 5 * 10**5)
+        assert len(taken) == 5 * 10**5
+
+    def test_functional_equation_floats_equal_single_field_calls(self, monkeypatch):
+        got = []
+
+        def recording(field, j, terms):
+            got.append(((field, j, terms), zeta_f_positive_even_numeric(field, j, terms)))
+            return got[-1][1]
+
+        monkeypatch.setattr(verify, "zeta_f_positive_even_numeric", recording)
+        checks = verify.suite_functional_equation()
+        assert len(got) == len(checks) == 6 and all(ok for _name, ok, _detail in checks)
+        for args, value in got:
+            numberfield._series_prefixes.clear()
+            numberfield._series_tables.clear()
+            assert zeta_f_positive_even_numeric(*args).hex() == value.hex(), args
 
 
 class TestExternalField:

@@ -133,7 +133,7 @@ def _clear_caches():
     numberfield.dedekind_zeta_neg.cache_clear()
     numberfield.gen_bernoulli.cache_clear()
     numberfield._power_sum_state = None
-    numberfield._series_table = (0, [])
+    numberfield._series_tables = {}
     numberfield._series_prefixes.clear()
 
 
