@@ -32,12 +32,13 @@ from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
 from .lefschetz import (
     LefschetzInput,
     SignatureClass,
-    _printable_component,
-    _printable_index,
-    _printable_lefschetz,
+    _refuse_unprintable_request,
     _table_rows,
+    congruence_index,
     euler_char_adelic_numeric,
+    euler_char_fixed_component,
     genus_fuchsian,
+    lefschetz_number,
     modular_form_dim,
 )
 from .numberfield import (
@@ -400,7 +401,9 @@ def _cmd_lefschetz(args) -> int:
         trace_w=_trace_w(args),
         assume_torsion_free=bool(args.assume_torsion_free),
     )
-    report = _printable_lefschetz(inp)
+    _refuse_unprintable_request("lefschetz", algebra, inp.n, level, inp.assume_torsion_free,
+                                args.format == "json", trace_w=inp.trace_w)
+    report = lefschetz_number(inp)
     return _emit_report(
         args,
         lambda: _payload(
@@ -414,8 +417,10 @@ def _cmd_lefschetz(args) -> int:
 def _cmd_euler_char(args) -> int:
     field, algebra, level = _setting(args)
     signature = _parse_signature(args.signature)
-    n = args.n
-    report = _printable_component(algebra, n, level, signature, bool(args.assume_torsion_free))
+    n, override = args.n, bool(args.assume_torsion_free)
+    _refuse_unprintable_request("euler-char", algebra, n, level, override, args.format == "json",
+                                signature)
+    report = euler_char_fixed_component(algebra, n, level, signature, override)
     terms = args.adelic_terms
 
     # each builder runs the cross-check after its closed-form fields, so
@@ -450,7 +455,8 @@ def _cmd_euler_char(args) -> int:
 
 def _cmd_index(args) -> int:
     field, algebra, level = _setting(args)
-    value = _printable_index(algebra, args.n, level)
+    _refuse_unprintable_request("index", algebra, args.n, level)
+    value = congruence_index(algebra, args.n, level)
     return _emit_report(
         args,
         lambda: _payload(args, field, algebra, level, n=args.n, index=value),
@@ -460,7 +466,9 @@ def _cmd_index(args) -> int:
 
 def _cmd_genus(args) -> int:
     field, algebra, level = _setting(args)
-    report = genus_fuchsian(algebra, level, bool(args.assume_torsion_free))
+    override = bool(args.assume_torsion_free)
+    _refuse_unprintable_request("genus", algebra, 1, level, override)
+    report = genus_fuchsian(algebra, level, override)
     weights = [_int(w) for w in args.weights.split(",")] if args.weights else []
     dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
     return _emit_report(

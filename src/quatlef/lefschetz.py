@@ -251,6 +251,28 @@ def _passes_torsion(factors, above_two: tuple[PrimeIdeal, ...]) -> bool:
     return not all(prime in above_two and exp <= prime.e for prime, exp in factors)
 
 
+def _torsion_warnings(level: Ideal, override: bool) -> tuple[str, ...]:
+    """The torsion gate of every closed form: a report's warnings, or TorsionError
+    for a level dividing (2) without override (assume_torsion_free)."""
+    if check_torsion_necessary(level):
+        return (WARN_TORSION_UNVERIFIED,)
+    if override:
+        return (WARN_TORSION_OVERRIDDEN,)
+    raise TorsionError(
+        "level divides (2), so the congruence group has 2-torsion;"
+        " pass assume_torsion_free to evaluate the formula anyway"
+    )
+
+
+def _check_fuchsian(algebra: QuaternionAlgebra) -> None:
+    """genus_fuchsian's first refusals: a totally real field, and an algebra
+    split at exactly one real place."""
+    if not algebra.field.is_totally_real:
+        raise NotFuchsianError("base field is not totally real")
+    if not algebra.is_fuchsian():
+        raise NotFuchsianError("algebra must be a division algebra split at exactly one real place")
+
+
 def _local_part(norm: int, js, in_level: bool) -> tuple[int, int]:
     """A prime's part of prod_{j in js} M(j) as (num, den): the product of
     (N^2j - 1) / N^2j for a prime of the level, (N^j + (-1)^j) / N^j for a
@@ -348,15 +370,7 @@ def _closed_form(
     """The report fields of both types for one level, past the torsion gate
     (override: assume_torsion_free), and the value before scaling: the
     kernel's closed form over 2^two_exp."""
-    if check_torsion_necessary(level):
-        warnings = (WARN_TORSION_UNVERIFIED,)
-    elif override:
-        warnings = (WARN_TORSION_OVERRIDDEN,)
-    else:
-        raise TorsionError(
-            "level divides (2), so the congruence group has 2-torsion;"
-            " pass assume_torsion_free to evaluate the formula anyway"
-        )
+    warnings = _torsion_warnings(level, override)
     # built first, so that the zeta caps refuse j = n before any factor
     primes, norm = _Primes(algebra, n), level.norm()
     local = _local_primes(algebra, level.factors)
@@ -411,7 +425,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
         if primes is None:
             # every row prints a component, |binomial| >= 1; later norms are larger
             level_factors = [f for record in row for f in record[2]]
-            _refuse_unprintable(algebra, n, level_factors, n * r, 1, lambda: True)
+            _refuse_unprintable(lambda: None, level_factors, 0, closed_form=(algebra, n, n * r, 1))
             primes = _Primes(algebra, n)
         parts = [part for record in row for part in record[0]]
         num, den = primes.closed_form(norm, parts + [part for p, _, part in off if level % p])
@@ -446,60 +460,77 @@ _LEVEL_PARTS_LOSS = 0.261
 _RAMIFIED_PART_LOSS = 0.378
 
 
-def _refuse_unprintable(
-    algebra: QuaternionAlgebra, n: int, factors, shift: int, scale, checks
-) -> None:
-    """Refuse, as _printable_index refuses an index, a closed form value
-    scale 2^-shift N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) of the level L
-    of these (P, a) factors that would not print, before any zeta value or
-    power is built: when a lower bound on its log10 reaches one digit past
-    sys.get_int_max_str_digits() (0: no limit). Only then do the refusals
-    that the library meets first run: checks(), which is False when the
-    torsion gate refuses, and the zeta caps. |d(D)| >= 1 is left out, the
-    digit of margin absorbs the float error, and an exponent is capped at 4
-    limit, past which its power alone has more than limit digits, so that
-    it fits a float. A value of 0, at a complex place or scale 0, is never
-    refused."""
-    limit, field = sys.get_int_max_str_digits(), algebra.field
-    if not (limit and scale and field.is_totally_real and 1 <= n <= _MAX_ZETA_INDEX):
+def _refuse_unprintable(checks, factors, weight: int, per_prime: int = 0,
+                        closed_form=None) -> None:
+    """The one digit-limit gate of the commands that take a level L, given as
+    its (P, a) factors: only when a lower bound on the log10 of an integer
+    that the command prints reaches one digit past
+    sys.get_int_max_str_digits() (0: no limit), checks() raises the
+    library's earlier refusals, in its order, and then the digit-limit error
+    is raised, before any zeta value, power or lift is built. The bound is
+    the larger of weight log10 N(L) + per_prime sum_P log10 N(P) and, given
+    closed_form = (algebra, n, shift, scale), log10 |scale 2^-shift
+    N(L)^(n(2n+1)) prod_j M(j)| less the losses above, |d(D)| >= 1 left out,
+    for an n in 1.._MAX_ZETA_INDEX, unless that value is 0 (a complex place,
+    scale 0) or a zeta value is refused. An exponent is capped at 4 limit,
+    past which its power alone has more than limit digits; the digit of
+    margin absorbs the float error."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
         return
-    zetas = _zetas_log10(field, n)
-    if zetas is None:
-        return  # the kernel refuses the missing zeta value
-    level_log10 = 0.0
+    cap, level_log10, norms_log10 = 4 * limit, 0.0, 0.0
     for prime, a in factors:
-        level_log10 += prime.f * log10(prime.p) * min(a, 4 * limit)
-    floor = zetas + n * (2 * n + 1) * level_log10 - shift * log10(2)
-    floor -= _LEVEL_PARTS_LOSS * field.degree + _RAMIFIED_PART_LOSS * len(algebra.ram_finite)
-    if scale != 1:
-        floor += log10(abs(scale.numerator)) - log10(scale.denominator)
-    if floor >= limit + 1 and checks():
-        _check_zeta_caps(field, n)
+        digits = prime.f * log10(prime.p)
+        level_log10 += digits * (a if a < cap else cap)  # min() costs more per factor
+        norms_log10 += digits
+    floor = weight * level_log10 + per_prime * norms_log10
+    if closed_form is not None:
+        algebra, n, shift, scale = closed_form
+        field, num = algebra.field, abs(scale.numerator)  # Fraction's own operators cost more
+        if num and field.is_totally_real and (zetas := _zetas_log10(field, n)) is not None:
+            value = zetas + n * (2 * n + 1) * level_log10 + log10(num) - log10(scale.denominator)
+            value -= shift * log10(2) + _LEVEL_PARTS_LOSS * field.degree
+            value -= _RAMIFIED_PART_LOSS * len(algebra.ram_finite)
+            if value > floor:
+                floor = value
+    if floor >= limit + 1:
+        checks()
         raise _digit_limit_error()
 
 
-def _printable_lefschetz(inp: LefschetzInput) -> LefschetzReport:
-    """lefschetz_number, refused by _refuse_unprintable first."""
-    level = inp.level
-    _refuse_unprintable(
-        inp.algebra, inp.n, level.factors, inp.algebra.r, inp.trace_w,
-        lambda: inp.assume_torsion_free or check_torsion_necessary(level),
-    )
-    return lefschetz_number(inp)
+def _refuse_unprintable_request(command: str, algebra: QuaternionAlgebra, n: int, level: Ideal,
+                                override: bool = False, json: bool = False, cls=None,
+                                trace_w=1) -> None:
+    """_refuse_unprintable for one request of a command that takes a level:
+    lefschetz, euler-char (cls: its class), index or genus (n = 1), before the
+    library function that it calls; json: the report is JSON. An n outside
+    1.._MAX_ZETA_INDEX is left to that function, which refuses it first. A
+    closed form's report prints its value scale 2^-shift X, X the kernel's
+    closed form: at trace_w and shift r for lefschetz, at scale 1 and shift
+    n r for a component, whose binomial is at least 1, and as chi = X / 2^r
+    at n = 1 for genus, whose b1 = 2g > |chi|. The JSON report of lefschetz
+    and euler-char also prints N(L)^(n(2n+1)), at a complex place too. Each
+    local factor of an index is at least N(P)^(a(4n^2-1) - 2n + 1), as every
+    q^j - 1 >= q^(j-1)."""
+    if not 1 <= n <= _MAX_ZETA_INDEX:
+        return
+    if command == "index":
+        return _refuse_unprintable(lambda: _check_level(algebra, level, n), level.factors,
+                                   4 * n * n - 1, 1 - 2 * n)
 
-
-def _printable_component(
-    algebra: QuaternionAlgebra, n: int, level: Ideal, cls: SignatureClass, override: bool
-) -> EulerCharReport:
-    """euler_char_fixed_component, refused by _refuse_unprintable first; its
-    binomial is at least 1."""
-    def checks() -> bool:
+    def checks() -> None:
+        if command == "genus":
+            _check_fuchsian(algebra)
         _validate_setting(algebra, n, level)
-        _validate_class(cls, n, algebra.r)
-        return override or check_torsion_necessary(level)
+        if cls is not None:
+            _validate_class(cls, n, algebra.r)
+        _torsion_warnings(level, override)
+        if algebra.field.is_totally_real:
+            _check_zeta_caps(algebra.field, n)
 
-    _refuse_unprintable(algebra, n, level.factors, n * algebra.r, 1, checks)
-    return euler_char_fixed_component(algebra, n, level, cls, override)
+    shift, scale = (algebra.r, trace_w) if cls is None else (n * algebra.r, 1)
+    weight = n * (2 * n + 1) if json and command != "genus" else 0
+    _refuse_unprintable(checks, level.factors, weight, closed_form=(algebra, n, shift, scale))
 
 
 def h1_signature_classes(r: int, n: int) -> list[SignatureClass]:
@@ -641,23 +672,6 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     return _index(algebra.ram_finite, n, level.factors)
 
 
-def _printable_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
-    """congruence_index, refused before any lift is built when a lower bound
-    on its log10 reaches one digit past sys.get_int_max_str_digits() (0: no
-    limit), so that it would not print. Each local factor is at least
-    N(P)^(a(4n^2-1) - 2n + 1), as every q^j - 1 >= q^(j-1). An exponent is
-    capped at 4 limit, past which its power alone has more than limit
-    digits, so that it fits a float; the digit of margin absorbs the float
-    error."""
-    _check_level(algebra, level, n)
-    limit = sys.get_int_max_str_digits()
-    dim, cap = 4 * n * n - 1, 4 * limit
-    digits = sum(log10(prime.norm) * min(a * dim - 2 * n + 1, cap) for prime, a in level.factors)
-    if limit and digits >= limit + 1:
-        raise _digit_limit_error()
-    return congruence_index(algebra, n, level)
-
-
 def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:
     """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta| prod_{P | level}
     (1 - N(P)^-2) prod_{P ramified, P not | level} (1 - N(P)^-1) of a Fuchsian
@@ -692,18 +706,12 @@ def genus_fuchsian(
     characteristic 2 - 2g must agree with the n = 1 closed form at trace 1,
     which is checked.
     """
-    field = algebra.field
-    if not field.is_totally_real:
-        raise NotFuchsianError("base field is not totally real")
-    if not algebra.is_fuchsian():
-        raise NotFuchsianError(
-            "algebra must be a division algebra split at exactly one real place"
-        )
+    _check_fuchsian(algebra)
     # validates the setting and gates torsion before the genus formula runs
     _validate_setting(algebra, 1, level)
     shared, chi = _closed_form(algebra, 1, level, assume_torsion_free, algebra.r)
     local = _local_primes(algebra, level.factors)
-    genus = _checked_genus(algebra, local, chi, dedekind_zeta_neg(field, 1))
+    genus = _checked_genus(algebra, local, chi, dedekind_zeta_neg(algebra.field, 1))
     return GenusReport(
         genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=shared["warnings"]
     )

@@ -634,6 +634,67 @@ def test_closed_form_refused_before_any_zeta_value(capsys, monkeypatch):
             assert run_cli(capsys, [*argv, *fmt]) == (2, "", _digit_limit_line(4300)), argv
 
 
+_LEVEL_COMMANDS = sorted(name for name, flags in _COMMAND_FLAGS.items() if "--level" in flags)
+
+
+def _no_value(*args):
+    raise AssertionError(f"a value was built from {args}")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", _LEVEL_COMMANDS)
+def test_every_level_command_refused_before_any_value(capsys, monkeypatch, command, fmt):
+    """Every command that takes a level, in either format, refuses a level
+    whose output would not print before it builds a closed form, a zeta value
+    or an index lift: a command that skipped the digit-limit gate would call
+    one of these."""
+    monkeypatch.setattr(lefschetz, "_Primes", _no_value)
+    monkeypatch.setattr(finitegrp, "local_index_factor", _no_value)
+    n = ["--n", "1"] if "--n" in _COMMAND_FLAGS[command] else []
+    argv = [command, "--field", "q", "--ram", "2,3", *n, "--level", "5:1:1^1000000"]
+    assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", _digit_limit_line(4300))
+
+
+@pytest.mark.parametrize("command, n", [("lefschetz", "2"), ("euler-char", "1")])
+def test_complex_place_json_refused_before_the_level_norm(capsys, monkeypatch, command, n):
+    """At a complex place the value is the 0 that is never refused, but the
+    JSON report prints N(L) and N(L)^(n(2n+1)): a level whose power would not
+    print is refused before the kernel or the norm is built."""
+    monkeypatch.setattr(lefschetz, "_Primes", _no_value)
+    monkeypatch.setattr(numberfield.Ideal, "norm", _no_value)
+    argv = [command, "--field", _IMAGINARY, "--split", "--n", n, "--level", "3:2:1^1000000"]
+    assert run_cli(capsys, [*argv, "--format", "json"]) == (2, "", _digit_limit_line(4300))
+
+
+def test_genus_refusals_come_before_the_digit_limit(capsys, monkeypatch, tmp_path):
+    """With a bound that refuses every genus, the library's refusals still
+    come first, in its order: the Fuchsian check, the torsion gate, the zeta
+    table; only a request that passes them all meets the digit limit."""
+    monkeypatch.setattr(lefschetz, "_zetas_log10", lambda field, n: 10.0**6)
+    path = tmp_path / "q_no_zeta.json"
+    path.write_text(json.dumps({"degree": 1, "abs_discriminant": 1, "num_real_places": 1,
+                                "zeta_neg": [], "splitting": {"2": [[1, 1]], "3": [[1, 1]],
+                                                              "5": [[1, 1]]}}))
+    genus = ["genus", "--field", "q", "--ram", "2,3", "--level"]
+    torsion = ("error: level divides (2), so the congruence group has 2-torsion;"
+               " pass assume_torsion_free to evaluate the formula anyway\n")
+    for argv, expected in (
+        (["genus", "--field", "q", "--split", "--level", "5"],
+         (2, "", "error: algebra must be a division algebra split at exactly one real place\n")),
+        ([*genus, "2"], (3, "", torsion)),
+        ([*genus, "2", "--assume-torsion-free"], (2, "", _digit_limit_line(4300))),
+        ([*genus, "5"], (2, "", _digit_limit_line(4300))),
+        (["genus", "--field", f"external:{path}", "--ram", "2,3", "--level", "5"],
+         (2, "", "error: external zeta table has no entry for j=1\n")),
+    ):
+        assert run_cli(capsys, argv) == expected, argv
+
+
+# an n that no float holds, refused by its cap before a bound is worked out from it
+_HUGE_N = "1" + "0" * 200
+_HUGE_N_CAP = f"error: matrix size n = {_HUGE_N} exceeds the cap of n <= 100\n"
+
+
 @pytest.mark.parametrize(
     "argv, code, message",
     [
@@ -651,12 +712,25 @@ def test_closed_form_refused_before_any_zeta_value(capsys, monkeypatch):
           "1000036000099:1000036000099"], 2,
          "error: cannot factor 1000036000099: the cofactor 1000036000099 has no prime"
          " factor up to 1000000 and is not a prime power\n"),
+        (["genus", "--field", "q", "--split", "--level", "5:1:1^1000000"], 2,
+         "error: algebra must be a division algebra split at exactly one real place\n"),
+        (["genus", "--field", "quad:5", "--ram-real", "2", "--level", "3:2:1^1000000"], 2,
+         "error: algebra must be a division algebra split at exactly one real place\n"),
+        (["genus", "--field", "external:@/imaginary.json", "--split", "--level",
+          "3:2:1^1000000", "--format", "csv"], 2, "error: base field is not totally real\n"),
+        (["index", "--field", "q", "--split", "--n", _HUGE_N, "--level", "3"], 2, _HUGE_N_CAP),
+        (["index", "--field", "q", "--split", "--n", _HUGE_N, "--level", "3", "--format", "csv"],
+         2, _HUGE_N_CAP),
+        (["euler-char", "--field", "q", "--ram", "2,3", "--n", _HUGE_N, "--level",
+          "5:1:1^1000000", "--format", "json"], 2, _HUGE_N_CAP),
+        (["lefschetz", "--field", "q", "--ram", "2,3", "--n", _HUGE_N, "--level",
+          "5:1:1^1000000", "--format", "json"], 2, _HUGE_N_CAP),
     ],
 )
 def test_unprintable_value_keeps_the_earlier_refusals(capsys, argv, code, message):
-    """The torsion gate, the zeta caps, a class that does not fit and a level
-    that cannot be factored refuse before the digit bound, as they did
-    before it."""
+    """A non-Fuchsian genus, the cap on n, the torsion gate, the zeta caps, a
+    class that does not fit and a level that cannot be factored refuse
+    before the digit bound, as they did before it."""
     argv = [arg.replace("@", str(_GOLDEN)) for arg in argv]
     assert run_cli(capsys, argv) == (code, "", message)
 
@@ -696,6 +770,14 @@ def _longest_digit_run(text: str) -> int:
                    "--split", "--n", "2", "--level", f"3:2:1:a^{k}", "--format", "csv"],
         lambda k: ["table", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--levels",
                    f"{3**k}:{3**k}"],
+        lambda k: ["genus", "--field", "q", "--ram", "2,3", "--level", f"5:1:1^{k}",
+                   "--format", "csv"],
+        lambda k: ["genus", "--field", "quad:13", "--ram", "3", "--ram-real", "1", "--level",
+                   f"7:2:1^{k}", "--format", "json"],
+        lambda k: ["lefschetz", "--field", _IMAGINARY, "--split", "--n", "2", "--level",
+                   f"3:2:1^{k}", "--format", "json"],
+        lambda k: ["euler-char", "--field", _IMAGINARY, "--split", "--n", "1", "--level",
+                   f"5:1:1:a^{k}", "--format", "json"],
     ],
 )
 def test_closed_form_prints_up_to_the_digit_limit(capsys, argv):
