@@ -215,31 +215,5 @@ class SymbolicScalar(_Value):
         coeff = Fraction(coeff)
         self._set((coeff, int(pi_exp) if coeff else 0))
 
-    def __mul__(self, other: "SymbolicScalar | Fraction | int") -> "SymbolicScalar":
-        if isinstance(other, (int, Fraction)):
-            other = SymbolicScalar(Fraction(other))
-        elif not isinstance(other, SymbolicScalar):
-            return NotImplemented
-        return SymbolicScalar(self.coeff * other.coeff, self.pi_exp + other.pi_exp)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "SymbolicScalar":
-        """Multiplicative inverse; raises ZeroDivisionError on zero."""
-        if self.coeff == 0:
-            raise ZeroDivisionError("cannot invert the zero scalar")
-        return SymbolicScalar(1 / self.coeff, -self.pi_exp)
-
-    def __pow__(self, exponent: int) -> "SymbolicScalar":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self if exponent >= 0 else self.inverse()
-        k = abs(exponent)
-        return SymbolicScalar(base.coeff**k, base.pi_exp * k)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.pi_exp == 0
-
     def to_float(self) -> float:
         return float(self.coeff) * pi**self.pi_exp

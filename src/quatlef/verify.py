@@ -396,11 +396,15 @@ def suite_decomposition() -> list[Check]:
     grid = decomposition_grid()
     failures = []
     for inp in grid:
+        definite = inp.algebra.is_totally_definite()
         for report in euler_char_components(inp.algebra, inp.n, inp.level):
-            cls = report.signature_class
+            cls, value = report.signature_class, report.value
             exact = _exact_mass_formula(inp.algebra, inp.n, inp.level, cls)
-            if report.value != exact:
-                failures.append(f"{inp} class {cls}: {report.value} != {exact}")
+            if value != exact:
+                failures.append(f"{inp} class {cls}: {value} != {exact}")
+            # a definite component counts |Sp_n(O/L)| times a mass of lattices
+            if definite and (value <= 0 or value.denominator != 1):
+                failures.append(f"{inp} class {cls}: definite {value} not a positive integer")
     return [
         (
             f"components = exact mass formula on {len(grid)} inputs",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from quatlef import lefschetz
 from quatlef.errors import ExternalFieldError, NotFuchsianError, TorsionError, ValidationError
-from quatlef.finitegrp import sp_order
+from quatlef.finitegrp import ramified_local_order, sp_order
 from quatlef.lefschetz import (
     LefschetzInput,
     SignatureClass,
@@ -581,6 +581,47 @@ class TestDecomposition:
         )
         assert lefschetz_via_decomposition(inp) == 478224 * Fraction(-2, 3)
         assert lefschetz_via_decomposition(inp) == lefschetz_number(inp).value
+
+
+def _local_group_order(algebra, n, level, prime):
+    """|G_P|: the factor by which raising the level by P multiplies X."""
+    q = prime.norm
+    if level.valuation(prime):
+        return q ** (n * (2 * n + 1))
+    if prime in algebra.ram_finite:
+        return ramified_local_order(n, q)
+    return sp_order(n, q)
+
+
+def _level_raising_mismatches():
+    """The cases of the level-raising grid (4 algebras over Q and Q(√5),
+    n <= 3, 2 levels, 5 primes: 120 in all) where X(L P) / X(L) is not
+    |G_P|, with X the Lefschetz number at trace 1."""
+    p2 = split_prime(Q5, 2)[0]
+    algebras = [SPLIT, RAM23, QuaternionAlgebra(Q5, (), 0), QuaternionAlgebra(Q5, (p2,), 1)]
+    mismatches = []
+    for algebra, n, lvl, p in product(algebras, range(1, 4), (5, 7), (2, 3, 5, 7, 11)):
+        field = algebra.field
+        level, prime = ideal_from_integer(field, lvl), split_prime(field, p)[0]
+        raised = Ideal(field, (*level.factors, (prime, 1)))
+        x, x_raised = (
+            lefschetz_number(LefschetzInput(field, algebra, n, lev)).value for lev in (level, raised)
+        )
+        if x_raised / x != _local_group_order(algebra, n, level, prime):
+            mismatches.append(f"{algebra.describe()} n={n} L=({lvl}) P={prime}")
+    return mismatches
+
+
+class TestLevelRaising:
+    """X(L P) / X(L) = |G_P|, the order of the reduction of the group at P:
+    N(P)^(n(2n+1)) when P divides L, ramified_local_order when P is a
+    ramified prime entering the level, and |Sp_n(F_N(P))| otherwise (Serre,
+    "Cohomologie des groupes discrets", 1971). The orders come from
+    finitegrp, which the finite-orders suite checks by enumeration, and
+    share no line with the mass formula of the decomposition suite."""
+
+    def test_every_ratio_is_the_local_group_order(self):
+        assert _level_raising_mismatches() == []
 
 
 class TestCongruenceIndex:

@@ -15,6 +15,10 @@ to catch it the row must be made a plain pass. Each row runs only its
 suites through ``verify.run_suites`` (not the session-cached ``verified``
 fixture), and clears every cache a tampered value can reach before and
 after it runs.
+
+Two routes besides the rows: T1 also breaks the tier-1 level-raising
+identity, and T2, T4 and T5 are caught by ``decomposition``'s clause on
+definite components alone, with its mass formula taken out of the check.
 """
 
 from fractions import Fraction
@@ -24,6 +28,7 @@ from math import prod
 import pytest
 
 from quatlef import finitegrp, lefschetz, numberfield, verify
+from test_lefschetz import _level_raising_mismatches
 
 
 def _t1_local_part(norm, js, in_level):
@@ -192,3 +197,25 @@ def test_tampering_is_caught(monkeypatch, clean_caches, module, name, replacemen
     results = verify.run_suites(suites)
     failed = {suite: sum(not ok for _name, ok, _detail in results[suite]) for suite in suites}
     assert all(failed.values()), failed
+
+
+def test_t1_breaks_level_raising(monkeypatch, clean_caches):
+    monkeypatch.setattr(lefschetz, "_local_part", _t1_local_part)
+    assert _level_raising_mismatches()
+
+
+@pytest.mark.parametrize("module, name, replacement", [
+    pytest.param(lefschetz, "_local_part", _t2_local_part, id="T2"),
+    pytest.param(lefschetz, "_closed_form", _tampered_closed_form(_t4_change), id="T4"),
+    pytest.param(lefschetz, "_closed_form", _tampered_closed_form(_t5_change), id="T5"),
+])
+def test_definite_clause_alone_catches(monkeypatch, clean_caches, module, name, replacement):
+    monkeypatch.setattr(module, name, replacement)
+    # the mass formula now agrees with every tampered component
+    monkeypatch.setattr(
+        verify, "_exact_mass_formula",
+        lambda algebra, n, level, cls: lefschetz.euler_char_fixed_component(
+            algebra, n, level, cls).value,
+    )
+    [(_name, ok, detail)] = verify.suite_decomposition()
+    assert not ok and "not a positive integer" in detail, detail
