@@ -353,15 +353,14 @@ class _Primes:
 
 
 def _index(ramified, n: int, factors) -> int:
-    """The index of the level of these factors: one local factor per
-    distinct (norm, kind, exponent), used for each factor of that key."""
-    index, local = 1, {}
-    for prime, a in factors:
-        key = prime.norm, "ramified" if prime in ramified else "split", a
-        if key not in local:
-            local[key] = finitegrp.local_index_factor(key[0], key[1], n, a)
-        index *= local[key]
-    return index
+    """The index of the level of these factors: the product of their local
+    factors."""
+    return prod(
+        finitegrp.local_index_factor(
+            prime.norm, "ramified" if prime in ramified else "split", n, a
+        )
+        for prime, a in factors
+    )
 
 
 def _closed_form(

@@ -47,20 +47,6 @@ __all__ = [
 # pseudoprime to all of them
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def _primes_below(bound: int) -> frozenset[int]:
-    """The primes below bound <= 43^2, sieved by the bases (every prime
-    below 43)."""
-    flags = bytearray(b"\0\0") + bytearray(b"\1") * (bound - 2)
-    for p in _MILLER_RABIN_BASES:
-        flags[p * p :: p] = bytes(len(range(p * p, bound, p)))
-    return frozenset(compress(range(bound), flags))
-
-
-# is_prime answers every n below the square of the largest base by lookup
-_SMALL_PRIME_BOUND = _MILLER_RABIN_BASES[-1] ** 2
-_SMALL_PRIMES = _primes_below(_SMALL_PRIME_BOUND)
 # factorize divides out primes up to this bound, about 0.1 s of trial division
 _TRIAL_DIVISION_BOUND = 10**6
 # integers whose factorisations factorize keeps
@@ -70,12 +56,13 @@ _FACTORISATIONS_KEPT = 1024
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test with the first 13 prime
     bases, proven for every n below 3.3 * 10^24; larger n are refused.
-    Below 41^2 the answer is a set lookup."""
-    if n < _SMALL_PRIME_BOUND:
-        return n in _SMALL_PRIMES
+    An n with a base as a factor is prime when it is that base; any other
+    n below 41^2 has no prime factor below 41, so it is prime when n > 1."""
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
-            return False
+            return n == p
+    if n < 41**2:
+        return n > 1
     if n >= _MILLER_RABIN_BOUND:
         raise ValidationError(
             f"primality of {n} is not proven above {_MILLER_RABIN_BOUND}"
@@ -107,19 +94,16 @@ def _iroot(n: int, e: int) -> int:
         x = y
 
 
-def factorize(n: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=_FACTORISATIONS_KEPT)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorisation of n >= 1 as sorted (p, exponent) pairs.
 
     Trial division stops at _TRIAL_DIVISION_BOUND. A cofactor beyond its
     square is accepted when it is a prime or a power of one; any other is
     refused, since it has two prime factors above the bound. The pairs of
-    the last _FACTORISATIONS_KEPT n are kept; each call returns a new list.
+    the last _FACTORISATIONS_KEPT n are kept, and each call returns the
+    kept tuple; a refused n is not kept.
     """
-    return list(_factorize(n))
-
-
-@lru_cache(maxsize=_FACTORISATIONS_KEPT)
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n < 1:
         raise ValidationError("can only factor positive integers")
     whole, out = n, []
@@ -471,12 +455,6 @@ class Ideal(_Value):
                 return exponent
         return 0
 
-    def divides(self, other: "Ideal") -> bool:
-        """True when every exponent of self is bounded by the one in other."""
-        if self.field != other.field:
-            raise ValidationError("ideal divisibility needs a common base field")
-        return all(exp <= other.valuation(prime) for prime, exp in self.factors)
-
     def __str__(self) -> str:
         if self.is_unit:
             return "(1)"
@@ -691,10 +669,15 @@ _SERIES_KEYS = 32
 # m <= i * _SERIES_BLOCK, the least recently used key first. A call holds
 # _series_lock throughout, so two threads never extend one array.
 _series_prefixes: dict[tuple[int, int], array] = {}
-# the characters of a recent call's nonzero D as the floats 0.0, 1.0 and
-# -1.0: chi * m^(-2j) is exact, and a float product is cheaper than an int one
-_series_tables: dict[int, list[float]] = {}
 _series_lock = threading.Lock()
+
+
+@lru_cache(maxsize=1)
+def _float_characters(discriminant: int) -> tuple[float, ...]:
+    """_character_table(discriminant) as the floats 0.0, 1.0 and -1.0, the
+    last one kept: chi * m^(-2j) is exact, and a float product is cheaper
+    than an int one. Only _dirichlet_series calls it, under _series_lock."""
+    return tuple(map((0.0, 1.0, -1.0).__getitem__, _character_table(discriminant)))
 
 
 def _dirichlet_series(
@@ -708,18 +691,16 @@ def _dirichlet_series(
     passed its block. A series resumes from the last sum kept in
     _series_prefixes at or below terms, so a call sums fewer than
     _SERIES_BLOCK terms that an earlier call of its key summed, and keeps
-    the sums it passes. The character tables are replaced only when a series
-    with terms left has none kept, by those of the call's series with terms
-    left. Each sum runs in ascending m through one sum() per block, started
-    at the running sum, and the blocks are aligned at multiples of
-    _SERIES_BLOCK from m = 1, so a float depends neither on where a call
-    resumes nor on the call's other series. On Python <= 3.11 sum() adds
-    floats one at a time, so each is bitwise that of a per-term loop; from
-    3.12 sum() compensates its rounding within a block, and the last digits
-    differ from the loop's. A term with chi_D(m) = 0 adds 0.0, which leaves
-    the sum unchanged and costs less than skipping it.
+    the sums it passes. A series with terms left reads _float_characters.
+    Each sum runs in ascending m through one sum() per block, started at the
+    running sum, and the blocks are aligned at multiples of _SERIES_BLOCK
+    from m = 1, so a float depends neither on where a call resumes nor on
+    the call's other series. On Python <= 3.11 sum() adds floats one at a
+    time, so each is bitwise that of a per-term loop; from 3.12 sum()
+    compensates its rounding within a block, and the last digits differ
+    from the loop's. A term with chi_D(m) = 0 adds 0.0, which leaves the
+    sum unchanged and costs less than skipping it.
     """
-    global _series_tables
     with _series_lock:
         # D -> [kept sums, terms done, running sum, characters]
         series, first, left = {}, terms, []
@@ -735,14 +716,8 @@ def _dirichlet_series(
             series[discriminant] = [prefixes, done, prefixes[kept], None]
             if discriminant and done < terms:
                 left.append(discriminant)
-        if left and not all(map(_series_tables.__contains__, left)):
-            signs = (0.0, 1.0, -1.0)
-            _series_tables = {
-                d: _series_tables.get(d) or [signs[c] for c in _character_table(d)]
-                for d in left
-            }
         for d in left:
-            table = _series_tables[d]
+            table = _float_characters(d)
             start = (series[d][1] + 1) % len(table)
             series[d][3] = chain(islice(table, start, None), cycle(table))
         # a lone series is active in every block, and sums its powers as made

@@ -8,7 +8,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from quatlef import lefschetz
-from quatlef.errors import ExternalFieldError, NotFuchsianError, TorsionError, ValidationError
+from quatlef.errors import (
+    ExternalFieldError,
+    InvariantError,
+    NotFuchsianError,
+    TorsionError,
+    ValidationError,
+)
 from quatlef.finitegrp import ramified_local_order, sp_order
 from quatlef.lefschetz import (
     LefschetzInput,
@@ -93,7 +99,8 @@ class TestTorsionCheck:
             except ExternalFieldError:
                 continue  # the descriptor splits only 2, 5 and 11
         for level in levels:
-            assert check_torsion_necessary(level) is not level.divides(two), level
+            divides_two = all(exp <= two.valuation(prime) for prime, exp in level.factors)
+            assert check_torsion_necessary(level) is not divides_two, level
 
     def test_descriptor_without_two_refused(self):
         field = TotallyRealField.from_descriptor(
@@ -622,6 +629,67 @@ class TestLevelRaising:
 
     def test_every_ratio_is_the_local_group_order(self):
         assert _level_raising_mismatches() == []
+
+
+def _torsion_free_inputs():
+    """(algebra, n, level) over Q, every Q(√d) with d <= 300 squarefree and
+    the golden Q(√2, √5): the split algebra, the totally definite one (over
+    Q ramified at 2 as well), one ramified at the primes above 2 and 3 and
+    one at the prime above 3 and one real place; n = 1..3, n >= 2 when
+    definite; the level the first prime above the least p in 11-23 that is
+    unramified in the field."""
+    fields = [Q, *(
+        TotallyRealField.real_quadratic(d) for d in range(2, 301)
+        if all(d % (p * p) for p in range(2, 18))
+    ), TotallyRealField.from_json_file(GOLDEN / "q_sqrt2_sqrt5.json")]
+    for field in fields:
+        p2, p3 = split_prime(field, 2)[0], split_prime(field, 3)[0]
+        r = field.num_real_places
+        algebras = [
+            QuaternionAlgebra(field, (), 0),
+            QuaternionAlgebra(field, (p2,) * (r % 2), r),
+            QuaternionAlgebra(field, (p2, p3), 0),
+            QuaternionAlgebra(field, (p3,), 1),
+        ]
+        level = next(
+            Ideal(field, ((primes[0], 1),))
+            for primes in (split_prime(field, p) for p in (11, 13, 17, 19, 23))
+            if all(prime.e == 1 for prime in primes)
+        )
+        for algebra, n in product(algebras, range(1, 4)):
+            if n >= 2 or not algebra.is_totally_definite():
+                yield algebra, n, level
+
+
+def _integrality_failures():
+    """The inputs of _torsion_free_inputs whose Lefschetz number at trace 1
+    or one of whose components is not an integer, or whose closed form is
+    refused by the sign law."""
+    failures = []
+    for algebra, n, level in _torsion_free_inputs():
+        case = f"{algebra.describe()} over {algebra.field.describe()} n={n} L={level}"
+        try:
+            values = [lefschetz_number(LefschetzInput(algebra.field, algebra, n, level)).value]
+            values += [report.value for report in euler_char_components(algebra, n, level)]
+        except InvariantError as refused:
+            failures.append(f"{case}: {refused}")
+            continue
+        if any(value.denominator != 1 for value in values):
+            failures.append(f"{case}: {values}")
+    return failures
+
+
+class TestIntegrality:
+    """Minkowski's lemma (Serre, 1971): an element of finite order of
+    GL_m(O_P) that is 1 mod P is trivial when P lies over p >= 5 with
+    e(P|p) = 1. So every level of _torsion_free_inputs gives a torsion-free
+    group, whose Euler characteristic is an integer, and so are its
+    fixed-point components and its Lefschetz number. The sweep reaches
+    discriminants with two odd primes, which no verify suite does."""
+
+    def test_every_value_is_an_integer(self):
+        assert len(list(_torsion_free_inputs())) == 2023
+        assert _integrality_failures() == []
 
 
 class TestCongruenceIndex:

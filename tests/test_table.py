@@ -159,6 +159,7 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
 
         monkeypatch.setattr(module, name, counting)
     split_prime.cache_clear()
+    finitegrp._reduction_order.cache_clear()
     assert main(argv) == 0
     out, _err = capsys.readouterr()
     assert out.count(",true,") == rows
@@ -166,9 +167,9 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
     low, _, high = argv[argv.index("--levels") + 1].partition(":")
     primes = {p for m in range(int(low), int(high) + 1) for p, _a in factorize(m)} | {2}
     assert split_prime.cache_info().misses == len(primes)
-    # each local_index_factor(N(P), kind, n, a) once
-    index_args = calls["local_index_factor"]
-    assert index_args and len(index_args) == len(set(index_args))
+    # each reduction order of a distinct (N(P), kind, n) computed once
+    orders = {(q, kind, n) for q, kind, n, _a in calls["local_index_factor"]}
+    assert orders and finitegrp._reduction_order.cache_info().misses == len(orders)
     # zeta_F(1-2j) once per j <= n, j = n first
     assert [j for _field, j in calls["dedekind_zeta_neg"]] == list(range(n, 0, -1))
 
@@ -178,7 +179,7 @@ def test_table_run_twice_misses_no_cache(capsys):
     it needs kept by the first."""
     argv = ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "2",
             "--levels", "3:60"]
-    caches = (numberfield._factorize, finitegrp._reduction_order)
+    caches = (numberfield.factorize, finitegrp._reduction_order)
     assert main(argv) == 0
     first = capsys.readouterr().out
     before = [cache.cache_info() for cache in caches]

@@ -16,9 +16,10 @@ suites through ``verify.run_suites`` (not the session-cached ``verified``
 fixture), and clears every cache a tampered value can reach before and
 after it runs.
 
-Two routes besides the rows: T1 also breaks the tier-1 level-raising
-identity, and T2, T4 and T5 are caught by ``decomposition``'s clause on
-definite components alone, with its mass formula taken out of the check.
+Three routes besides the rows: T1 also breaks the tier-1 level-raising
+identity, T2, T4 and T5 are caught by ``decomposition``'s clause on
+definite components alone, with its mass formula taken out of the check,
+and T6 breaks the tier-1 integrality sweep at torsion-free levels.
 """
 
 from fractions import Fraction
@@ -28,7 +29,7 @@ from math import prod
 import pytest
 
 from quatlef import finitegrp, lefschetz, numberfield, verify
-from test_lefschetz import _level_raising_mismatches
+from test_lefschetz import _integrality_failures, _level_raising_mismatches
 
 
 def _t1_local_part(norm, js, in_level):
@@ -135,10 +136,13 @@ def _t9_mass_local_orders(algebra, n, level):
 
 
 def _clear_caches():
-    numberfield.dedekind_zeta_neg.cache_clear()
-    numberfield.gen_bernoulli.cache_clear()
+    """Empty every lru_cache of numberfield, lefschetz and finitegrp, and the
+    two kept states that are not one."""
+    for module in (numberfield, lefschetz, finitegrp):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     numberfield._power_sum_state = None
-    numberfield._series_tables = {}
     numberfield._series_prefixes.clear()
 
 
@@ -173,7 +177,7 @@ _ROWS = [
         id="T6",
         marks=pytest.mark.xfail(
             strict=True, raises=AssertionError,
-            reason="ROADMAP item 2: no siegel suite checks zeta over several odd primes",
+            reason="ROADMAP item 14: the integrality sweep is not yet a verify check",
         ),
     ),
     pytest.param(
@@ -202,6 +206,11 @@ def test_tampering_is_caught(monkeypatch, clean_caches, module, name, replacemen
 def test_t1_breaks_level_raising(monkeypatch, clean_caches):
     monkeypatch.setattr(lefschetz, "_local_part", _t1_local_part)
     assert _level_raising_mismatches()
+
+
+def test_t6_breaks_integrality_sweep(monkeypatch, clean_caches):
+    monkeypatch.setattr(numberfield, "_character_table", _t6_character_table)
+    assert _integrality_failures()
 
 
 @pytest.mark.parametrize("module, name, replacement", [
