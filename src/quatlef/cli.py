@@ -18,7 +18,9 @@ a broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -52,7 +54,6 @@ from .numberfield import (
 from .quaternion import QuaternionAlgebra, hilbert_ramification_q
 
 _TABLE_ROW_CAP = 10**4
-_FIELDS_KEPT = 64  # q and quad:<d> fields kept by _native_field
 
 _WITH_ALGEBRA = ("lefschetz", "euler-char", "index", "genus", "table")
 _WITH_FIELD = ("zeta", *_WITH_ALGEBRA)
@@ -113,14 +114,6 @@ def _parse_field(spec: str) -> TotallyRealField:
     if spec.startswith("external:"):
         # read on every call, so that a missing or changed file is seen
         return TotallyRealField.from_json_file(spec[len("external:") :])
-    return _native_field(spec)
-
-
-@functools.lru_cache(maxsize=_FIELDS_KEPT)
-def _native_field(spec: str) -> TotallyRealField:
-    """The field of a ``q`` or ``quad:<d>`` spec, one object per text, so
-    that the caches keyed by field find it by identity; a refused spec is
-    not kept."""
     if spec.lower() == "q":
         return TotallyRealField.rationals()
     if spec.startswith("quad:"):
@@ -287,22 +280,6 @@ def _emit(args, pieces: list[str]) -> None:
         sys.stdout.writelines(pieces)
 
 
-def _csv_field(value) -> str:
-    text = "" if value is None else str(value)
-    if "," in text or '"' in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
-def _csv_text(header: tuple[str, ...] | list[str], rows: list[list]) -> str:
-    """The CSV text of a key/value report's rows, as csv.writer with a
-    newline terminator writes rows of two or more fields: None is empty, a
-    field holding a comma, a quote or a newline is quoted with its quotes
-    doubled. ``table`` writes its rows itself: none of its fields needs
-    quoting."""
-    return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
-
-
 def _json_text(value, indent: str = "\n") -> str:
     """json.dumps(value, indent=2, sort_keys=True) of a payload value whose
     lines start with this indent: a dict with str keys, a list, str, int,
@@ -334,7 +311,12 @@ def _emit_report(args, payload, rows, header=("key", "value")) -> int:
     digit limit raises ValueError in either writer."""
     data = rows() if args.format == "csv" else payload()
     try:
-        text = _csv_text(header, data) if args.format == "csv" else _json_text(data) + "\n"
+        if args.format == "csv":
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows([header, *data])
+            text = buffer.getvalue()
+        else:
+            text = _json_text(data) + "\n"
     except ValueError:
         raise _digit_limit_error() from None
     _emit(args, [text])
@@ -352,13 +334,15 @@ def _payload(args, field, algebra=None, level=None, report=None, **fields) -> di
             "ram_real": algebra.ram_real_count,
             "signed_reduced_discriminant": algebra.signed_reduced_discriminant(),
         }
-        payload["level"] = {"factors": str(level), "norm": level.norm()}
+        norm = level.norm()
+        payload["level"] = {"factors": str(level), "norm": norm}
     if report is not None:
-        payload["n"] = report.n
+        n = report.n
+        payload["n"] = n
         payload["value"] = format_rational(report.value)
         payload["factors"] = {
             "two_power": format_rational(report.two_power),
-            "level_norm_power": report.level_norm_power,
+            "level_norm_power": norm ** (n * (2 * n + 1)),
             "discriminant_power": report.disc_power,
             "m_factors": [format_rational(m) for m in report.m_factors],
         }

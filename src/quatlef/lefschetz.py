@@ -165,19 +165,19 @@ class _ClosedFormReport(_Value):
     """Value of a closed form plus its factor-by-factor breakdown.
 
     The value, from the kernel _Primes.closed_form, equals two_power
-    * level_norm_power * disc_power * scale * prod(m_factors); when the
-    base field has a complex place every m factor is zero and zero_reason
-    says so. A subclass passes its own fields first, as one tuple.
+    * N(L)^(n(2n+1)) * disc_power * scale * prod(m_factors) for the level
+    L; when the base field has a complex place every m factor is zero and
+    zero_reason says so. A subclass passes its own fields first, as one
+    tuple.
     """
 
-    __slots__ = ("value", "n", "two_power", "level_norm_power", "disc_power",
-                 "m_factors", "warnings", "zero_reason")
+    __slots__ = ("value", "n", "two_power", "disc_power", "m_factors", "warnings",
+                 "zero_reason")
 
     def __init__(self, own: tuple, /, *, value: Fraction, n: int, two_power: Fraction,
-                 level_norm_power: int, disc_power: int, m_factors: tuple[Fraction, ...],
+                 disc_power: int, m_factors: tuple[Fraction, ...],
                  warnings: tuple[str, ...] = (), zero_reason: str | None = None) -> None:
-        self._set((value, n, two_power, level_norm_power, disc_power, m_factors,
-                   warnings, zero_reason, *own))
+        self._set((value, n, two_power, disc_power, m_factors, warnings, zero_reason, *own))
 
 
 class LefschetzReport(_ClosedFormReport):
@@ -375,9 +375,7 @@ def _closed_form(
     local = _local_primes(algebra, level.factors)
     js = range(1, n + 1)
     num, den = primes.closed_form(norm, [_local_part(p.norm, js, a > 0) for p, a in local])
-    shared = dict(n=n, two_power=Fraction(1, 2**two_exp),
-                  level_norm_power=norm ** (n * (2 * n + 1)),
-                  disc_power=primes.disc_power,
+    shared = dict(n=n, two_power=Fraction(1, 2**two_exp), disc_power=primes.disc_power,
                   m_factors=tuple(_m_factor(j, algebra, local) for j in range(1, n + 1)),
                   warnings=warnings,
                   zero_reason=None if algebra.field.is_totally_real else ZERO_COMPLEX_PLACE)

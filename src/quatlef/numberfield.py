@@ -248,13 +248,17 @@ _DESCRIPTOR_KEYS = {
 }
 # distinct descriptor texts kept parsed by from_json_file
 _DESCRIPTORS_KEPT = 8
+# real quadratic fields kept by real_quadratic, one object per d
+_FIELDS_KEPT = 64
 
 
 class TotallyRealField(_Value):
     """Base field descriptor: the rationals, a real quadratic field, or
     externally supplied data for anything else.
 
-    For the native kinds every entry is computed, never user-supplied.
+    For the native kinds every entry is computed, never user-supplied, and
+    each field is one object, so that the caches keyed by field find it by
+    identity; a refused d is not kept.
     External data is trusted but checked for internal consistency, once per
     distinct descriptor text per process: each listed prime must satisfy
     sum(e*f) = degree, and when the field is totally real each zeta table
@@ -273,10 +277,12 @@ class TotallyRealField(_Value):
                    splitting_table))
 
     @classmethod
+    @lru_cache(maxsize=1)
     def rationals(cls) -> "TotallyRealField":
         return cls(kind=_KIND_RATIONALS)
 
     @classmethod
+    @lru_cache(maxsize=_FIELDS_KEPT)
     def real_quadratic(cls, d: int) -> "TotallyRealField":
         disc = d if d % 4 == 1 else 4 * d
         if disc > _MAX_CONDUCTOR:

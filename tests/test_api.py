@@ -69,8 +69,8 @@ _P3 = "PrimeIdeal(p=3, f=2, e=1, label='')"
 _HAMILTON = f"QuaternionAlgebra(field={_Q5_REPR}, ram_finite=(), ram_real_count=2)"
 _LEVEL3 = f"Ideal(field={_Q5_REPR}, factors=(({_P3}, 1),))"
 _REPORT = (
-    "value=Fraction(2, 1), n=1, two_power=Fraction(1, 2), level_norm_power=9,"
-    " disc_power=1, m_factors=(Fraction(-1, 24),), warnings=(), zero_reason=None"
+    "value=Fraction(2, 1), n=1, two_power=Fraction(1, 2), disc_power=1,"
+    " m_factors=(Fraction(-1, 24),), warnings=(), zero_reason=None"
 )
 
 
@@ -79,7 +79,6 @@ def _report(cls, **changes):
         value=Fraction(2),
         n=1,
         two_power=Fraction(1, 2),
-        level_norm_power=9,
         disc_power=1,
         m_factors=(Fraction(-1, 24),),
     )

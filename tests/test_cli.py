@@ -20,7 +20,7 @@ from quatlef import cli, finitegrp, lefschetz, numberfield, verify
 from quatlef.errors import InvariantError, ValidationError
 from quatlef.finitegrp import local_index_factor
 from quatlef.quaternion import QuaternionAlgebra
-from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _csv_text, _json_text, _parse_field,
+from quatlef.cli import (_COMMAND_FLAGS, _FLAGS, _json_text, _parse_field,
                          _read_flags, build_parser, main)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -454,26 +454,51 @@ def test_table_checks_the_setting_before_the_first_row(capsys, argv, message):
     assert err.splitlines() == [message]
 
 
-_CSV_FIELDS = st.one_of(
-    st.integers(min_value=-10**30, max_value=10**30),
-    st.floats(),
-    st.sampled_from([None, ""]),
-    st.text(alphabet=',"\n\r|;/- \té', max_size=8),
-)
+def test_golden_tables_round_trip_through_csv_writer():
+    """Every golden table is the bytes csv.writer writes for its own rows:
+    read back and written again with a newline terminator, each stdout is
+    unchanged, so no table field needs quoting. A 625-class row's
+    chi_components field is longer than csv's default field limit."""
+    corpus = json.loads((_GOLDEN / "corpus.json").read_text(encoding="utf-8"))
+    tables = {name: case["stdout"] for name, case in corpus.items()
+              if name.startswith("table-")}
+    assert len(tables) == 10
+    default = csv.field_size_limit(max(map(len, tables.values())))
+    try:
+        for name, text in tables.items():
+            rows = list(csv.reader(io.StringIO(text)))
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(rows)
+            assert buffer.getvalue() == text, name
+    finally:
+        csv.field_size_limit(default)
 
 
-@settings(max_examples=500, deadline=None)
-@given(rows=st.lists(st.lists(_CSV_FIELDS, min_size=2, max_size=9), min_size=1, max_size=4))
-def test_csv_text_matches_csv_writer(rows):
-    """The CSV serialiser writes the bytes of csv.writer with a newline
-    terminator. Rows have two or more fields: csv.writer quotes a row whose
-    only field is empty, and no command builds such a row, so the
-    serialiser has no case for it."""
-    header, *body = rows
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    assert _csv_text(header, body) == buffer.getvalue()
+class _CountingNorm(int):
+    """A level norm that counts the powers taken of it."""
+
+    powers = 0
+
+    def __pow__(self, exponent, *modulus):
+        _CountingNorm.powers += 1
+        return int.__pow__(self, exponent, *modulus)
+
+
+@pytest.mark.parametrize("argv, powers", [
+    (["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"], 1),
+    (["genus", "--field", "q", "--ram", "2,3", "--level", "5"], 1),
+    (["euler-char", "--field", f"external:{REPO_ROOT / 'tests' / 'golden' / 'imaginary.json'}",
+      "--split", "--n", "1", "--level", "5"], 0),
+])
+def test_csv_report_raises_the_level_norm_once(capsys, monkeypatch, argv, powers):
+    """A CSV report of one level takes N(L)^(n(2n+1)) in the closed form's
+    kernel alone, and not at all at a complex place, where the value is 0."""
+    norm = numberfield.Ideal.norm
+    monkeypatch.setattr(numberfield.Ideal, "norm", lambda level: _CountingNorm(norm(level)))
+    monkeypatch.setattr(_CountingNorm, "powers", 0)
+    code, _out, err = run_cli(capsys, [*argv, "--format", "csv"])
+    assert (code, err) == (0, "")
+    assert _CountingNorm.powers == powers
 
 
 _JSON_SCALARS = st.one_of(

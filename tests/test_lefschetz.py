@@ -60,9 +60,10 @@ def level_q(n):
     return ideal_from_integer(Q, n)
 
 
-def _factor_product(report, scale):
-    """two_power * level_norm_power * disc_power * scale * prod(m_factors)."""
-    start = report.two_power * report.level_norm_power * report.disc_power * scale
+def _factor_product(report, level, scale):
+    """two_power * N(level)^(n(2n+1)) * disc_power * scale * prod(m_factors)."""
+    level_norm_power = level.norm() ** (report.n * (2 * report.n + 1))
+    start = report.two_power * level_norm_power * report.disc_power * scale
     return prod(report.m_factors, start=start)
 
 
@@ -236,7 +237,7 @@ class TestLefschetzNumber:
             parts = [lefschetz._local_part(prime.norm, js, a > 0) for prime, a in local]
             kernel = primes.closed_form(inp.level.norm(), parts)
             table = Fraction(*kernel) / 2**inp.algebra.r * Fraction(5, 3)
-            assert report.value == table == _factor_product(report, report.trace_w), inp
+            assert report.value == table == _factor_product(report, inp.level, report.trace_w), inp
             assert len(report.m_factors) == inp.n
             real = inp.field.is_totally_real
             assert (report.value != 0) is real
@@ -392,7 +393,7 @@ class TestEulerChar:
         cls = SignatureClass(((2, 0), (2, 0)))
         report = euler_char_fixed_component(HAM5, 2, level3, cls)
         assert report.value == 119556
-        assert _factor_product(report, report.binomial_factor) == report.value
+        assert _factor_product(report, level3, report.binomial_factor) == report.value
         assert report.binomial_factor == 1
 
     def test_all_four_classes_equal_here(self):
@@ -428,7 +429,6 @@ _REPORT_FIELDS = (
     "value",
     "m_factors",
     "two_power",
-    "level_norm_power",
     "disc_power",
     "warnings",
     "zero_reason",
@@ -453,7 +453,7 @@ def _assert_components_match(algebra, n, level, assume_torsion_free=False):
             assert getattr(got, name) == getattr(want, name), name
         cls = got.signature_class
         assert got.binomial_factor == prod(comb(n, p) for p, _q in cls), str(cls)
-        assert got.value == _factor_product(got, got.binomial_factor)
+        assert got.value == _factor_product(got, level, got.binomial_factor)
     return batch
 
 

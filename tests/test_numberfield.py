@@ -30,6 +30,7 @@ from quatlef.numberfield import (
     zeta_f_positive_even_numeric,
     zeta_truncation_bound,
 )
+from quatlef.quaternion import hilbert_ramification_q
 
 Q = TotallyRealField.rationals()
 Q5 = TotallyRealField.real_quadratic(5)
@@ -852,6 +853,19 @@ def test_real_quadratic_validation():
     assert Q5.abs_discriminant == 5
     assert Q2.abs_discriminant == 8
     assert TotallyRealField.real_quadratic(3).abs_discriminant == 12
+
+
+def test_native_fields_are_one_object_each():
+    """rationals() and real_quadratic(d) give one object per field, so that
+    the caches keyed by field find it by identity; the last 64 d are kept,
+    and a refused d is never kept, so it is refused on every call."""
+    assert TotallyRealField.real_quadratic(5) is TotallyRealField.real_quadratic(5)
+    assert TotallyRealField.rationals() is TotallyRealField.rationals()
+    assert hilbert_ramification_q(-1, -1).field is TotallyRealField.rationals()
+    assert TotallyRealField.real_quadratic.cache_info().maxsize == numberfield._FIELDS_KEPT == 64
+    for _ in range(2):
+        with pytest.raises(ValidationError, match="squarefree"):
+            TotallyRealField.real_quadratic(4)
 
 
 def test_character_of_real_quadratic_fields_only():

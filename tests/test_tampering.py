@@ -5,16 +5,16 @@ report a failed check.
 The rows are the tamperings T1-T7 of ROADMAP's sweep, T8 and T9. T3, T4
 and T5 change an inline factor of the single-level closed form, so they
 replace ``lefschetz._closed_form``, which takes its value from the kernel
-``_Primes.closed_form``, with a wrapper that changes one returned report
-field and the value by the same factor. T8 tampers with the kernel itself,
-the one place every report's and every table row's value is assembled. T9
-tampers with the mass formula's finite places, which its exact and float
-evaluations share. A row that no suite catches yet (T6) is a strict xfail
-naming the ROADMAP item meant to catch it, so that the day a suite starts
-to catch it the row must be made a plain pass. Each row runs only its
-suites through ``verify.run_suites`` (not the session-cached ``verified``
-fixture), and clears every cache a tampered value can reach before and
-after it runs.
+``_Primes.closed_form``, with a wrapper that changes the value by a
+factor; T4 and T5 change the report field of that factor by it too. T8
+tampers with the kernel itself, the one place every report's and every
+table row's value is assembled. T9 tampers with the mass formula's finite
+places, which its exact and float evaluations share. A row that no suite
+catches yet (T6) is a strict xfail naming the ROADMAP item meant to catch
+it, so that the day a suite starts to catch it the row must be made a
+plain pass. Each row runs only its suites through ``verify.run_suites``
+(not the session-cached ``verified`` fixture), and clears every cache a
+tampered value can reach before and after it runs.
 
 Three routes besides the rows: T1 also breaks the tier-1 level-raising
 identity, T2, T4 and T5 are caught by ``decomposition``'s clause on
@@ -61,21 +61,24 @@ def _t2_local_part(norm, js, in_level):
 
 def _tampered_closed_form(change):
     """lefschetz._closed_form with change(algebra, n, level) -> (field, factor)
-    applied to a returned report field and to the returned value."""
+    applied to the returned value and, unless field is None, to that returned
+    report field."""
     original = lefschetz._closed_form
 
     def tampered(algebra, n, level, override, two_exp):
         shared, value = original(algebra, n, level, override, two_exp)
         field, factor = change(algebra, n, level)
-        shared[field] *= factor
+        if field is not None:
+            shared[field] *= factor
         return shared, value * factor
 
     return tampered
 
 
 def _t3_change(algebra, n, level):
-    """The level-norm exponent n(2n+1) + 1 for n >= 2."""
-    return "level_norm_power", level.norm() if n >= 2 else 1
+    """The level-norm exponent n(2n+1) + 1 for n >= 2; no report field holds
+    the level norm's power, so the value alone changes."""
+    return None, level.norm() if n >= 2 else 1
 
 
 def _t4_change(algebra, n, level):
