@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 from math import prod
+from operator import mul
 
 from .errors import SearchSpaceError, ValidationError
 from .numberfield import _MILLER_RABIN_BOUND, _iroot, is_prime
@@ -164,30 +165,29 @@ def brute_force_sl(m: int, n_mod: int) -> int:
 def brute_force_sp(n: int, q: int) -> int:
     """Count 2n x 2n matrices g over F_q with g^T J g = J by enumeration.
 
-    J is the standard symplectic matrix; by exact antisymmetry of g^T J g
-    only the strictly upper triangle needs checking.
+    J is the standard symplectic matrix, so g^T J g = J says that columns
+    i < j of g pair to J[i][j] under x^T J y (the rest follows by
+    antisymmetry): each column runs over all of F_q^(2n) and is kept when
+    it pairs so with every earlier column.
     """
     if n < 1:
         raise ValidationError("rank must be >= 1")
     _require_prime(q)
     size = 2 * n
     _cap(q ** (size * size))
-    rows = list(itertools.product(range(q), repeat=size))
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-    count = 0
-    for g in itertools.product(rows, repeat=size):
-        ok = True
-        for i, j in pairs:
-            value = 0
-            for k in range(n):
-                value += g[k][i] * g[k + n][j] - g[k + n][i] * g[k][j]
-            expected = 1 if j == i + n else 0
-            if (value - expected) % q:
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    vectors = list(itertools.product(range(q), repeat=size))
+    partial = [()]
+    for j in range(size):
+        grown = []
+        for columns in partial:
+            fits = vectors
+            for i, x in enumerate(columns):
+                # x^T J v is the dot product of v with (-x[n:], x[:n])
+                dual, pairing = tuple(-t for t in x[n:]) + x[:n], int(j == i + n)
+                fits = [v for v in fits if sum(map(mul, dual, v)) % q == pairing]
+            grown += [columns + (v,) for v in fits]
+        partial = grown
+    return len(partial)
 
 
 def _quadratic_extension(q: int):

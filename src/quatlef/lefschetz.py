@@ -371,7 +371,9 @@ def _closed_form(
     kernel's closed form over 2^two_exp."""
     warnings = _torsion_warnings(level, override)
     # built first, so that the zeta caps refuse j = n before any factor
-    primes, norm = _Primes(algebra, n), level.norm()
+    primes = _Primes(algebra, n)
+    # a complex place gives 0 without reading the level's norm
+    norm = level.norm() if algebra.field.is_totally_real else 0
     local = _local_primes(algebra, level.factors)
     js = range(1, n + 1)
     num, den = primes.closed_form(norm, [_local_part(p.norm, js, a > 0) for p, a in local])

@@ -667,8 +667,9 @@ def _zetas_log10(field: TotallyRealField, n: int) -> float | None:
 # at a time, and one pass over them serves every series of a call. Each
 # series keeps its sum at the end of every block for the _SERIES_KEYS most
 # recently used (discriminant, 2j) keys; the Riemann sum is kept once, under
-# (0, 2j). At the 10^7-term cap a key keeps 9,766 floats (about 76 KiB), so
-# the kept sums take about 2.4 MiB at worst.
+# (0, 2j). A series settles, and its kept sums end, within 14 blocks for
+# 2j >= 4; only a 2j = 2 key grows toward 9,766 floats (about 76 KiB) at
+# the 10^7-term cap, so the kept sums take about 2.4 MiB at worst.
 _SERIES_BLOCK = 2**10
 _SERIES_KEYS = 32
 # (discriminant, 2j) -> array [s_0, s_1, ...] of the sums over
@@ -701,11 +702,16 @@ def _dirichlet_series(
     Each sum runs in ascending m through one sum() per block, started at the
     running sum, and the blocks are aligned at multiples of _SERIES_BLOCK
     from m = 1, so a float depends neither on where a call resumes nor on
-    the call's other series. On Python <= 3.11 sum() adds floats one at a
-    time, so each is bitwise that of a per-term loop; from 3.12 sum()
-    compensates its rounding within a block, and the last digits differ
-    from the loop's. A term with chi_D(m) = 0 adds 0.0, which leaves the
-    sum unchanged and costs less than skipping it.
+    the call's other series. A series settles, and stops, at the first
+    block start lo where its sum S has S +- b == S for b = 2 lo^(-two_j):
+    pow is monotone in m up to a last-bit error that the 2 covers, and so
+    is rounding, so no later term moves S; a resumed key settles again at
+    once. On Python <= 3.11 sum() adds floats one at a time, so each float
+    is bitwise that of a per-term loop over all terms; from 3.12 sum()
+    compensates its rounding within a block, and would gather the dropped
+    tail, so the last digits differ from the loop's. A term with
+    chi_D(m) = 0 adds 0.0, which leaves the sum unchanged and costs less
+    than skipping it.
     """
     with _series_lock:
         # D -> [kept sums, terms done, running sum, characters]
@@ -726,15 +732,21 @@ def _dirichlet_series(
             table = _float_characters(d)
             start = (series[d][1] + 1) % len(table)
             series[d][3] = chain(islice(table, start, None), cycle(table))
-        # a lone series is active in every block, and sums its powers as made
-        exponent, active = repeat(-two_j), series.values()
+        exponent = repeat(-two_j)
         for lo in range(first + 1, terms + 1, _SERIES_BLOCK):
+            # a settled series counts as done: its later terms add nothing
+            bound = 2.0 * lo**-two_j
+            for s in series.values():
+                if s[1] < lo and s[2] + bound == s[2] and s[2] - bound == s[2]:
+                    s[1] = terms
+            if all(s[1] == terms for s in series.values()):
+                break
+            active = [s for s in series.values() if s[1] < lo]
             hi = min(lo + _SERIES_BLOCK, terms + 1)
+            # a lone active series sums its powers as made
             powers = map(pow, range(lo, hi), exponent)
-            if len(series) > 1:
-                active = [s for s in series.values() if s[1] < lo]
-                if len(active) > 1:
-                    powers = list(powers)
+            if len(active) > 1:
+                powers = list(powers)
             for s in active:
                 chars = s[3]
                 s[2] = sum(map(mul, islice(chars, hi - lo), powers) if chars else powers, s[2])

@@ -501,6 +501,20 @@ def test_csv_report_raises_the_level_norm_once(capsys, monkeypatch, argv, powers
     assert _CountingNorm.powers == powers
 
 
+@pytest.mark.parametrize("command", ["lefschetz", "euler-char"])
+def test_complex_place_csv_report_reads_no_level_norm(capsys, monkeypatch, command):
+    """At a complex place the closed form is 0, so a CSV report never takes
+    N(L), which at this level has a million digits."""
+    read = []
+    monkeypatch.setattr(numberfield.Ideal, "norm", lambda level: read.append(level))
+    argv = [command, "--field", f"external:{REPO_ROOT / 'tests' / 'golden' / 'imaginary.json'}",
+            "--split", "--n", "2", "--level", "3:2:1^1000000", "--format", "csv"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "value,0" in out.splitlines()
+    assert read == []
+
+
 _JSON_SCALARS = st.one_of(
     st.none(),
     st.booleans(),

@@ -498,6 +498,18 @@ class TestDirichletKernel:
         monkeypatch.setattr(numberfield, name, counting, raising=False)
         return taken
 
+    def _settle_end(self, discriminant, two_j):
+        """The block end at which the settle rule stops the series of
+        (discriminant, two_j): the first i * BLOCK whose per-term sum S has
+        S +- 2 (i * BLOCK + 1)^(-two_j) == S; None if none below 2^17."""
+        ends = range(self.BLOCK, 2**17, self.BLOCK)
+        sums = _reference_series(discriminant, two_j, set(ends))
+        for end in ends:
+            total, bound = sums[end][1], 2.0 * (end + 1) ** -two_j
+            if total + bound == total and total - bound == total:
+                return end
+        return None
+
     def test_bitwise_equal_to_per_term_sums(self):
         # growing, shrinking and growing again runs a fresh start, a resume
         # from the last kept prefix, from an earlier one, and from an exact
@@ -570,17 +582,56 @@ class TestDirichletKernel:
                        want[13][2 * self.LONG][1])
 
     def test_prefixes_are_one_float_array(self):
+        # a key keeps one sum per block end up to the block where it settles
+        settled = {0: self._settle_end(0, 4), 8: self._settle_end(8, 4)}
+        assert settled == {0: 12 * self.BLOCK, 8: 14 * self.BLOCK}
         for terms in (self.BLOCK - 1, self.BLOCK, 10**5):
             numberfield._dirichlet_series((0, 8), 4, terms)
-            ends = set(range(self.BLOCK, terms + 1, self.BLOCK))
-            want = _reference_series(8, 4, ends | {terms})
+            want = _reference_series(8, 4, set(range(self.BLOCK, terms + 1, self.BLOCK)) | {terms})
             for d, half in ((0, 0), (8, 1)):
                 prefixes = numberfield._series_prefixes[(d, 4)]
                 assert type(prefixes) is array and prefixes.typecode == "d"
-                assert len(prefixes) == terms // self.BLOCK + 1
+                ends = range(self.BLOCK, min(terms, settled[d]) + 1, self.BLOCK)
+                assert len(prefixes) == len(ends) + 1
                 # one sum per block end: (8, 4) keeps no Riemann half
-                assert list(prefixes) == [0.0] + [want[m][half] for m in sorted(ends)]
+                assert list(prefixes) == [0.0] + [want[m][half] for m in ends]
         assert sorted(numberfield._series_prefixes) == [(0, 4), (8, 4)]
+
+    @pytest.mark.parametrize("two_j", [4, 6])
+    def test_settled_sums_equal_per_term_sums(self, monkeypatch, two_j):
+        # about ten times the settle points: every later term is a no-op
+        terms = 15 * 10**4
+        want = tuple(_reference_series(d, two_j, {terms})[terms][1] for d in self.DISCRIMINANTS)
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        assert numberfield._dirichlet_series(self.DISCRIMINANTS, two_j, terms) == want
+        settled = max(self._settle_end(d, two_j) for d in self.DISCRIMINANTS)
+        assert settled == {4: 14 * self.BLOCK, 6: self.BLOCK}[two_j]
+        assert len(taken) == settled
+        # a settled key sums nothing more
+        taken.clear()
+        assert numberfield._dirichlet_series(self.DISCRIMINANTS, two_j, 2 * terms) == want
+        assert taken == []
+
+    def test_settled_series_leaves_a_later_resume_to_the_pass(self, monkeypatch):
+        # (0, 4) settles at 12 blocks; (5, 4), kept at 13 blocks, settles at 14
+        numberfield._dirichlet_series((5,), 4, 13 * self.BLOCK)
+        numberfield._dirichlet_series((0,), 4, 20000)
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        got = numberfield._dirichlet_series((0, 5), 4, 20000)
+        assert taken == list(range(13 * self.BLOCK + 1, 14 * self.BLOCK + 1))
+        assert got == _reference_series(5, 4, {20000})[20000]
+
+    def test_two_j_2_never_settles_below_the_cap(self, monkeypatch):
+        # from a kept sum of zeta(2), above every partial sum at 2j = 2 and so
+        # the likeliest to settle, the last block below the cap is still summed
+        cap = numberfield._MAX_SERIES_TERMS
+        kept = cap // self.BLOCK
+        for d in (0, 40):
+            numberfield._series_prefixes[(d, 2)] = array("d", [0.0] + [math.pi**2 / 6] * kept)
+        taken = self._counted(monkeypatch, "pow", builtins.pow)
+        got = numberfield._dirichlet_series((0, 40), 2, cap)
+        assert taken == list(range(kept * self.BLOCK + 1, cap + 1))
+        assert got[0] > math.pi**2 / 6
 
     def test_kept_keys_capped(self):
         terms = self.LONG + 1
@@ -625,14 +676,16 @@ class TestDirichletKernel:
             assert prefixes == array("d", [0.0] + [want[m][half] for m in range(2, terms, 2)])
 
     def test_functional_equation_sums_each_exponent_once(self, monkeypatch):
-        """functional-equation sums 10^6 terms of m^(-2j) once per j for its
-        three fields; each of its six checks then resumes fewer than
-        _SERIES_BLOCK terms past the last kept block end."""
+        """functional-equation sums 10^6 terms of m^(-2) once for its three
+        fields, and m^(-4) until the last of their series settles; each of its
+        three j = 1 checks then resumes fewer than _SERIES_BLOCK terms past
+        the last kept block end, and each j = 2 check finds its sums settled."""
         taken = self._counted(monkeypatch, "pow", builtins.pow)
         verify.suite_functional_equation()
         terms = verify.DEFAULT_TERMS
-        assert len(taken) == 2 * terms + 6 * (terms % self.BLOCK)
-        assert len(taken) <= 2 * terms + 6 * self.BLOCK
+        settled = max(self._settle_end(d, 4) for d in (0, 5, 8))
+        assert settled == 14 * self.BLOCK
+        assert len(taken) == terms + 3 * (terms % self.BLOCK) + settled
         # a new field resumes the kept Riemann sum in the same pass as its own
         taken.clear()
         zeta_f_positive_even_numeric(Q13, 1, 5 * 10**5)

@@ -1,6 +1,8 @@
 """Smoke tests of the scripts in ``scripts/``: each runs as its own
-process over a short level range and prints a known row."""
+process over a short level range and prints a known row, and the stream
+replay agrees with its record."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,30 @@ def test_script_prints_known_row(script, row):
     )
     assert proc.returncode == 0, proc.stderr
     assert row in proc.stdout.splitlines()
+
+
+def test_replayed_streams_match_their_record():
+    # level-scan's 10,000 requests (about 5 s) are left to the script itself
+    workloads = ("zeta-sweep", "class-sum", "oracles")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "replay_streams.py"), "--check",
+         *(arg for name in workloads for arg in ("--workload", name))],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert [line.split(":")[0] for line in proc.stdout.splitlines()] == list(workloads)
+    assert all(line.endswith(", as recorded") for line in proc.stdout.splitlines())
+
+
+def test_replay_locates_each_differing_request():
+    spec = importlib.util.spec_from_file_location("replay_streams", SCRIPTS / "replay_streams.py")
+    replay_streams = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay_streams)
+    recorded = {"digests": ["0a1b2c3d", "4e5f6071", "8293a4b5", "c6d7e8f9"]}
+    changed = {"digests": ["0a1b2c3d", "4e5f6072", "8293a4b5", "c6d7e8f9"]}
+    assert replay_streams.mismatches(recorded, recorded) == []
+    assert replay_streams.mismatches(recorded, changed) == [1]
+    # a request present on one side only differs too
+    assert replay_streams.mismatches(recorded, {"digests": changed["digests"][:2]}) == [1, 2, 3]
+    assert replay_streams.mismatches({"digests": []}, recorded) == [0, 1, 2, 3]
