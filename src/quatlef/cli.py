@@ -619,15 +619,9 @@ def main(argv: list[str] | None = None) -> int:
             if kwargs.get("required") and getattr(args, _DESTS[flag]) is None:
                 raise ValidationError(f"missing required option {flag}")
         return _COMMANDS[args.command][0](args)
-    except TorsionError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except InvariantError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (QuatlefError, OSError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return 3 if isinstance(exc, TorsionError) else 1 if isinstance(exc, InvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -397,8 +397,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     records, field, r, primes, js = {}, algebra.field, algebra.r, None, range(1, n + 1)
     # the zeta caps refuse before any row; the zeta values wait for the first
     # row with a value, which is refused first if it would not print
-    if field.is_totally_real:
-        _check_zeta_caps(field, n)
+    _check_zeta_caps(field, n)
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
     # (p, (P, 0), part) of each ramified P, for the levels that p does not divide
@@ -524,8 +523,7 @@ def _refuse_unprintable_request(command: str, algebra: QuaternionAlgebra, n: int
         if cls is not None:
             _validate_class(cls, n, algebra.r)
         _torsion_warnings(level, override)
-        if algebra.field.is_totally_real:
-            _check_zeta_caps(algebra.field, n)
+        _check_zeta_caps(algebra.field, n)
 
     shift, scale = (algebra.r, trace_w) if cls is None else (n * algebra.r, 1)
     weight = n * (2 * n + 1) if json and command != "genus" else 0

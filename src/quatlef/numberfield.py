@@ -641,10 +641,11 @@ def _check_power_sum_terms(f: int, k: int) -> None:
 
 def _check_zeta_caps(field: TotallyRealField, n: int) -> None:
     """The refusals of dedekind_zeta_neg(field, n), 1 <= n <= _MAX_ZETA_INDEX,
-    which are those of every j <= n, with no zeta value computed."""
+    which are those of every j <= n, with no zeta value computed; none for a
+    field with a complex place, whose closed form reads no zeta value."""
     if field.kind == _KIND_QUADRATIC:
         _check_power_sum_terms(field.abs_discriminant, 2 * n)
-    elif field.kind == _KIND_EXTERNAL:
+    elif field.kind == _KIND_EXTERNAL and field.is_totally_real:
         dedekind_zeta_neg(field, n)
 
 

@@ -77,17 +77,17 @@ def _fixtures() -> SimpleNamespace:
     )
 
 
-def _algebras_for(field: TotallyRealField) -> list[tuple[str, QuaternionAlgebra]]:
+def _algebras_for(field: TotallyRealField) -> list[QuaternionAlgebra]:
     """Split, a {2,3}-style ramified algebra, and a Hamilton-type algebra."""
-    out = [("split", QuaternionAlgebra(field, (), 0))]
+    out = [QuaternionAlgebra(field, (), 0)]
     if field.kind == "rationals":
         ram23 = _fixtures().ram23
-        out.append(("ram23", ram23))
-        out.append(("hamilton", QuaternionAlgebra(field, ram23.ram_finite[:1], 1)))
+        out.append(ram23)
+        out.append(QuaternionAlgebra(field, ram23.ram_finite[:1], 1))
     else:
-        out.append(("hamilton", QuaternionAlgebra(field, (), 2)))
+        out.append(QuaternionAlgebra(field, (), 2))
         prime2 = numberfield.split_prime(field, 2)[0]
-        out.append(("ram2r1", QuaternionAlgebra(field, (prime2,), 1)))
+        out.append(QuaternionAlgebra(field, (prime2,), 1))
     return out
 
 
@@ -96,22 +96,17 @@ def decomposition_grid() -> list[LefschetzInput]:
     grid: list[LefschetzInput] = []
     for field in _fields().values():
         max_level = 10 if field.degree == 1 else 7
-        for _name, algebra in _algebras_for(field):
+        for algebra in _algebras_for(field):
             for n in range(1, 4):
                 if algebra.is_totally_definite() and n < 2:
                     continue
                 for level_int in range(3, max_level + 1):
-                    level = ideal_from_integer(field, level_int)
-                    if level.norm() > 50:
-                        continue
-                    if not lefschetz.check_torsion_necessary(level):
-                        continue
                     grid.append(
                         LefschetzInput(
                             field=field,
                             algebra=algebra,
                             n=n,
-                            level=level,
+                            level=ideal_from_integer(field, level_int),
                             trace_w=Fraction(1),
                         )
                     )

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quatlef
+from quatlef import exact, finitegrp, lefschetz, numberfield, quaternion
 from quatlef import (
     EulerCharReport,
     GenusReport,
@@ -241,6 +242,70 @@ def test_value_constructors_refuse_bad_fields_in_the_same_words(build, message):
     with pytest.raises(ValidationError) as refused:
         build()
     assert str(refused.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: numberfield.factorize(0), "can only factor positive integers"),
+        (
+            lambda: numberfield.gen_bernoulli(0, QuadraticCharacter(5)),
+            "generalized Bernoulli index must be >= 1",
+        ),
+        (lambda: numberfield.dedekind_zeta_neg(_Q, 0), "zeta argument index must be >= 1"),
+        (
+            lambda: numberfield.zeta_f_positive_even_numeric(_Q, 0, 100),
+            "zeta argument index must be >= 1",
+        ),
+        (lambda: exact.bernoulli_poly_eval(-1, 0), "Bernoulli polynomial degree must be >= 0"),
+        (lambda: lefschetz.check_torsion_necessary(Ideal(_Q)), "level must be a proper ideal"),
+        (
+            lambda: lefschetz.m_factor(0, ideal_from_integer(_Q, 3), QuaternionAlgebra(_Q)),
+            "factor index j must be >= 1",
+        ),
+        (lambda: lefschetz.h1_signature_classes(-1, 1), "need r >= 0 and n >= 1"),
+        (
+            lambda: lefschetz.weyl_quotient(1, -1, SignatureClass(())),
+            "need n >= 1 and s >= 0",
+        ),
+        (lambda: lefschetz.modular_form_dim(-1, 2), "genus must be >= 0"),
+        (lambda: lefschetz.betti_growth_exponent(0), "matrix size n must be >= 1"),
+        (lambda: lefschetz.vol_sp_compact(0), "rank must be >= 1"),
+        (
+            lambda: lefschetz.global_modulus_factor(QuaternionAlgebra(_Q), 0),
+            "matrix size n must be >= 1",
+        ),
+        (lambda: finitegrp.sl_order(1, 2), "matrix size must be >= 2"),
+        (lambda: finitegrp.sp_order(0, 2), "rank must be >= 1"),
+        (lambda: finitegrp.local_index_factor(2, "split", 1, 0), "prime exponent must be >= 1"),
+        (lambda: finitegrp.brute_force_sl(0, 2), "need matrix size >= 1 and modulus >= 2"),
+        (lambda: finitegrp.brute_force_sp(0, 2), "rank must be >= 1"),
+        (lambda: finitegrp.brute_force_unitary(0, 2), "rank must be >= 1"),
+        (lambda: quaternion.hilbert_symbol_q(1, 1, 4), "4 is not prime"),
+    ],
+    ids=[
+        "factorize", "gen_bernoulli", "dedekind_zeta_neg", "zeta_f_positive_even_numeric",
+        "bernoulli_poly_eval", "check_torsion_necessary", "m_factor", "h1_signature_classes",
+        "weyl_quotient", "modular_form_dim", "betti_growth_exponent", "vol_sp_compact",
+        "global_modulus_factor", "sl_order", "sp_order", "local_index_factor",
+        "brute_force_sl", "brute_force_sp", "brute_force_unitary", "hilbert_symbol_q",
+    ],
+)
+def test_public_functions_refuse_bad_arguments_in_the_same_words(call, message):
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+def test_unit_ideal_prints_as_one():
+    assert str(Ideal(_Q)) == "(1)"
+
+
+def test_kronecker_symbol_at_negative_n_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for a in range(-30, 31):
+        for n in range(-30, 0):
+            assert numberfield.kronecker_symbol(a, n) == sympy.kronecker_symbol(a, n), (a, n)
 
 
 def test_cli_import_leaves_out_dataclasses_and_inspect():

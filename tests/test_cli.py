@@ -1146,6 +1146,73 @@ def test_deeply_nested_json_is_one_error_line(tmp_path, source):
     assert proc.stderr == "error: JSON nested too deeply to read\n"
 
 
+_Q5_SHAPE = {"degree": 2, "abs_discriminant": 5, "num_real_places": 2}
+
+
+@pytest.mark.parametrize(
+    "flags, text, message",
+    [
+        (["--field", "q", "--ram", "2,,3"], None, "empty entry in ramification list"),
+        (
+            ["--field", "q", "--split", "--level", "3:1"],
+            None,
+            "bad level segment '3:1'; use N or p:f:e[:label][^k]",
+        ),
+        (["--field", "q", "--split", "--config"], "[1, 2]", "config file must hold a JSON object"),
+        (["--split", "--field"], "[" * 200_000 + "]" * 200_000, "JSON nested too deeply to read"),
+        (["--split", "--field"], "[]", "descriptor must be a JSON object"),
+        (
+            ["--split", "--field"],
+            json.dumps({"abs_discriminant": 5, "num_real_places": 2}),
+            "descriptor missing key 'degree'",
+        ),
+        (
+            ["--split", "--field"],
+            json.dumps({**_Q5_SHAPE, "zeta_neg": 5}),
+            "descriptor zeta_neg must be a list",
+        ),
+        (
+            ["--split", "--field"],
+            json.dumps({**_Q5_SHAPE, "num_real_places": 3}),
+            "number of real places must lie in [0, degree]",
+        ),
+        (
+            ["--split", "--field"],
+            json.dumps({**_Q5_SHAPE, "splitting": {"2": [[0, 1]]}}),
+            "invalid splitting data above 2",
+        ),
+    ],
+    ids=[
+        "empty-ram-entry", "level-segment", "config-list", "field-deep",
+        "descriptor-list", "descriptor-no-degree", "descriptor-zeta-number",
+        "descriptor-real-places", "descriptor-splitting-pair",
+    ],
+)
+def test_input_refusal_is_exit_2_and_one_error_line(capsys, tmp_path, flags, text, message):
+    """Each refusal of a flag, config file or descriptor: exit 2, nothing on
+    stdout and one error line. The last flag given reads the file ``text``."""
+    argv = ["lefschetz", "--n", "1", "--level", "3", *flags]
+    if text is not None:
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        argv.append(f"external:{path}" if flags[-1] == "--field" else str(path))
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_ram_label_selects_the_prime_above_p(capsys):
+    """Both primes above 11 split in Q(sqrt(5)) and have norm 11, so either
+    label gives one value; the report names the chosen prime."""
+    argv = ["lefschetz", "--field", "quad:5", "--ram-real", "1", "--n", "1", "--level", "3"]
+    reports = {}
+    for label in ("a", "b"):
+        code, out, err = run_cli(capsys, [*argv, "--ram", f"11:{label}"])
+        assert code == 0, err
+        reports[label] = json.loads(out)
+    assert reports["b"]["algebra"]["ram_finite"] == ["11:1:1:b"]
+    assert reports["a"]["algebra"]["ram_finite"] == ["11:1:1:a"]
+    assert reports["b"]["value"] == reports["a"]["value"] == "-120"
+
+
 # 1e100000000 stands for a 10^8-digit power of ten: it is refused before
 # one is built, by every route a rational arrives
 @pytest.mark.parametrize("source", ["--trace-w", "--config", "--field"])

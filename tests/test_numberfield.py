@@ -7,6 +7,7 @@ import sys
 import threading
 from array import array
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from quatlef import numberfield, verify
 from quatlef.errors import ExternalFieldError, ValidationError
-from quatlef.exact import bernoulli, bernoulli_poly_eval
+from quatlef.exact import bernoulli, bernoulli_poly_eval, riemann_zeta_neg
 from quatlef.numberfield import (
     Ideal,
     QuadraticCharacter,
@@ -36,6 +37,8 @@ Q = TotallyRealField.rationals()
 Q5 = TotallyRealField.real_quadratic(5)
 Q2 = TotallyRealField.real_quadratic(2)
 Q13 = TotallyRealField.real_quadratic(13)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 SMALL_PRIMES = [p for p in range(2, 120) if is_prime(p)]
 
@@ -276,6 +279,31 @@ def test_gen_bernoulli_matches_sympy_polynomials():
                 for a, value in enumerate(values[chi], start=1)
             )
             assert gen_bernoulli(k, chi) == Fraction(total, den * f), (chi, k)
+
+
+@pytest.mark.parametrize(
+    "name, discriminants, count",
+    [("q5.json", (5,), 2), ("q_sqrt2_sqrt5.json", (8, 5, 40), 8)],
+    ids=["q5", "q_sqrt2_sqrt5"],
+)
+def test_golden_descriptor_zeta_table_is_native_arithmetic(name, discriminants, count):
+    """zeta_F(1-2j) = zeta(1-2j) prod_D L(1-2j, chi_D), with L(1-k, chi) =
+    -B_{k,chi}/k, over the quadratic characters of the biquadratic field or
+    the one of Q(sqrt(5))."""
+    table = json.loads((GOLDEN / name).read_text(encoding="utf-8"))["zeta_neg"]
+    assert len(table) == count
+    for j, text in enumerate(table, start=1):
+        expected = riemann_zeta_neg(j)
+        for D in discriminants:
+            expected *= -gen_bernoulli(2 * j, QuadraticCharacter(D)) / (2 * j)
+        assert Fraction(text) == expected, j
+
+
+def test_q5_descriptor_splitting_is_native_arithmetic():
+    table = json.loads((GOLDEN / "q5.json").read_text(encoding="utf-8"))["splitting"]
+    for p, pairs in table.items():
+        native = sorted((prime.f, prime.e) for prime in split_prime(Q5, int(p)))
+        assert sorted(map(tuple, pairs)) == native, p
 
 
 class TestSplitting:
