@@ -525,7 +525,7 @@ def run_suites(names: list[str] | None = None) -> dict[str, list[Check]]:
     if unknown:
         raise ValidationError(f"unknown verification suites: {unknown}")
     results = {}
-    for name in names:
+    for name in dict.fromkeys(names):
         try:
             results[name] = SUITES[name]()
         except QuatlefError as exc:

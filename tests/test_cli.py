@@ -1067,6 +1067,20 @@ def test_verify_reports_a_raising_suite_and_runs_the_rest(capsys, monkeypatch):
     ]
 
 
+def test_verify_runs_a_suite_named_twice_once(capsys, monkeypatch):
+    real, calls = verify.SUITES["volumes"], []
+
+    def counted():
+        calls.append("volumes")
+        return real()
+
+    monkeypatch.setitem(verify.SUITES, "volumes", counted)
+    twice = run_cli(capsys, ["verify", "--suite", "volumes,volumes"])
+    assert calls == ["volumes"]
+    assert twice == run_cli(capsys, ["verify", "--suite", "volumes"])
+    assert twice == (0, "volumes: 6 passed, 0 failed\ntotal: 6 passed, 0 failed\n", "")
+
+
 # README's external descriptor of Q(sqrt5) against the native field: the
 # golden fixture holds two zeta values and the splitting above 2, 5 and 11
 _Q5_DESCRIPTOR = f"external:{REPO_ROOT / 'tests' / 'golden' / 'q5.json'}"
@@ -1181,11 +1195,31 @@ _Q5_SHAPE = {"degree": 2, "abs_discriminant": 5, "num_real_places": 2}
             json.dumps({**_Q5_SHAPE, "splitting": {"2": [[0, 1]]}}),
             "invalid splitting data above 2",
         ),
+        (
+            ["--split", "--field"],
+            json.dumps({**_Q5_SHAPE, "splitting": {"2": 5}}),
+            "descriptor splitting must map each prime to a list of [f, e] pairs",
+        ),
+        (["--split", "--field"], json.dumps({**_Q5_SHAPE, "x": 1}), "unknown descriptor keys: ['x']"),
+        (["--field", "q"], None, "algebra required: pass --split, --hilbert a,b or --ram/--ram-real"),
+        (["--field", "q", "--hilbert=0,1"], None, "presentation constants must be nonzero"),
+        (
+            ["--field", "quad:5", "--hilbert=-1,-1"],
+            None,
+            "--hilbert presentations are supported over Q only",
+        ),
+        (
+            ["--field", "quad:5", "--ram", "11:c", "--ram-real", "1"],
+            None,
+            "no prime above 11 with label 'c'",
+        ),
     ],
     ids=[
         "empty-ram-entry", "level-segment", "config-list", "field-deep",
         "descriptor-list", "descriptor-no-degree", "descriptor-zeta-number",
-        "descriptor-real-places", "descriptor-splitting-pair",
+        "descriptor-real-places", "descriptor-splitting-pair", "descriptor-splitting-number",
+        "descriptor-unknown-key", "no-algebra", "hilbert-zero", "hilbert-over-quadratic",
+        "ram-unknown-label",
     ],
 )
 def test_input_refusal_is_exit_2_and_one_error_line(capsys, tmp_path, flags, text, message):
@@ -1196,6 +1230,30 @@ def test_input_refusal_is_exit_2_and_one_error_line(capsys, tmp_path, flags, tex
         path = tmp_path / "input.json"
         path.write_text(text, encoding="utf-8")
         argv.append(f"external:{path}" if flags[-1] == "--field" else str(path))
+    assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["genus", "--field", "q", "--ram", "2,3", "--level", "5", "--weights", "3"],
+            "weight must be an even integer >= 2",
+        ),
+        (["zeta", "--field", "quad:4", "--jmax", "1"], "real quadratic field needs squarefree d > 1"),
+        (
+            ["index", "--field", "q", "--split", "--n", "1", "--level", "1"],
+            "level integer must be >= 2",
+        ),
+        (
+            ["euler-char", "--field", _Q5_DESCRIPTOR, *_Q5_SETTING, "--signature", "2,0;2,0",
+             "--adelic-terms", "10000"],
+            "numeric cross-check needs a natively supported field",
+        ),
+    ],
+    ids=["genus-odd-weight", "zeta-square-d", "index-unit-level", "adelic-external-field"],
+)
+def test_command_refusal_is_exit_2_and_one_error_line(capsys, argv, message):
     assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
 
