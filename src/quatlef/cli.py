@@ -27,31 +27,12 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 
-from . import verify as verify_mod
+from . import lefschetz, quaternion, verify
 from .errors import InvariantError, QuatlefError, TorsionError, ValidationError
 from .exact import (_check_digit_runs, _digit_limit_error, _int, _read_json,
                     _read_limit_error, format_rational, parse_rational)
-from .lefschetz import (
-    LefschetzInput,
-    SignatureClass,
-    _refuse_unprintable_request,
-    _table_rows,
-    congruence_index,
-    euler_char_adelic_numeric,
-    euler_char_fixed_component,
-    genus_fuchsian,
-    lefschetz_number,
-    modular_form_dim,
-)
-from .numberfield import (
-    Ideal,
-    PrimeIdeal,
-    TotallyRealField,
-    dedekind_zeta_neg,
-    ideal_from_integer,
-    split_prime,
-)
-from .quaternion import QuaternionAlgebra, hilbert_ramification_q
+from .numberfield import (Ideal, PrimeIdeal, TotallyRealField, dedekind_zeta_neg,
+                          ideal_from_integer, split_prime)
 
 _TABLE_ROW_CAP = 10**4
 
@@ -146,7 +127,7 @@ def _resolve_ram_primes(field: TotallyRealField, spec: str) -> tuple[PrimeIdeal,
     return tuple(primes)
 
 
-def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
+def _parse_algebra(args, field: TotallyRealField) -> quaternion.QuaternionAlgebra:
     chosen = [
         name
         for name, value in (
@@ -164,18 +145,18 @@ def _parse_algebra(args, field: TotallyRealField) -> QuaternionAlgebra:
         a_text, comma, b_text = args.hilbert.partition(",")
         if not comma:
             raise ValidationError(f"--hilbert expects a,b, not {args.hilbert!r}")
-        return hilbert_ramification_q(_int(a_text), _int(b_text))
+        return quaternion.hilbert_ramification_q(_int(a_text), _int(b_text))
     if args.split:
-        return QuaternionAlgebra(field, (), 0)
+        return quaternion.QuaternionAlgebra(field, (), 0)
     if not args.ram and args.ram_real is None:
         raise ValidationError(
             "algebra required: pass --split, --hilbert a,b or --ram/--ram-real"
         )
     ram = _resolve_ram_primes(field, args.ram) if args.ram else ()
-    return QuaternionAlgebra(field, ram, args.ram_real or 0)
+    return quaternion.QuaternionAlgebra(field, ram, args.ram_real or 0)
 
 
-def _setting(args) -> tuple[TotallyRealField, QuaternionAlgebra, Ideal]:
+def _setting(args) -> tuple[TotallyRealField, quaternion.QuaternionAlgebra, Ideal]:
     field = _parse_field(args.field)
     return field, _parse_algebra(args, field), _parse_level(field, args.level)
 
@@ -207,9 +188,9 @@ def _parse_level(field: TotallyRealField, spec: str) -> Ideal:
     return Ideal(field, tuple(pairs))
 
 
-def _parse_signature(spec: str | None) -> SignatureClass:
+def _parse_signature(spec: str | None) -> lefschetz.SignatureClass:
     if not spec:
-        return SignatureClass(())
+        return lefschetz.SignatureClass(())
     pairs = []
     for segment in spec.split(";"):
         p_text, comma, q_text = segment.strip().partition(",")
@@ -218,7 +199,7 @@ def _parse_signature(spec: str | None) -> SignatureClass:
                 f"--signature expects p,q pairs separated by ';', not {segment!r}"
             )
         pairs.append((_int(p_text), _int(q_text)))
-    return SignatureClass(tuple(pairs))
+    return lefschetz.SignatureClass(tuple(pairs))
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -377,7 +358,7 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_lefschetz(args) -> int:
     field, algebra, level = _setting(args)
-    inp = LefschetzInput(
+    inp = lefschetz.LefschetzInput(
         field=field,
         algebra=algebra,
         n=args.n,
@@ -385,9 +366,10 @@ def _cmd_lefschetz(args) -> int:
         trace_w=_trace_w(args),
         assume_torsion_free=bool(args.assume_torsion_free),
     )
-    _refuse_unprintable_request("lefschetz", algebra, inp.n, level, inp.assume_torsion_free,
-                                args.format == "json", trace_w=inp.trace_w)
-    report = lefschetz_number(inp)
+    lefschetz._refuse_unprintable_request("lefschetz", algebra, inp.n, level,
+                                          inp.assume_torsion_free, args.format == "json",
+                                          trace_w=inp.trace_w)
+    report = lefschetz.lefschetz_number(inp)
     return _emit_report(
         args,
         lambda: _payload(
@@ -402,9 +384,9 @@ def _cmd_euler_char(args) -> int:
     field, algebra, level = _setting(args)
     signature = _parse_signature(args.signature)
     n, override = args.n, bool(args.assume_torsion_free)
-    _refuse_unprintable_request("euler-char", algebra, n, level, override, args.format == "json",
-                                signature)
-    report = euler_char_fixed_component(algebra, n, level, signature, override)
+    lefschetz._refuse_unprintable_request("euler-char", algebra, n, level, override,
+                                          args.format == "json", signature)
+    report = lefschetz.euler_char_fixed_component(algebra, n, level, signature, override)
     terms = args.adelic_terms
 
     # each builder runs the cross-check after its closed-form fields, so
@@ -421,16 +403,16 @@ def _cmd_euler_char(args) -> int:
         )
         if terms is not None:
             out["adelic_numeric"] = {
-                "value": euler_char_adelic_numeric(algebra, n, level, signature, terms),
+                "value": lefschetz.euler_char_adelic_numeric(algebra, n, level, signature, terms),
                 "terms": terms,
-                "rel_tolerance": verify_mod.ADELIC_REL_TOL,
+                "rel_tolerance": lefschetz.ADELIC_REL_TOL,
             }
         return out
 
     def rows() -> list[list]:
         out = [["value", format_rational(report.value)], ["signature", str(report.signature_class)]]
         if terms is not None:
-            numeric = euler_char_adelic_numeric(algebra, n, level, signature, terms)
+            numeric = lefschetz.euler_char_adelic_numeric(algebra, n, level, signature, terms)
             out += [["adelic_numeric", repr(numeric)], ["adelic_terms", terms]]
         return out
 
@@ -439,8 +421,8 @@ def _cmd_euler_char(args) -> int:
 
 def _cmd_index(args) -> int:
     field, algebra, level = _setting(args)
-    _refuse_unprintable_request("index", algebra, args.n, level)
-    value = congruence_index(algebra, args.n, level)
+    lefschetz._refuse_unprintable_request("index", algebra, args.n, level)
+    value = lefschetz.congruence_index(algebra, args.n, level)
     return _emit_report(
         args,
         lambda: _payload(args, field, algebra, level, n=args.n, index=value),
@@ -451,10 +433,10 @@ def _cmd_index(args) -> int:
 def _cmd_genus(args) -> int:
     field, algebra, level = _setting(args)
     override = bool(args.assume_torsion_free)
-    _refuse_unprintable_request("genus", algebra, 1, level, override)
-    report = genus_fuchsian(algebra, level, override)
+    lefschetz._refuse_unprintable_request("genus", algebra, 1, level, override)
+    report = lefschetz.genus_fuchsian(algebra, level, override)
     weights = [_int(w) for w in args.weights.split(",")] if args.weights else []
-    dims = {str(k): modular_form_dim(report.genus, k) for k in weights}
+    dims = {str(k): lefschetz.modular_form_dim(report.genus, k) for k in weights}
     return _emit_report(
         args,
         lambda: _payload(
@@ -484,14 +466,14 @@ def _cmd_table(args) -> int:
     # field holds a comma, a quote or a newline, so none is quoted
     pieces = ["level,norm,torsion_ok,index,lefschetz,chi_components,genus,b1,note\n"]
     levels = range(max(lo, 2), hi + 1)
-    for level, norm, columns in _table_rows(algebra, args.n, levels, _trace_w(args)):
+    for level, norm, columns in lefschetz._table_rows(algebra, args.n, levels, _trace_w(args)):
         try:
             if columns is None:
                 pieces.append(f"{level},{norm},false,,,,,,torsion check failed\n")
                 continue
-            index, lefschetz, chis, genus = columns
+            index, value, chis, genus = columns
             genus_b1 = "," if genus is None else f"{genus},{2 * genus}"
-            pieces += (f"{level},{norm},true,{index},{lefschetz},", chis, f",{genus_b1},\n")
+            pieces += (f"{level},{norm},true,{index},{value},", chis, f",{genus_b1},\n")
         except ValueError:
             raise _digit_limit_error() from None
     _emit(args, pieces)
@@ -500,7 +482,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = None if args.suite is None else args.suite.split(",")
-    results = verify_mod.run_suites(names)
+    results = verify.run_suites(names)
     total_pass = total_fail = 0
     for name, checks in results.items():
         passed = sum(1 for _, ok, _ in checks if ok)

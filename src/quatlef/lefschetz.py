@@ -795,6 +795,9 @@ def _mass_local_orders(algebra: QuaternionAlgebra, n: int, level: Ideal) -> Frac
     return value
 
 
+ADELIC_REL_TOL = 1e-5  # the relative error of euler_char_adelic_numeric that verify allows
+
+
 def euler_char_adelic_numeric(
     algebra: QuaternionAlgebra,
     n: int,

@@ -20,6 +20,7 @@ from types import SimpleNamespace
 from . import finitegrp, lefschetz, numberfield
 from .errors import QuatlefError, ValidationError
 from .lefschetz import (
+    ADELIC_REL_TOL,
     LefschetzInput,
     SignatureClass,
     euler_char_adelic_numeric,
@@ -40,7 +41,6 @@ from .quaternion import QuaternionAlgebra, hilbert_ramification_q
 Check = tuple[str, bool, str]
 
 DEFAULT_TERMS = 10**6
-ADELIC_REL_TOL = 1e-5
 FUNCTIONAL_REL_TOL = 1e-6
 
 
@@ -521,7 +521,7 @@ def run_suites(names: list[str] | None = None) -> dict[str, list[Check]]:
     failed check named after it, so that the other suites still report."""
     if names is None:
         names = list(SUITES)
-    unknown = [name for name in names if name not in SUITES]
+    unknown = [name for name in dict.fromkeys(names) if name not in SUITES]
     if unknown:
         raise ValidationError(f"unknown verification suites: {unknown}")
     results = {}

@@ -321,3 +321,44 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_star_import_binds_the_export_list_and_dir_lists_it():
+    namespace = {}
+    exec("from quatlef import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(quatlef.__all__)
+    assert set(quatlef.__all__) <= set(dir(quatlef))
+
+
+# the first lookup of an exported name of a deferred module, made by eight
+# threads at once with the interpreter switching threads as often as it can
+_FIRST_USE_FROM_THREADS = """\
+import sys, threading
+import quatlef
+sys.setswitchinterval(1e-6)
+barrier, raised = threading.Barrier(8), []
+
+def first_use():
+    barrier.wait()
+    try:
+        quatlef.lefschetz_number
+    except Exception as exc:
+        raised.append(repr(exc))
+
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+print(raised, sum(thread.is_alive() for thread in threads))
+"""
+
+
+def test_first_use_from_threads_raises_in_none():
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _FIRST_USE_FROM_THREADS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] 0\n"  # no thread raised, and every thread finished

@@ -1081,6 +1081,41 @@ def test_verify_runs_a_suite_named_twice_once(capsys, monkeypatch):
     assert twice == (0, "volumes: 6 passed, 0 failed\ntotal: 6 passed, 0 failed\n", "")
 
 
+# imports the command line, runs one argv if given, and prints its exit code
+# and which of the modules the package defers have run
+_MODULES_RUN = """\
+import contextlib, io, json, sys, types
+import quatlef.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = quatlef.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+names = ("finitegrp", "lefschetz", "quaternion", "verify")
+print(json.dumps([rc, [n for n in names if type(sys.modules["quatlef." + n]) is types.ModuleType]]))
+"""
+
+
+@pytest.mark.parametrize("argv, ran, not_ran", [
+    pytest.param([], [], ["finitegrp", "lefschetz", "quaternion", "verify"], id="import"),
+    pytest.param(["zeta", "--field", "quad:4001", "--jmax", "4"],
+                 [], ["finitegrp", "lefschetz", "quaternion", "verify"], id="zeta"),
+    pytest.param(["table", "--field", "q", "--split", "--n", "2", "--levels", "3:60"],
+                 ["finitegrp", "lefschetz", "quaternion"], ["verify"], id="table"),
+    # a JSON report, so that the stated rel_tolerance is read
+    pytest.param(["euler-char", "--field", "quad:5", "--ram-real", "2", "--n", "2", "--level",
+                  "3", "--signature", "2,0;2,0", "--adelic-terms", "10000"],
+                 [], ["verify"], id="euler-char-adelic"),
+    pytest.param(["verify", "--suite", "volumes"], ["verify"], [], id="verify-volumes"),
+])
+def test_command_runs_only_the_modules_it_calls(argv, ran, not_ran):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", _MODULES_RUN, *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout)
+    assert rc == 0
+    assert set(ran) <= set(modules)
+    assert not set(not_ran) & set(modules)
+
+
 # README's external descriptor of Q(sqrt5) against the native field: the
 # golden fixture holds two zeta values and the splitting above 2, 5 and 11
 _Q5_DESCRIPTOR = f"external:{REPO_ROOT / 'tests' / 'golden' / 'q5.json'}"
@@ -1687,6 +1722,7 @@ def test_flag_reader_agrees_with_argparse_on_every_golden_argv():
      "not a rational: ''"),
     (["verify", "--suite="], "unknown verification suites: ['']"),
     (["verify", "--suite", ""], "unknown verification suites: ['']"),
+    (["verify", "--suite=nope,nope"], "unknown verification suites: ['nope']"),
 ])
 def test_empty_trace_w_or_suite_refused(capsys, argv, error):
     assert run_cli(capsys, argv) == (2, "", f"error: {error}\n")
