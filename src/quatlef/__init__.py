@@ -7,6 +7,7 @@ and floating-point oracles cross-checking every local factor.
 The package exports exactly the names in each module's ``__all__``.
 ``quaternion``, ``finitegrp``, ``lefschetz`` and ``verify`` run once, on first use."""
 
+import functools
 import importlib.util
 import sys
 import threading
@@ -53,14 +54,25 @@ for _name in ("quaternion", "finitegrp", "lefschetz", "verify"):
 del _name, _module
 
 
+@functools.cache
+def _exports(name: str) -> tuple:
+    """The ``__all__`` of a deferred module, read from its source, which does not run it."""
+    import ast
+    loader = types.ModuleType.__getattribute__(globals()[name], "__loader__")
+    source = loader.get_source(f"{__name__}.{name}")
+    start = source.index("[", source.index("\n__all__ = "))
+    return tuple(ast.literal_eval(source[start:source.index("]", start) + 1]))
+
+
 def __getattr__(name):
-    """The exported names of ``lefschetz`` and ``quaternion``, and ``__all__``."""
+    """The exported names of ``lefschetz`` and ``quaternion``, and ``__all__``;
+    any other name is refused without running either module."""
     if name == "__all__":
-        return sorted(errors.__all__ + exact.__all__ + lefschetz.__all__
-                      + numberfield.__all__ + quaternion.__all__)
-    for module in (lefschetz, quaternion):
-        if name in module.__all__:
-            return getattr(module, name)
+        return sorted([*errors.__all__, *exact.__all__, *_exports("lefschetz"),
+                       *numberfield.__all__, *_exports("quaternion")])
+    for module in ("lefschetz", "quaternion"):
+        if name in _exports(module):
+            return getattr(globals()[module], name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -8,17 +8,18 @@ The pieces, in the order they combine:
   ``X = N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j)`` with
   ``M(j) = zeta_F(1-2j) * prod_{P | level} (1 - N(P)^(-2j))
   * prod_{P ramified, P not | level} (1 + (-1)^j N(P)^(-j))``, as
-  ``num/den`` in integers. Its input is N(level) and the (num, den) parts
-  of prod_j M(j), each a ``_local_part`` over every ``j <= n`` (a table
-  keeps them in its per-``p^a`` records); it multiplies them into
-  a zeta product kept per request, reduces once and checks the sign law
-  on ``num`` against a sign fixed per request.
+  ``num/den`` in integers: one integer per ``P^a`` exactly dividing the
+  level, ``N(P)^((a-1) n(2n+1)) U(N(P), n)`` with ``U(N, n) = N^(n^2)
+  prod_j (N^2j - 1)`` from ``_local_part`` (kept by ``_level_unit``), times
+  a ratio fixed per request and set of ramified primes off the level (the
+  ``d(D)`` power, the zeta values and those primes' parts), reduced only
+  against that ratio's small denominator, then checked for the sign law.
   ``_closed_form`` turns it into a single-level report's value ``X / 2^e``,
   at ``e = r`` for ``lefschetz_number`` and ``e = nr`` for a component,
   beside the factors the report prints: each ``M(j)`` comes from the
   level's one ``_local_primes`` list, through the helper that ``m_factor``
   calls after its checks. ``_table_rows`` keeps one record per ``p^a``
-  dividing a level of the table, with its primes, index and part, and
+  dividing a level of the table, with its integer, index and primes, and
   multiplies a row from its records; it prints from the row's ``X``, by
   ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
   distinct component ``X b / 2^(nr)`` once, joins those texts in class
@@ -56,6 +57,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import comb, factorial, gcd, isfinite, log10, prod
 
@@ -243,12 +245,8 @@ def check_torsion_necessary(level: Ideal) -> bool:
     """
     if level.is_unit:
         raise ValidationError("level must be a proper ideal")
-    return _passes_torsion(level.factors, split_prime(level.field, 2))
-
-
-def _passes_torsion(factors, above_two: tuple[PrimeIdeal, ...]) -> bool:
-    """check_torsion_necessary of a level's factors, given the primes above 2."""
-    return not all(prime in above_two and exp <= prime.e for prime, exp in factors)
+    above_two = split_prime(level.field, 2)
+    return not all(prime in above_two and exp <= prime.e for prime, exp in level.factors)
 
 
 def _torsion_warnings(level: Ideal, override: bool) -> tuple[str, ...]:
@@ -315,35 +313,58 @@ def _m_factor(j: int, algebra: QuaternionAlgebra, local) -> Fraction:
     return Fraction(num, den)
 
 
+_LEVEL_UNITS_KEPT = 256  # (N, n) kept by _level_unit; a U at n = 100 has ~20,100 log10(N) digits
+
+
+@lru_cache(maxsize=_LEVEL_UNITS_KEPT)
+def _level_unit(norm: int, n: int) -> int:
+    """U(N, n) = N^(n(2n+1)) prod_j (1 - N^-2j) = N^(n^2) prod_j (N^2j - 1) from _local_part,
+    kept for the last _LEVEL_UNITS_KEPT (N, n); one that is not an integer is refused, not kept."""
+    num, den = _local_part(norm, range(1, n + 1), True)
+    unit, rest = divmod(norm ** (n * (2 * n + 1)) * num, den)
+    if rest:
+        raise InvariantError(f"level unit U({norm}, {n}) is not an integer")
+    return unit
+
+
 class _Primes:
     """The data of one request, an algebra and n over any number of levels,
-    each computed once: zeta_F(1-2j) for j <= n and the sign
-    (-1)^(s n(n+1)/2)."""
+    each computed once: zeta_F(1-2j) for j <= n, the sign (-1)^(s n(n+1)/2),
+    and the fixed ratio of each tuple of norms of ramified primes off a level:
+    d(D)^(n(n+1)/2) prod_j zeta_F(1-2j) times their parts of prod_j M(j)."""
 
     def __init__(self, algebra: QuaternionAlgebra, n: int) -> None:
-        self.algebra, self.n, self.sign = algebra, n, 0
+        self.algebra, self.n, self.d, self.sign, self.fixed = algebra, n, n * (2 * n + 1), 0, {}
         self.disc_power = algebra.signed_reduced_discriminant() ** (n * (n + 1) // 2)
         if algebra.field.is_totally_real:
             self.sign = (-1) ** (algebra.s * n * (n + 1) // 2)
             # j = n first, so that the zeta caps refuse it first, and so
             # that one pass of power sums serves every smaller j
             self.zetas = [dedekind_zeta_neg(algebra.field, j) for j in range(n, 0, -1)]
-            self.num = prod([z.numerator for z in self.zetas], start=self.disc_power)
-            self.den = prod([z.denominator for z in self.zetas])
 
-    def closed_form(self, level_norm: int, parts) -> tuple[int, int]:
-        """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for the level L of this
-        norm, whose primes and the ramified primes off it give prod_j M(j)
-        these (num, den) parts, as (num, den) reduced once, den > 0; (0, 1)
-        with a complex place, else sign-checked."""
-        if not self.algebra.field.is_totally_real:
+    def level_part(self, factors) -> int:
+        """The product over these (P, a) of the integer N(P)^((a-1) n(2n+1))
+        U(N(P), n): the lift, built on every call, times the kept U."""
+        return prod(p.norm ** ((a - 1) * self.d) * _level_unit(p.norm, self.n) for p, a in factors)
+
+    def closed_form(self, off: tuple, level_parts) -> tuple[int, int]:
+        """N(L)^(n(2n+1)) d(D)^(n(n+1)/2) prod_j M(j) for a level L: the fixed ratio
+        of off, the norms of the ramified primes off L, times L's level parts, as
+        (num, den) reduced, den > 0, sign-checked; (0, 1), parts unread, at a complex place."""
+        if not self.sign:  # a complex place
             return 0, 1
-        num, den = self.num * level_norm ** (self.n * (2 * self.n + 1)), self.den
-        for part_num, part_den in parts:
-            num *= part_num
-            den *= part_den
-        g = gcd(num, den)
-        num, den = num // g, den // g
+        fixed = self.fixed.get(off)
+        if fixed is None:
+            nums, dens = zip(*[z.as_integer_ratio() for z in self.zetas],
+                             *[_local_part(norm, range(1, self.n + 1), False) for norm in off])
+            num, den = prod(nums, start=self.disc_power), prod(dens)
+            g = gcd(num, den)
+            fixed = self.fixed[off] = num // g, den // g
+        num, den = fixed
+        # num is prime to den, so only the parts' product can share a factor with it
+        lift = prod(level_parts)
+        g = gcd(lift, den)
+        num, den = num * (lift // g), den // g
         if (num > 0) - (num < 0) != self.sign:
             raise InvariantError(
                 f"sign law violated: closed-form product {_ratio_text(num, den)},"
@@ -355,28 +376,22 @@ class _Primes:
 def _index(ramified, n: int, factors) -> int:
     """The index of the level of these factors: the product of their local
     factors."""
-    return prod(
-        finitegrp.local_index_factor(
-            prime.norm, "ramified" if prime in ramified else "split", n, a
-        )
-        for prime, a in factors
-    )
+    return prod(finitegrp.local_index_factor(prime.norm, "ramified" if prime in ramified
+                                             else "split", n, a) for prime, a in factors)
 
 
-def _closed_form(
-    algebra: QuaternionAlgebra, n: int, level: Ideal, override: bool, two_exp: int
-) -> tuple[dict, Fraction]:
+def _closed_form(algebra: QuaternionAlgebra, n: int, level: Ideal, override: bool,
+                 two_exp: int) -> tuple[dict, Fraction]:
     """The report fields of both types for one level, past the torsion gate
     (override: assume_torsion_free), and the value before scaling: the
     kernel's closed form over 2^two_exp."""
     warnings = _torsion_warnings(level, override)
     # built first, so that the zeta caps refuse j = n before any factor
     primes = _Primes(algebra, n)
-    # a complex place gives 0 without reading the level's norm
-    norm = level.norm() if algebra.field.is_totally_real else 0
     local = _local_primes(algebra, level.factors)
-    js = range(1, n + 1)
-    num, den = primes.closed_form(norm, [_local_part(p.norm, js, a > 0) for p, a in local])
+    # lazy, so that a complex place builds no level part
+    parts = map(primes.level_part, [level.factors])
+    num, den = primes.closed_form(tuple([p.norm for p, a in local if not a]), parts)
     shared = dict(n=n, two_power=Fraction(1, 2**two_exp), disc_power=primes.disc_power,
                   m_factors=tuple(_m_factor(j, algebra, local) for j in range(1, n + 1)),
                   warnings=warnings,
@@ -390,51 +405,48 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
     that order. columns is None when (m) fails the torsion necessary
     condition, else the index and the text of each closed-form column.
     Each p^a exactly dividing a level has one record, built the first time
-    a row meets it: the parts of prod_j M(j) of the primes P above p, the
-    index of (p^a), and its (P, e a) factors."""
+    a row with a value meets it: its level part, the index of (p^a), and
+    its (P, e a) factors."""
     _validate_setting(algebra, n)
     binomials = _class_binomials(algebra.r, n)
-    records, field, r, primes, js = {}, algebra.field, algebra.r, None, range(1, n + 1)
+    records, field, r, primes = {}, algebra.field, algebra.r, None
     # the zeta caps refuse before any row; the zeta values wait for the first
     # row with a value, which is refused first if it would not print
     _check_zeta_caps(field, n)
     fuchsian = n == 1 and algebra.is_fuchsian() and field.is_totally_real
     distinct, ramified = dict.fromkeys(binomials), frozenset(algebra.ram_finite)
-    # (p, (P, 0), part) of each ramified P, for the levels that p does not divide
-    off = [(p.p, (p, 0), _local_part(p.norm, js, False)) for p in algebra.ram_finite]
+    # (p, P, N(P)) of each ramified P, for the levels that p does not divide
+    ram = [(p.p, p, p.norm) for p in algebra.ram_finite]
     trace_num, trace_den = trace_w.as_integer_ratio()
     # at trace 1 and n r = r the Lefschetz number and each component share a text
     one_text = trace_num == trace_den and n * r == r
-    above_two = ()
     for level in levels:
-        norm, row = level**field.degree, []
-        for key in factorize(level):
+        norm, keys = level**field.degree, factorize(level)
+        if primes is None:
+            # (2) alone fails the torsion condition, so no row after the first
+            # with a value can; the primes above 2 come after the row's own,
+            # which a descriptor may lack first
+            local = [(prime, prime.e * a) for p, a in keys for prime in split_prime(field, p)]
+            if not check_torsion_necessary(Ideal(field, tuple(local))):
+                yield level, norm, None
+                continue
+            # every row prints a component, |binomial| >= 1; later norms are larger
+            _refuse_unprintable(lambda: None, local, 0, closed_form=(algebra, n, n * r, 1))
+            primes = _Primes(algebra, n)
+        for key in keys:
             if key not in records:
                 factors = [(prime, prime.e * key[1]) for prime in split_prime(field, key[0])]
-                parts = [_local_part(prime.norm, js, True) for prime, _a in factors]
-                records[key] = parts, _index(ramified, n, factors), factors
-            row.append(records[key])
-        # after the first row's own primes, which a descriptor may lack first;
-        # a level with two rational primes has a factor off (2)
-        above_two = above_two or split_prime(field, 2)
-        if len(row) == 1 and not _passes_torsion(row[0][2], above_two):
-            yield level, norm, None
-            continue
-        if primes is None:
-            # every row prints a component, |binomial| >= 1; later norms are larger
-            level_factors = [f for record in row for f in record[2]]
-            _refuse_unprintable(lambda: None, level_factors, 0, closed_form=(algebra, n, n * r, 1))
-            primes = _Primes(algebra, n)
-        parts = [part for record in row for part in record[0]]
-        num, den = primes.closed_form(norm, parts + [part for p, _, part in off if level % p])
+                records[key] = primes.level_part(factors), _index(ramified, n, factors), factors
+        parts, indices, row_factors = zip(*[records[key] for key in keys])
+        num, den = primes.closed_form(tuple([q for p, _, q in ram if level % p]), parts)
         texts = {b: _ratio_text(num, den, b, 1, n * r) for b in distinct}
         genus = None
         if fuchsian:
-            local = [f for rec in row for f in rec[2]] + [f for p, f, _ in off if level % p]
+            local = [f for fs in row_factors for f in fs] + [(P, 0) for p, P, _ in ram if level % p]
             genus = _checked_genus(algebra, local, Fraction(num, den << r), primes.zetas[-1])
         lefschetz = texts[1] if one_text else _ratio_text(num, den, trace_num, trace_den, r)
         chis = "|".join(map(texts.__getitem__, binomials))
-        yield level, norm, (prod([record[1] for record in row]), lefschetz, chis, genus)
+        yield level, norm, (prod(indices), lefschetz, chis, genus)
 
 
 def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
@@ -443,9 +455,8 @@ def lefschetz_number(inp: LefschetzInput) -> LefschetzReport:
     Zero exactly when the base field has a complex place or trace_w is 0;
     otherwise 2^(-r) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) tr prod_j M(j).
     """
-    shared, value = _closed_form(
-        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
-    )
+    shared, value = _closed_form(inp.algebra, inp.n, inp.level, inp.assume_torsion_free,
+                                 inp.algebra.r)
     return LefschetzReport(value=value * inp.trace_w, trace_w=inp.trace_w, **shared)
 
 
@@ -470,11 +481,11 @@ def _refuse_unprintable(checks, factors, weight: int, per_prime: int = 0,
     closed_form = (algebra, n, shift, scale), log10 |scale 2^-shift
     N(L)^(n(2n+1)) prod_j M(j)| less the losses above, |d(D)| >= 1 left out,
     for an n in 1.._MAX_ZETA_INDEX, unless that value is 0 (a complex place,
-    scale 0) or a zeta value is refused. An exponent is capped at 4 limit,
-    past which its power alone has more than limit digits; the digit of
-    margin absorbs the float error."""
+    scale 0) or a zeta value is refused; _far_below skips it when surely under
+    the limit. An exponent is capped at 4 limit, past which its power alone
+    has more than limit digits; the digit of margin absorbs the float error."""
     limit = sys.get_int_max_str_digits()
-    if not limit:
+    if not limit or _far_below(limit, factors, weight + max(per_prime, 0), closed_form):
         return
     cap, level_log10, norms_log10 = 4 * limit, 0.0, 0.0
     for prime, a in factors:
@@ -494,6 +505,20 @@ def _refuse_unprintable(checks, factors, weight: int, per_prime: int = 0,
     if floor >= limit + 1:
         checks()
         raise _digit_limit_error()
+
+
+def _far_below(limit: int, factors, weight: int, closed_form) -> bool:
+    """_refuse_unprintable's first test, in integers: its bound is surely under
+    limit, as log10 x < 0.302 bitlen(x), and over Q or Q(sqrt d) the zeta values
+    take at most n(n+1) (degree log10 2n + log10 d_F) of it."""
+    bits = sum([a * prime.f * prime.p.bit_length() for prime, a in factors])  # > log2 N(L)
+    if closed_form is None:
+        return weight * bits < 3 * limit
+    algebra, n, _shift, scale = closed_form
+    field = algebra.field
+    zetas = field.degree * (2 * n).bit_length() + field.abs_discriminant.bit_length()
+    size = n * (n + 1) * zetas + abs(scale.numerator).bit_length()
+    return field.kind != "external" and (weight + n * (2 * n + 1)) * bits + size < 3 * limit
 
 
 def _refuse_unprintable_request(command: str, algebra: QuaternionAlgebra, n: int, level: Ideal,
@@ -590,33 +615,20 @@ def _validate_class(cls: SignatureClass, n: int, r: int | None = None) -> None:
         raise ValidationError("signature class does not match n")
 
 
-def _scaled_components(
-    algebra: QuaternionAlgebra,
-    n: int,
-    level: Ideal,
-    classes: list[SignatureClass],
-    assume_torsion_free: bool,
-) -> list[EulerCharReport]:
+def _scaled_components(algebra: QuaternionAlgebra, n: int, level: Ideal,
+                       classes: list[SignatureClass], override: bool) -> list[EulerCharReport]:
     """One report per class: the closed form runs once (torsion gate, M
     factors, sign law), then each report is that value times the class's
     binomial."""
-    shared, unit = _closed_form(algebra, n, level, assume_torsion_free, n * algebra.r)
+    shared, unit = _closed_form(algebra, n, level, override, n * algebra.r)
     binomials = [cls.binomial_factor(n) for cls in classes]
-    return [
-        EulerCharReport(
-            value=unit * b, signature_class=cls, binomial_factor=b, **shared
-        )
-        for cls, b in zip(classes, binomials)
-    ]
+    return [EulerCharReport(value=unit * b, signature_class=cls, binomial_factor=b, **shared)
+            for cls, b in zip(classes, binomials)]
 
 
-def euler_char_fixed_component(
-    algebra: QuaternionAlgebra,
-    n: int,
-    level: Ideal,
-    signature_class: SignatureClass,
-    assume_torsion_free: bool = False,
-) -> EulerCharReport:
+def euler_char_fixed_component(algebra: QuaternionAlgebra, n: int, level: Ideal,
+                               signature_class: SignatureClass,
+                               assume_torsion_free: bool = False) -> EulerCharReport:
     """Euler characteristic of the fixed-point component of one signature
     class: 2^(-nr) N(level)^(n(2n+1)) d(D)^(n(n+1)/2) prod_v C(n, p_v)
     prod_j M(j).
@@ -626,17 +638,11 @@ def euler_char_fixed_component(
     """
     _validate_setting(algebra, n, level)
     _validate_class(signature_class, n, algebra.r)
-    return _scaled_components(
-        algebra, n, level, [signature_class], assume_torsion_free
-    )[0]
+    return _scaled_components(algebra, n, level, [signature_class], assume_torsion_free)[0]
 
 
-def euler_char_components(
-    algebra: QuaternionAlgebra,
-    n: int,
-    level: Ideal,
-    assume_torsion_free: bool = False,
-) -> list[EulerCharReport]:
+def euler_char_components(algebra: QuaternionAlgebra, n: int, level: Ideal,
+                          assume_torsion_free: bool = False) -> list[EulerCharReport]:
     """The reports of euler_char_fixed_component for every class of
     h1_signature_classes(algebra.r, n), in that order, from one evaluation
     of the closed form."""
@@ -653,9 +659,7 @@ def lefschetz_via_decomposition(inp: LefschetzInput) -> Fraction:
     agreement with lefschetz_number checks the binomial identity, not the
     closed form.
     """
-    components = euler_char_components(
-        inp.algebra, inp.n, inp.level, inp.assume_torsion_free
-    )
+    components = euler_char_components(inp.algebra, inp.n, inp.level, inp.assume_torsion_free)
     return sum((report.value for report in components), Fraction(0)) * inp.trace_w
 
 
@@ -693,11 +697,8 @@ def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> in
     return genus
 
 
-def genus_fuchsian(
-    algebra: QuaternionAlgebra,
-    level: Ideal,
-    assume_torsion_free: bool = False,
-) -> GenusReport:
+def genus_fuchsian(algebra: QuaternionAlgebra, level: Ideal,
+                   assume_torsion_free: bool = False) -> GenusReport:
     """Genus of the compact quotient Riemann surface in the Fuchsian case,
     from the genus formula of _checked_genus, with b1 = 2g. The Euler
     characteristic 2 - 2g must agree with the n = 1 closed form at trace 1,
@@ -709,9 +710,7 @@ def genus_fuchsian(
     shared, chi = _closed_form(algebra, 1, level, assume_torsion_free, algebra.r)
     local = _local_primes(algebra, level.factors)
     genus = _checked_genus(algebra, local, chi, dedekind_zeta_neg(algebra.field, 1))
-    return GenusReport(
-        genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=shared["warnings"]
-    )
+    return GenusReport(genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=shared["warnings"])
 
 
 def modular_form_dim(genus: int, k: int) -> int:
@@ -738,9 +737,8 @@ def betti_growth_exponent(n: int) -> Fraction:
 def betti_lower_bound(inp: LefschetzInput) -> Fraction:
     """|closed form at trace 1|: a certified lower bound for the total
     Betti number of the congruence group."""
-    _shared, value = _closed_form(
-        inp.algebra, inp.n, inp.level, inp.assume_torsion_free, inp.algebra.r
-    )
+    _shared, value = _closed_form(inp.algebra, inp.n, inp.level, inp.assume_torsion_free,
+                                  inp.algebra.r)
     return abs(value)
 
 

@@ -484,21 +484,24 @@ class _CountingNorm(int):
         return int.__pow__(self, exponent, *modulus)
 
 
-@pytest.mark.parametrize("argv, powers", [
+@pytest.mark.parametrize("argv, parts", [
     (["lefschetz", "--field", "q", "--ram", "2,3", "--n", "1", "--level", "5"], 1),
     (["genus", "--field", "q", "--ram", "2,3", "--level", "5"], 1),
     (["euler-char", "--field", f"external:{REPO_ROOT / 'tests' / 'golden' / 'imaginary.json'}",
       "--split", "--n", "1", "--level", "5"], 0),
 ])
-def test_csv_report_raises_the_level_norm_once(capsys, monkeypatch, argv, powers):
-    """A CSV report of one level takes N(L)^(n(2n+1)) in the closed form's
-    kernel alone, and not at all at a complex place, where the value is 0."""
-    norm = numberfield.Ideal.norm
+def test_csv_report_builds_the_level_part_once(capsys, monkeypatch, argv, parts):
+    """A CSV report of one level builds its level part, one integer per
+    prime of the level, once in the closed form, and not at all at a complex
+    place, where the value is 0; it takes no power of N(L)."""
+    norm, level_part, built = numberfield.Ideal.norm, lefschetz._Primes.level_part, []
     monkeypatch.setattr(numberfield.Ideal, "norm", lambda level: _CountingNorm(norm(level)))
     monkeypatch.setattr(_CountingNorm, "powers", 0)
+    monkeypatch.setattr(lefschetz._Primes, "level_part",
+                        lambda self, factors: built.append(factors) or level_part(self, factors))
     code, _out, err = run_cli(capsys, [*argv, "--format", "csv"])
     assert (code, err) == (0, "")
-    assert _CountingNorm.powers == powers
+    assert (len(built), _CountingNorm.powers) == (parts, 0)
 
 
 @pytest.mark.parametrize("command", ["lefschetz", "euler-char"])
@@ -640,7 +643,8 @@ def test_index_keeps_one_reduction_order_per_prime(capsys):
 def test_closed_form_refused_before_any_zeta_value(capsys, monkeypatch):
     """A lefschetz, euler-char or table value that surely passes the digit
     limit is refused before any zeta value or power is built, however long
-    the exponent; the library still returns such values."""
+    the exponent, a table's index and level parts included; the library
+    still returns such values."""
     q = numberfield.TotallyRealField.rationals()
     split = QuaternionAlgebra(q, (), 0)
     level = numberfield.Ideal(q, ((numberfield.PrimeIdeal(3), 5000),))
@@ -653,6 +657,7 @@ def test_closed_form_refused_before_any_zeta_value(capsys, monkeypatch):
         raise AssertionError(f"_Primes(n = {n}) was built")
 
     monkeypatch.setattr(lefschetz, "_Primes", no_kernel)
+    monkeypatch.setattr(finitegrp, "local_index_factor", _no_value)
     big, external = "1" + "0" * 1500, f"external:{_GOLDEN / 'q_sqrt2_sqrt5.json'}"
     q_split = ["--field", "q", "--split", "--n", "1"]
     for argv in (
@@ -694,6 +699,57 @@ def test_every_level_command_refused_before_any_value(capsys, monkeypatch, comma
     assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", _digit_limit_line(4300))
 
 
+_Q, _Q5 = numberfield.TotallyRealField.rationals(), numberfield.TotallyRealField.real_quadratic(5)
+# (command, algebra, n, prime of the level, keywords of the request)
+_GATE_REQUESTS = [
+    ("lefschetz", QuaternionAlgebra(_Q, (), 0), 1, numberfield.PrimeIdeal(3), {}),
+    ("lefschetz", QuaternionAlgebra(_Q, (), 0), 2, numberfield.PrimeIdeal(7),
+     dict(json=True, trace_w=Fraction(10**40, 7))),
+    ("euler-char", QuaternionAlgebra(_Q5, (), 2), 2, numberfield.split_prime(_Q5, 11)[0],
+     dict(json=True, cls=lefschetz.SignatureClass(((2, 0), (0, 2))))),
+    ("genus", QuaternionAlgebra(_Q, tuple(map(numberfield.PrimeIdeal, (2, 3))), 0), 1,
+     numberfield.PrimeIdeal(5), {}),
+    ("index", QuaternionAlgebra(_Q, (), 0), 2, numberfield.PrimeIdeal(2), {}),
+]
+
+
+@pytest.mark.parametrize("command, algebra, n, prime, keywords", _GATE_REQUESTS,
+                         ids=[request[0] for request in _GATE_REQUESTS])
+def test_digit_gate_first_test_agrees_with_the_full_bound(
+        monkeypatch, command, algebra, n, prime, keywords):
+    """At the lowest limit Python allows, the levels P^k just below and just
+    above the exponent where the gate's integer first test stops answering,
+    and those on either side of the refusal, get the outcome of the full
+    bound alone."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    far_below, answers = lefschetz._far_below, []
+
+    def outcome(k, first_test=True):
+        """The gate's refusal of P^k, or None; answers gets the first test's answer."""
+        def first(*args):
+            answers.append(first_test and far_below(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(lefschetz, "_far_below", first)
+        level = numberfield.Ideal(algebra.field, ((prime, k),))
+        try:
+            lefschetz._refuse_unprintable_request(command, algebra, n, level, **keywords)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    levels = range(1, 600)
+    outcomes = [outcome(k) for k in levels]
+    answered, answers[:] = answers[:], []
+    assert outcomes == [outcome(k, first_test=False) for k in levels]
+    # the first test answers up to a threshold, and the gate refuses from a
+    # higher one on
+    threshold, refused = answered.index(False), outcomes.index(_digit_limit_line(640)[7:-1])
+    assert 0 < threshold < refused
+    assert all(answered[:threshold]) and not any(answered[threshold:])
+    assert not any(outcomes[:refused]) and len(set(outcomes[refused:])) == 1
+
+
 @pytest.mark.parametrize("command, n", [("lefschetz", "2"), ("euler-char", "1")])
 def test_complex_place_json_refused_before_the_level_norm(capsys, monkeypatch, command, n):
     """At a complex place the value is the 0 that is never refused, but the
@@ -708,8 +764,10 @@ def test_complex_place_json_refused_before_the_level_norm(capsys, monkeypatch, c
 def test_genus_refusals_come_before_the_digit_limit(capsys, monkeypatch, tmp_path):
     """With a bound that refuses every genus, the library's refusals still
     come first, in its order: the Fuchsian check, the torsion gate, the zeta
-    table; only a request that passes them all meets the digit limit."""
+    table; only a request that passes them all meets the digit limit. The
+    bound's integer first test, which would answer first, is left out."""
     monkeypatch.setattr(lefschetz, "_zetas_log10", lambda field, n: 10.0**6)
+    monkeypatch.setattr(lefschetz, "_far_below", lambda *args: False)
     path = tmp_path / "q_no_zeta.json"
     path.write_text(json.dumps({"degree": 1, "abs_discriminant": 1, "num_real_places": 1,
                                 "zeta_neg": [], "splitting": {"2": [[1, 1]], "3": [[1, 1]],
@@ -1114,6 +1172,26 @@ def test_command_runs_only_the_modules_it_calls(argv, ran, not_ran):
     assert rc == 0
     assert set(ran) <= set(modules)
     assert not set(not_ran) & set(modules)
+
+
+# which of the modules the package defers have run after unknown names are
+# looked up, underscored or not, and after __all__ and dir()
+_UNKNOWN_NAMES = """\
+import sys, types
+import quatlef
+found = [hasattr(quatlef, name) for name in ("nope", "_nope", "__wrapped__")]
+listed = len(quatlef.__all__), "lefschetz_number" in dir(quatlef)
+names = ("finitegrp", "lefschetz", "quaternion", "verify")
+print(found, listed, [n for n in names if type(sys.modules["quatlef." + n]) is types.ModuleType])
+"""
+
+
+def test_unknown_package_attribute_runs_no_module():
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", _UNKNOWN_NAMES],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[False, False, False] (45, True) []\n"
 
 
 # README's external descriptor of Q(sqrt5) against the native field: the

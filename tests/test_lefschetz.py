@@ -181,6 +181,30 @@ class TestMFactor:
                     assert m_factor(j, level, algebra) == want, (algebra, n_level, j)
 
 
+class TestLevelUnit:
+    """U(N, n), the integer that a level prime of norm N brings to the
+    closed form at exponent 1."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
+    def test_level_unit_is_the_fraction_product(self, n):
+        for norm in (2, 3, 4, 5, 7, 8, 9, 11, 25, 27, 49, 121, 169, 1009):
+            want = norm ** (n * (2 * n + 1)) * prod(
+                1 - Fraction(1, norm ** (2 * j)) for j in range(1, n + 1))
+            got = lefschetz._level_unit(norm, n)
+            assert type(got) is int and got == want, (norm, n)
+
+    def test_inexact_level_unit_refused_and_not_kept(self, monkeypatch):
+        lefschetz._level_unit.cache_clear()
+        monkeypatch.setattr(lefschetz, "_local_part", lambda norm, js, in_level: (1, 3 ** 40))
+        for _attempt in range(2):
+            with pytest.raises(InvariantError, match=r"U\(2, 1\) is not an integer"):
+                lefschetz._level_unit(2, 1)
+        info = lefschetz._level_unit.cache_info()
+        assert (info.hits, info.currsize) == (0, 0)
+        monkeypatch.undo()
+        assert lefschetz._level_unit(2, 1) == 2 * (2**2 - 1)
+
+
 class TestLefschetzNumber:
     def test_split_n1_level3(self):
         for lvl, want in ((3, -2), (4, -4), (5, -10)):
@@ -209,8 +233,9 @@ class TestLefschetzNumber:
 
     def test_report_value_equals_factor_product(self):
         """A report's value is the product of its factors; the table's kernel
-        _Primes.closed_form, one integer ratio of the level norm's power and
-        the per-prime parts, must give the same value for the same level."""
+        _Primes.closed_form, the fixed ratio of the ramified primes off the
+        level times the level's integer part, must give the same value for
+        the same level."""
         inputs = decomposition_grid()
         for algebra, n, lvl in ((SPLIT, 1, 3), (RAM23, 1, 5), (SPLIT, 3, 5)):
             inputs.append(LefschetzInput(Q, algebra, n, level_q(lvl)))
@@ -232,10 +257,8 @@ class TestLefschetzNumber:
                 inp.field, inp.algebra, inp.n, inp.level, Fraction(5, 3), inp.assume_torsion_free
             ))
             primes = lefschetz._Primes(inp.algebra, inp.n)
-            local = lefschetz._local_primes(inp.algebra, inp.level.factors)
-            js = range(1, inp.n + 1)
-            parts = [lefschetz._local_part(prime.norm, js, a > 0) for prime, a in local]
-            kernel = primes.closed_form(inp.level.norm(), parts)
+            off = tuple(p.norm for p in inp.algebra.ram_finite if not inp.level.valuation(p))
+            kernel = primes.closed_form(off, [primes.level_part(inp.level.factors)])
             table = Fraction(*kernel) / 2**inp.algebra.r * Fraction(5, 3)
             assert report.value == table == _factor_product(report, inp.level, report.trace_w), inp
             assert len(report.m_factors) == inp.n

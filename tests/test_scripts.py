@@ -32,8 +32,7 @@ def test_script_prints_known_row(script, row):
 
 
 def test_replayed_streams_match_their_record():
-    # level-scan's 10,000 requests (about 5 s) are left to the script itself
-    workloads = ("zeta-sweep", "class-sum", "oracles")
+    workloads = ("zeta-sweep", "level-scan", "class-sum", "oracles")
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "replay_streams.py"), "--check",
          *(arg for name in workloads for arg in ("--workload", name))],

@@ -1,14 +1,15 @@
 """``quatlef table`` against the library and against a per-row oracle.
 
 A table keeps one record per prime power ``p^a`` that divides one of its
-levels, built the first time a row meets it: the primes above ``p`` with
-their exponents, the index factor and the primes' parts of
-``prod_j M(j)``. A row multiplies its records. Its value comes from the
-closed-form kernel ``lefschetz._Primes.closed_form``, which takes the
-level's norm and those parts and returns one reduced integer ratio, from
-which the Lefschetz and component columns are printed without a
-``Fraction``; the library functions take one level's value from the same
-kernel. Every column must still equal what ``lefschetz_number``,
+levels, built the first time a row with a value meets it: the primes above
+``p`` with their exponents, the index factor and their level part, the
+integer ``N(P)^((a-1) n(2n+1)) U(N(P), n)``. A row multiplies its
+records. Its value comes from the closed-form kernel
+``lefschetz._Primes.closed_form``, which takes the norms of the ramified
+primes off the level and those level parts and returns one reduced
+integer ratio, from which the Lefschetz and component columns are printed
+without a ``Fraction``; the library functions take one level's value from
+the same kernel. Every column must still equal what ``lefschetz_number``,
 ``euler_char_components``, ``congruence_index`` and ``genus_fuchsian`` give
 for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.
@@ -18,6 +19,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,11 +177,11 @@ def test_table_computes_each_prime_datum_once(capsys, monkeypatch, argv, rows, n
 
 
 def test_table_run_twice_misses_no_cache(capsys):
-    """A second run of a table finds every factorisation and reduction order
-    it needs kept by the first."""
+    """A second run of a table finds every factorisation, reduction order and
+    level unit U(N, n) it needs kept by the first."""
     argv = ["table", "--field", "quad:5", "--ram", "2", "--ram-real", "1", "--n", "2",
             "--levels", "3:60"]
-    caches = (numberfield.factorize, finitegrp._reduction_order)
+    caches = (numberfield.factorize, finitegrp._reduction_order, lefschetz._level_unit)
     assert main(argv) == 0
     first = capsys.readouterr().out
     before = [cache.cache_info() for cache in caches]
@@ -215,23 +217,40 @@ def test_table_rows_use_the_kernel(monkeypatch, argv):
         main(argv)
 
 
+def _level_part_oracle(field, n: int, m: int) -> Fraction:
+    """N(L)^(n(2n+1)) prod_{P | L} prod_j (1 - N(P)^-2j) for L = (m), one
+    Fraction per prime as the formula reads."""
+    level = ideal_from_integer(field, m)
+    value = Fraction(level.norm() ** (n * (2 * n + 1)))
+    for prime, _a in level.factors:
+        for j in range(1, n + 1):
+            value *= 1 - Fraction(1, prime.norm ** (2 * j))
+    return value
+
+
 @pytest.mark.parametrize("argv", _KERNEL_TABLES)
 def test_every_table_row_is_the_kernels_value(capsys, monkeypatch, argv):
     """With the kernel's value tripled, each row that passes the torsion
-    check calls it once, with its level's norm, and prints three times its
-    Lefschetz number and components: no row takes its value another way."""
+    check calls it once, with the norms of its ramified primes off the level
+    and level parts whose product is its level's part of the closed form,
+    and prints three times its Lefschetz number and components: no row
+    takes its value another way."""
     rows = _table(capsys, argv)
-    kernel, norms = lefschetz._Primes.closed_form, []
+    kernel, calls = lefschetz._Primes.closed_form, []
 
-    def tripled(self, level_norm, parts):
-        norms.append(level_norm)
-        num, den = kernel(self, level_norm, parts)
+    def tripled(self, off, level_parts):
+        level_parts = list(level_parts)
+        calls.append((self.algebra, self.n, off, math.prod(level_parts)))
+        num, den = kernel(self, off, level_parts)
         return 3 * num, den
 
     monkeypatch.setattr(lefschetz._Primes, "closed_form", tripled)
     tripled_rows = _table(capsys, argv)
-    passing = [row for row in rows if row[2] == "true"]
-    assert passing and norms == [int(row[1]) for row in passing]
+    passing = [int(row[0]) for row in rows if row[2] == "true"]
+    assert passing and len(calls) == len(passing)
+    for m, (algebra, n, off, level_part) in zip(passing, calls):
+        assert off == tuple(p.norm for p in algebra.ram_finite if m % p.p), m
+        assert level_part == _level_part_oracle(algebra.field, n, m), m
     for row, tripled_row in zip(rows, tripled_rows):
         assert tripled_row[:4] == row[:4]
         if row[2] == "true":
@@ -388,6 +407,49 @@ def test_table_kernel_equals_the_per_row_fraction_path(request):
     assert (code, err.getvalue()) == (0, "")
     _header, *rows = csv.reader(io.StringIO(out.getvalue()))
     assert rows == [_oracle_row(algebra, n, m, trace) for m in levels]
+
+
+@st.composite
+def _one_level_tables(draw):
+    """(argv, algebra, n, m, trace) of a one-row table at a level m drawn as a
+    product of prime powers p^a, a <= 3, over Q, Q(sqrt5), Q(sqrt10) or
+    Q(sqrt13), so that its primes are split, inert or ramified in the field,
+    with an algebra whose ramified primes lie on the level, off it, or both."""
+    d = draw(st.sampled_from([1, 5, 10, 13]))
+    field = TotallyRealField.rationals() if d == 1 else TotallyRealField.real_quadratic(d)
+    pool = [2, 3, 5, 7, 11, 13]
+    ram = draw(st.lists(st.sampled_from(pool), max_size=2, unique=True))
+    # an odd count of ramified primes takes one ramified real place; over
+    # Q(sqrt d) an even count may take both
+    ram_real = len(ram) % 2 or (draw(st.sampled_from([0, 2])) if d > 1 else 0)
+    algebra = QuaternionAlgebra(field, tuple(split_prime(field, p)[0] for p in ram), ram_real)
+    primes = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    m = math.prod(p ** draw(st.integers(1, 3)) for p in primes)
+    m = 4 if m == 2 else m  # (2) fails the torsion condition
+    n = draw(st.integers(2 if algebra.is_totally_definite() else 1, 3))
+    trace = draw(st.sampled_from(["1", "-1/3", "5/2"]))
+    argv = ["table", "--field", "q" if d == 1 else f"quad:{d}", *_algebra_flags(ram, ram_real),
+            "--n", str(n), "--levels", f"{m}:{m}", f"--trace-w={trace}"]
+    return argv, algebra, n, m, Fraction(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(request=_one_level_tables())
+def test_table_row_equals_the_single_level_reports(request):
+    """A row, assembled from its level's per-p^a records, equals the reports
+    of lefschetz_number and euler_char_components at that level, which
+    assemble the level's value from its ideal."""
+    argv, algebra, n, m, trace = request
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    [_header, row] = csv.reader(io.StringIO(out.getvalue()))
+    level = ideal_from_integer(algebra.field, m)
+    inp = LefschetzInput(algebra.field, algebra, n, level, trace)
+    assert Fraction(row[4]) == lefschetz_number(inp).value
+    components = [report.value for report in euler_char_components(algebra, n, level)]
+    assert [Fraction(chi) for chi in row[5].split("|")] == components
 
 
 @pytest.mark.parametrize(

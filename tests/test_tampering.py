@@ -119,12 +119,13 @@ def _t7_ramified_local_order(n, q):
 _kernel = lefschetz._Primes.closed_form
 
 
-def _t8_closed_form(self, level_norm, parts):
-    """_Primes.closed_form with the level-norm exponent n(2n+1) + 1 for n >= 2:
-    num times N(L)."""
-    num, den = _kernel(self, level_norm, parts)
+def _t8_closed_form(self, off, level_parts):
+    """_Primes.closed_form with the level parts multiplied in twice for n >= 2:
+    num times their product, as T3 puts N(L) in once more."""
+    level_parts = list(level_parts)
+    num, den = _kernel(self, off, level_parts)
     if self.n >= 2:
-        num *= level_norm
+        num *= prod(level_parts)
     return num, den
 
 
