@@ -24,7 +24,8 @@ The pieces, in the order they combine:
   ``exact._ratio_text``, the Lefschetz number ``X tr / 2^r`` and each
   distinct component ``X b / 2^(nr)`` once, joins those texts in class
   order into the one ``chi_components`` string that the CLI writes out
-  as it is, and checks a Fuchsian row's genus on ``X / 2^r``.
+  as it is, and checks a Fuchsian row's genus against ``X`` and ``2^r``
+  as integers, building no ``Fraction``.
 * ``h1_signature_classes`` enumerates the fixed-point components as
   tuples of local signatures (p_v, q_v) with q_v even, one per ramified
   real place, and ``euler_char_fixed_component`` evaluates each
@@ -443,7 +444,7 @@ def _table_rows(algebra: QuaternionAlgebra, n: int, levels: range, trace_w: Frac
         genus = None
         if fuchsian:
             local = [f for fs in row_factors for f in fs] + [(P, 0) for p, P, _ in ram if level % p]
-            genus = _checked_genus(algebra, local, Fraction(num, den << r), primes.zetas[-1])
+            genus = _checked_genus(algebra, local, num, den << r, primes.zetas[-1])
         lefschetz = texts[1] if one_text else _ratio_text(num, den, trace_num, trace_den, r)
         chis = "|".join(map(texts.__getitem__, binomials))
         yield level, norm, (prod(indices), lefschetz, chis, genus)
@@ -476,16 +477,16 @@ def _refuse_unprintable(checks, factors, weight: int, per_prime: int = 0,
     that the command prints reaches one digit past
     sys.get_int_max_str_digits() (0: no limit), checks() raises the
     library's earlier refusals, in its order, and then the digit-limit error
-    is raised, before any zeta value, power or lift is built. The bound is
-    the larger of weight log10 N(L) + per_prime sum_P log10 N(P) and, given
-    closed_form = (algebra, n, shift, scale), log10 |scale 2^-shift
-    N(L)^(n(2n+1)) prod_j M(j)| less the losses above, |d(D)| >= 1 left out,
-    for an n in 1.._MAX_ZETA_INDEX, unless that value is 0 (a complex place,
-    scale 0) or a zeta value is refused; _far_below skips it when surely under
-    the limit. An exponent is capped at 4 limit, past which its power alone
-    has more than limit digits; the digit of margin absorbs the float error."""
+    is raised, before any zeta value, power or lift is built. The one bound,
+    in floats, is the larger of weight log10 N(L) + per_prime sum_P log10
+    N(P) and, given closed_form = (algebra, n, shift, scale), log10 |scale
+    2^-shift N(L)^(n(2n+1)) prod_j M(j)| less the losses above, |d(D)| >= 1
+    left out, for an n in 1.._MAX_ZETA_INDEX, unless that value is 0 (a
+    complex place, scale 0) or a zeta value is refused. An exponent is capped
+    at 4 limit, past which its power alone has more than limit digits; the
+    digit of margin absorbs the float error."""
     limit = sys.get_int_max_str_digits()
-    if not limit or _far_below(limit, factors, weight + max(per_prime, 0), closed_form):
+    if not limit:
         return
     cap, level_log10, norms_log10 = 4 * limit, 0.0, 0.0
     for prime, a in factors:
@@ -505,20 +506,6 @@ def _refuse_unprintable(checks, factors, weight: int, per_prime: int = 0,
     if floor >= limit + 1:
         checks()
         raise _digit_limit_error()
-
-
-def _far_below(limit: int, factors, weight: int, closed_form) -> bool:
-    """_refuse_unprintable's first test, in integers: its bound is surely under
-    limit, as log10 x < 0.302 bitlen(x), and over Q or Q(sqrt d) the zeta values
-    take at most n(n+1) (degree log10 2n + log10 d_F) of it."""
-    bits = sum([a * prime.f * prime.p.bit_length() for prime, a in factors])  # > log2 N(L)
-    if closed_form is None:
-        return weight * bits < 3 * limit
-    algebra, n, _shift, scale = closed_form
-    field = algebra.field
-    zetas = field.degree * (2 * n).bit_length() + field.abs_discriminant.bit_length()
-    size = n * (n + 1) * zetas + abs(scale.numerator).bit_length()
-    return field.kind != "external" and (weight + n * (2 * n + 1)) * bits + size < 3 * limit
 
 
 def _refuse_unprintable_request(command: str, algebra: QuaternionAlgebra, n: int, level: Ideal,
@@ -673,12 +660,13 @@ def congruence_index(algebra: QuaternionAlgebra, n: int, level: Ideal) -> int:
     return _index(algebra.ram_finite, n, level.factors)
 
 
-def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> int:
+def _checked_genus(algebra: QuaternionAlgebra, local, chi_num: int, chi_den: int, zeta) -> int:
     """The genus g = 1 + 2^(-degree) N(level)^3 |d(D) zeta| prod_{P | level}
     (1 - N(P)^-2) prod_{P ramified, P not | level} (1 - N(P)^-1) of a Fuchsian
-    setting, from the level's _local_primes and zeta = zeta_F(-1); 2 - 2g
-    must equal chi, the n = 1 closed form at trace 1, which is checked. Every
-    factor is positive, so an integral g is at least 2."""
+    setting, from the level's _local_primes and zeta = zeta_F(-1), in
+    integers; 2 - 2g must equal chi = chi_num / chi_den (chi_den > 0), the
+    n = 1 closed form at trace 1, which is checked. Every factor is positive,
+    so an integral g is at least 2."""
     num = abs(algebra.signed_reduced_discriminant() * zeta.numerator)
     den = zeta.denominator << algebra.field.degree
     for prime, a in local:
@@ -686,14 +674,12 @@ def _checked_genus(algebra: QuaternionAlgebra, local, chi: Fraction, zeta) -> in
         power = norm ** (2 if a else 1)
         num *= norm ** (3 * a) * (power - 1)
         den *= power
-    g = Fraction(num, den) + 1
-    if g.denominator != 1:
-        raise InvariantError(f"genus came out non-integral: {g}")
-    genus = g.numerator
-    if chi != 2 - 2 * genus:
-        raise InvariantError(
-            f"genus formula disagrees with the closed form: chi={chi}, g={genus}"
-        )
+    genus, rest = divmod(num + den, den)
+    if rest:
+        raise InvariantError(f"genus came out non-integral: {Fraction(num + den, den)}")
+    if chi_num != (2 - 2 * genus) * chi_den:
+        raise InvariantError("genus formula disagrees with the closed form:"
+                             f" chi={Fraction(chi_num, chi_den)}, g={genus}")
     return genus
 
 
@@ -709,7 +695,8 @@ def genus_fuchsian(algebra: QuaternionAlgebra, level: Ideal,
     _validate_setting(algebra, 1, level)
     shared, chi = _closed_form(algebra, 1, level, assume_torsion_free, algebra.r)
     local = _local_primes(algebra, level.factors)
-    genus = _checked_genus(algebra, local, chi, dedekind_zeta_neg(algebra.field, 1))
+    genus = _checked_genus(algebra, local, chi.numerator, chi.denominator,
+                           dedekind_zeta_neg(algebra.field, 1))
     return GenusReport(genus=genus, b1=2 * genus, chi=2 - 2 * genus, warnings=shared["warnings"])
 
 

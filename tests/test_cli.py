@@ -699,57 +699,6 @@ def test_every_level_command_refused_before_any_value(capsys, monkeypatch, comma
     assert run_cli(capsys, [*argv, "--format", fmt]) == (2, "", _digit_limit_line(4300))
 
 
-_Q, _Q5 = numberfield.TotallyRealField.rationals(), numberfield.TotallyRealField.real_quadratic(5)
-# (command, algebra, n, prime of the level, keywords of the request)
-_GATE_REQUESTS = [
-    ("lefschetz", QuaternionAlgebra(_Q, (), 0), 1, numberfield.PrimeIdeal(3), {}),
-    ("lefschetz", QuaternionAlgebra(_Q, (), 0), 2, numberfield.PrimeIdeal(7),
-     dict(json=True, trace_w=Fraction(10**40, 7))),
-    ("euler-char", QuaternionAlgebra(_Q5, (), 2), 2, numberfield.split_prime(_Q5, 11)[0],
-     dict(json=True, cls=lefschetz.SignatureClass(((2, 0), (0, 2))))),
-    ("genus", QuaternionAlgebra(_Q, tuple(map(numberfield.PrimeIdeal, (2, 3))), 0), 1,
-     numberfield.PrimeIdeal(5), {}),
-    ("index", QuaternionAlgebra(_Q, (), 0), 2, numberfield.PrimeIdeal(2), {}),
-]
-
-
-@pytest.mark.parametrize("command, algebra, n, prime, keywords", _GATE_REQUESTS,
-                         ids=[request[0] for request in _GATE_REQUESTS])
-def test_digit_gate_first_test_agrees_with_the_full_bound(
-        monkeypatch, command, algebra, n, prime, keywords):
-    """At the lowest limit Python allows, the levels P^k just below and just
-    above the exponent where the gate's integer first test stops answering,
-    and those on either side of the refusal, get the outcome of the full
-    bound alone."""
-    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
-    far_below, answers = lefschetz._far_below, []
-
-    def outcome(k, first_test=True):
-        """The gate's refusal of P^k, or None; answers gets the first test's answer."""
-        def first(*args):
-            answers.append(first_test and far_below(*args))
-            return answers[-1]
-
-        monkeypatch.setattr(lefschetz, "_far_below", first)
-        level = numberfield.Ideal(algebra.field, ((prime, k),))
-        try:
-            lefschetz._refuse_unprintable_request(command, algebra, n, level, **keywords)
-        except ValidationError as exc:
-            return str(exc)
-        return None
-
-    levels = range(1, 600)
-    outcomes = [outcome(k) for k in levels]
-    answered, answers[:] = answers[:], []
-    assert outcomes == [outcome(k, first_test=False) for k in levels]
-    # the first test answers up to a threshold, and the gate refuses from a
-    # higher one on
-    threshold, refused = answered.index(False), outcomes.index(_digit_limit_line(640)[7:-1])
-    assert 0 < threshold < refused
-    assert all(answered[:threshold]) and not any(answered[threshold:])
-    assert not any(outcomes[:refused]) and len(set(outcomes[refused:])) == 1
-
-
 @pytest.mark.parametrize("command, n", [("lefschetz", "2"), ("euler-char", "1")])
 def test_complex_place_json_refused_before_the_level_norm(capsys, monkeypatch, command, n):
     """At a complex place the value is the 0 that is never refused, but the
@@ -764,10 +713,8 @@ def test_complex_place_json_refused_before_the_level_norm(capsys, monkeypatch, c
 def test_genus_refusals_come_before_the_digit_limit(capsys, monkeypatch, tmp_path):
     """With a bound that refuses every genus, the library's refusals still
     come first, in its order: the Fuchsian check, the torsion gate, the zeta
-    table; only a request that passes them all meets the digit limit. The
-    bound's integer first test, which would answer first, is left out."""
+    table; only a request that passes them all meets the digit limit."""
     monkeypatch.setattr(lefschetz, "_zetas_log10", lambda field, n: 10.0**6)
-    monkeypatch.setattr(lefschetz, "_far_below", lambda *args: False)
     path = tmp_path / "q_no_zeta.json"
     path.write_text(json.dumps({"degree": 1, "abs_discriminant": 1, "num_real_places": 1,
                                 "zeta_neg": [], "splitting": {"2": [[1, 1]], "3": [[1, 1]],
@@ -785,6 +732,43 @@ def test_genus_refusals_come_before_the_digit_limit(capsys, monkeypatch, tmp_pat
          (2, "", "error: external zeta table has no entry for j=1\n")),
     ):
         assert run_cli(capsys, argv) == expected, argv
+
+
+_GENUS_REQUEST = ["genus", "--field", "q", "--ram", "2,3", "--level", "5"]
+_FUCHSIAN_TABLE = ["table", "--field", "quad:13", "--ram", "3", "--ram-real", "1", "--n", "1",
+                   "--levels", "20:40"]
+
+
+@pytest.mark.parametrize("argv, fault, line", [
+    (_GENUS_REQUEST, (3, 1), "chi=-60, g=11"),
+    (_GENUS_REQUEST, (1, 7), "chi=-20/7, g=11"),
+    (_FUCHSIAN_TABLE, (3, 1), "chi=-29952000, g=4992001"),
+    (_FUCHSIAN_TABLE, (1, 7), "chi=-9984000/7, g=4992001"),
+], ids=["genus-tripled", "genus-sevenths", "table-tripled", "table-sevenths"])
+def test_genus_disagreeing_with_the_kernel_exits_1(capsys, monkeypatch, argv, fault, line):
+    """A kernel whose value is off by fault = (times, over) fails the genus
+    check of a genus report and of a Fuchsian table row: exit 1, nothing on
+    stdout, one error line."""
+    kernel, times, over = lefschetz._Primes.closed_form, *fault
+
+    def faulty(self, off, level_parts):
+        num, den = kernel(self, off, level_parts)
+        return times * num, over * den
+
+    monkeypatch.setattr(lefschetz._Primes, "closed_form", faulty)
+    expected = f"error: genus formula disagrees with the closed form: {line}\n"
+    assert run_cli(capsys, argv) == (1, "", expected)
+
+
+@pytest.mark.parametrize("argv, genus", [(_GENUS_REQUEST, "17/7"),
+                                         (_FUCHSIAN_TABLE, "4992007/7")],
+                         ids=["genus", "table"])
+def test_non_integral_genus_exits_1(capsys, monkeypatch, argv, genus):
+    """A zeta_F(-1) a seventh of its value gives a genus that is not an
+    integer: exit 1, nothing on stdout, one error line."""
+    zeta = lefschetz.dedekind_zeta_neg
+    monkeypatch.setattr(lefschetz, "dedekind_zeta_neg", lambda field, j: zeta(field, j) / 7)
+    assert run_cli(capsys, argv) == (1, "", f"error: genus came out non-integral: {genus}\n")
 
 
 # an n that no float holds, refused by its cap before a bound is worked out from it

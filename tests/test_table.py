@@ -217,6 +217,24 @@ def test_table_rows_use_the_kernel(monkeypatch, argv):
         main(argv)
 
 
+def test_fuchsian_table_builds_no_fraction(capsys, monkeypatch):
+    """A Fuchsian n = 1 table prints its rows and checks each row's genus
+    from the kernel's integers: with lefschetz's Fraction raising, it prints
+    the same bytes."""
+    argv = ["table", "--field", "quad:13", "--ram", "3", "--ram-real", "1", "--n", "1",
+            "--levels", "20:40"]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} was built")
+
+    monkeypatch.setattr(lefschetz, "Fraction", no_fraction)
+    assert main(argv) == 0
+    assert capsys.readouterr() == expected
+    assert expected.out.count("\n") == 22 and expected.err == ""
+
+
 def _level_part_oracle(field, n: int, m: int) -> Fraction:
     """N(L)^(n(2n+1)) prod_{P | L} prod_j (1 - N(P)^-2j) for L = (m), one
     Fraction per prime as the formula reads."""
