@@ -14,11 +14,12 @@ the closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, pi
 from types import SimpleNamespace
 
 from . import finitegrp, lefschetz, numberfield
-from .errors import QuatlefError, ValidationError
+from .errors import InvariantError, QuatlefError, ValidationError
 from .lefschetz import (
     ADELIC_REL_TOL,
     LefschetzInput,
@@ -409,6 +410,52 @@ def suite_decomposition() -> list[Check]:
     ]
 
 
+def _torsion_free_inputs(fields: list[TotallyRealField]):
+    """(algebra, n, level) over each field: the split algebra, the totally
+    definite one (over Q ramified at 2 as well), one ramified at the primes
+    above 2 and 3 and one at the prime above 3 and one real place; n = 1..3,
+    n >= 2 when definite; the level the first prime above the least p in
+    11-23 that is unramified in the field. By Minkowski's lemma (Serre,
+    "Cohomologie des groupes discrets", 1971) an element of finite order of
+    GL_m(O_P) that is 1 mod P is trivial when P lies over p >= 5 with
+    e(P|p) = 1, so each level gives a torsion-free group."""
+    for field in fields:
+        p2, p3 = (numberfield.split_prime(field, p)[0] for p in (2, 3))
+        r = field.num_real_places
+        algebras = [
+            QuaternionAlgebra(field, (), 0),
+            QuaternionAlgebra(field, (p2,) * (r % 2), r),
+            QuaternionAlgebra(field, (p2, p3), 0),
+            QuaternionAlgebra(field, (p3,), 1),
+        ]
+        level = next(
+            numberfield.Ideal(field, ((primes[0], 1),))
+            for primes in (numberfield.split_prime(field, p) for p in (11, 13, 17, 19, 23))
+            if all(prime.e == 1 for prime in primes)
+        )
+        for algebra, n in product(algebras, range(1, 4)):
+            if n >= 2 or not algebra.is_totally_definite():
+                yield algebra, n, level
+
+
+def _integrality_failures(inputs) -> list[str]:
+    """The inputs of _torsion_free_inputs whose Lefschetz number at trace 1
+    or one of whose components is not an integer, or whose closed form the
+    sign law refuses."""
+    failures = []
+    for algebra, n, level in inputs:
+        case = f"{algebra.describe()} over {algebra.field.describe()} n={n} L={level}"
+        try:
+            values = [lefschetz_number(LefschetzInput(algebra.field, algebra, n, level)).value]
+            values += [report.value for report in euler_char_components(algebra, n, level)]
+        except InvariantError as refused:
+            failures.append(f"{case}: {refused}")
+            continue
+        if any(value.denominator != 1 for value in values):
+            failures.append(f"{case}: {values}")
+    return failures
+
+
 def suite_signs() -> list[Check]:
     grid = decomposition_grid()
     bad_sign, bad_int, bad_dim = [], [], []
@@ -423,9 +470,17 @@ def suite_signs() -> list[Check]:
                 bad_sign.append(f"{inp} class {cls}")
             if lefschetz.fixed_point_space_dim(inp.algebra, inp.n, cls) % 2:
                 bad_dim.append(f"{inp} class {cls}")
+    # Q and Q(sqrt d), d <= 40: discriminants with two odd primes, which
+    # the grid's three fields lack
+    fields = [TotallyRealField.rationals(), *(
+        TotallyRealField.real_quadratic(d) for d in range(2, 41) if numberfield._squarefree(d)
+    )]
+    sweep = list(_torsion_free_inputs(fields))
+    bad_int += _integrality_failures(sweep)
     return [
         (
-            f"integrality of L over {len(grid)} inputs",
+            f"integrality of L over {len(grid)} inputs, and of every component"
+            f" over {len(sweep)} torsion-free ones",
             not bad_int,
             "; ".join(bad_int[:3]) or "all integral",
         ),

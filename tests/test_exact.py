@@ -19,12 +19,6 @@ from quatlef.exact import (
 
 
 class TestBernoulli:
-    def test_base_cases(self, verified):
-        verified("bernoulli", "B_0", "B_1")
-
-    def test_b12(self, verified):
-        verified("bernoulli", "B_12")
-
     def test_odd_indices_vanish(self):
         for k in range(3, 100, 2):
             assert bernoulli(k) == 0

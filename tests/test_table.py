@@ -15,7 +15,6 @@ for the same setting, and what the per-row ``Fraction`` path below gives
 from the formulas themselves.
 """
 
-import contextlib
 import csv
 import io
 import json
@@ -46,6 +45,7 @@ from quatlef.numberfield import (
     split_prime,
 )
 from quatlef.quaternion import QuaternionAlgebra, hilbert_ramification_q
+from test_cli import _run_main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 Q5_DESCRIPTOR = GOLDEN / "q5.json"
@@ -419,11 +419,9 @@ def _table_requests(draw):
 @given(request=_table_requests())
 def test_table_kernel_equals_the_per_row_fraction_path(request):
     argv, algebra, n, levels, trace = request
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert (code, err.getvalue()) == (0, "")
-    _header, *rows = csv.reader(io.StringIO(out.getvalue()))
+    code, out, err = _run_main(argv)
+    assert (code, err) == (0, "")
+    _header, *rows = csv.reader(io.StringIO(out))
     assert rows == [_oracle_row(algebra, n, m, trace) for m in levels]
 
 
@@ -458,11 +456,9 @@ def test_table_row_equals_the_single_level_reports(request):
     of lefschetz_number and euler_char_components at that level, which
     assemble the level's value from its ideal."""
     argv, algebra, n, m, trace = request
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert (code, err.getvalue()) == (0, "")
-    [_header, row] = csv.reader(io.StringIO(out.getvalue()))
+    code, out, err = _run_main(argv)
+    assert (code, err) == (0, "")
+    [_header, row] = csv.reader(io.StringIO(out))
     level = ideal_from_integer(algebra.field, m)
     inp = LefschetzInput(algebra.field, algebra, n, level, trace)
     assert Fraction(row[4]) == lefschetz_number(inp).value
@@ -560,11 +556,8 @@ def test_table_bytes_equal_csv_writer(argv):
     """The table writes its rows without quoting any field; csv.writer,
     which quotes a field holding a comma, a quote or a newline, must write
     the same bytes for the same rows."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert (code, err.getvalue()) == (0, "")
-    text = out.getvalue()
+    code, text, err = _run_main(argv)
+    assert (code, err) == (0, "")
     default = csv.field_size_limit(len(text))
     try:
         rows = list(csv.reader(io.StringIO(text)))

@@ -9,17 +9,18 @@ replace ``lefschetz._closed_form``, which takes its value from the kernel
 factor; T4 and T5 change the report field of that factor by it too. T8
 tampers with the kernel itself, the one place every report's and every
 table row's value is assembled. T9 tampers with the mass formula's finite
-places, which its exact and float evaluations share. A row that no suite
-catches yet (T6) is a strict xfail naming the ROADMAP item meant to catch
-it, so that the day a suite starts to catch it the row must be made a
-plain pass. Each row runs only its suites through ``verify.run_suites``
-(not the session-cached ``verified`` fixture), and clears every cache a
-tampered value can reach before and after it runs.
+places, which its exact and float evaluations share. T6 changes zeta
+values only over discriminants with two odd primes, which the integrality
+sweep of ``signs`` reaches at torsion-free levels. Each row runs only its
+suites through ``verify.run_suites`` (not the session-cached suite
+checks), and clears every cache a tampered value can reach before and
+after it runs.
 
 Three routes besides the rows: T1 also breaks the tier-1 level-raising
 identity, T2, T4 and T5 are caught by ``decomposition``'s clause on
 definite components alone, with its mass formula taken out of the check,
-and T6 breaks the tier-1 integrality sweep at torsion-free levels.
+and T6 breaks the tier-1 integrality sweep, which runs the check of
+``signs`` over d <= 300 and a quartic field.
 """
 
 from fractions import Fraction
@@ -29,7 +30,7 @@ from math import prod
 import pytest
 
 from quatlef import finitegrp, lefschetz, numberfield, verify
-from test_lefschetz import _integrality_failures, _level_raising_mismatches
+from test_lefschetz import _level_raising_mismatches, _sweep_inputs
 
 
 def _t1_local_part(norm, js, in_level):
@@ -176,14 +177,7 @@ _ROWS = [
         lefschetz, "_closed_form", _tampered_closed_form(_t5_change),
         ["decomposition", "signs"], id="T5",
     ),
-    pytest.param(
-        numberfield, "_character_table", _t6_character_table, ["zeta"],
-        id="T6",
-        marks=pytest.mark.xfail(
-            strict=True, raises=AssertionError,
-            reason="ROADMAP item 14: the integrality sweep is not yet a verify check",
-        ),
-    ),
+    pytest.param(numberfield, "_character_table", _t6_character_table, ["signs"], id="T6"),
     pytest.param(
         finitegrp, "ramified_local_order", _t7_ramified_local_order,
         ["finite-orders", "decomposition"], id="T7",
@@ -214,7 +208,7 @@ def test_t1_breaks_level_raising(monkeypatch, clean_caches):
 
 def test_t6_breaks_integrality_sweep(monkeypatch, clean_caches):
     monkeypatch.setattr(numberfield, "_character_table", _t6_character_table)
-    assert _integrality_failures()
+    assert verify._integrality_failures(_sweep_inputs())
 
 
 @pytest.mark.parametrize("module, name, replacement", [
