@@ -14,6 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from quatlef.errors import QuatlefError
 from quatlef.lefschetz import (
     LefschetzInput,
     betti_growth_exponent,
@@ -31,15 +32,23 @@ def main() -> int:
     parser.add_argument("--ram", default="", help="ramified primes, comma list")
     parser.add_argument("--max-level", type=int, default=40)
     args = parser.parse_args()
+    try:
+        lines = _scan(args)
+    except (QuatlefError, ValueError) as exc:
+        parser.error(str(exc))
+    print("\n".join(lines))
+    return 0
 
+
+def _scan(args) -> list[str]:
     field = TotallyRealField.rationals()
     primes = tuple(
         split_prime(field, int(p))[0] for p in args.ram.split(",") if p
     )
     algebra = QuaternionAlgebra(field, primes, 0)
     exponent = betti_growth_exponent(args.n)
-    print(f"# n={args.n}, exponent n(2n+1)/(4n^2-1) = {exponent}")
-    print("level\t|L|\tindex\t|L| / index^exponent")
+    lines = [f"# n={args.n}, exponent n(2n+1)/(4n^2-1) = {exponent}",
+             "level\t|L|\tindex\t|L| / index^exponent"]
     for n_level in range(3, args.max_level + 1):
         level = ideal_from_integer(field, n_level)
         if not check_torsion_necessary(level):
@@ -50,8 +59,8 @@ def main() -> int:
         bound = betti_lower_bound(inp)
         index = congruence_index(algebra, args.n, level)
         ratio = float(bound) / float(index) ** float(exponent)
-        print(f"{n_level}\t{bound}\t{index}\t{ratio:.6f}")
-    return 0
+        lines.append(f"{n_level}\t{bound}\t{index}\t{ratio:.6f}")
+    return lines
 
 
 if __name__ == "__main__":

@@ -36,21 +36,12 @@ class TestBernoulliPolynomial:
     def test_b2_at_zero(self):
         assert bernoulli_poly_eval(2, 0) == Fraction(1, 6)
 
-    def test_b2_at_one_fifth(self, verified):
-        verified("bernoulli", "B_2(1/5)")
-
-    def test_b4_at_two_fifths(self, verified):
-        verified("bernoulli", "B_4(2/5)")
-
     @given(st.integers(min_value=0, max_value=12))
     def test_value_at_zero_is_bernoulli_number(self, k):
         assert bernoulli_poly_eval(k, 0) == bernoulli(k)
 
 
 class TestZetaNegative:
-    def test_first_values(self, verified):
-        verified("bernoulli", "zeta(-1)", "zeta(-3)", "zeta(-5)")
-
     def test_nonzero_with_alternating_sign(self):
         for j in range(1, 13):
             value = riemann_zeta_neg(j)

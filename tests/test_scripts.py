@@ -1,6 +1,6 @@
 """Smoke tests of the scripts in ``scripts/``: each runs as its own
-process over a short level range and prints a known row, and the stream
-replay agrees with its record."""
+process over a short level range and prints a known row or refuses bad
+input in one error line, and the stream replay agrees with its record."""
 
 import importlib.util
 import subprocess
@@ -29,6 +29,26 @@ def test_script_prints_known_row(script, row):
     )
     assert proc.returncode == 0, proc.stderr
     assert row in proc.stdout.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an odd number of ramified places
+        ["shimura_genus_table.py", "--ram", "2"],
+        ["shimura_genus_table.py", "--ram", "2,5", "--weights", "3"],
+        ["betti_growth_scan.py", "--n", "0"],
+    ],
+)
+def test_script_refuses_bad_input_in_one_error_line(argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:], "--max-level", "8"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert len([line for line in proc.stderr.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_replayed_streams_match_their_record():

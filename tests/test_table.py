@@ -498,16 +498,26 @@ def test_table_at_huge_levels_equals_the_per_row_fraction_path(capsys):
 
 
 def test_large_table_fields_read_back_under_a_raised_field_limit():
-    # the chi_components of the 625 signature classes of n = 8 over four
-    # real places fill about 300 KB per row, more than the csv module's
-    # default field limit of 131072 characters
+    """Every golden table is the bytes csv.writer writes for its own rows:
+    read back and written again with a newline terminator, each stdout is
+    unchanged, so no table field needs quoting. The chi_components of the
+    625 signature classes of n = 8 over four real places fill about 300 KB
+    per row, more than the csv module's default field limit of 131072
+    characters."""
     corpus = json.loads((GOLDEN / "corpus.json").read_text(encoding="utf-8"))
-    out = corpus["table-biquadratic-n8"]["stdout"]
+    tables = {name: case["stdout"] for name, case in corpus.items()
+              if name.startswith("table-")}
+    assert len(tables) == 10
+    large = tables["table-biquadratic-n8"]
     with pytest.raises(csv.Error, match="field larger than field limit"):
-        list(csv.reader(io.StringIO(out)))
-    default = csv.field_size_limit(len(out))
+        list(csv.reader(io.StringIO(large)))
+    default = csv.field_size_limit(max(map(len, tables.values())))
     try:
-        header, *rows = csv.reader(io.StringIO(out))
+        header, *rows = csv.reader(io.StringIO(large))
+        for name, text in tables.items():
+            buffer = io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(csv.reader(io.StringIO(text)))
+            assert buffer.getvalue() == text, name
     finally:
         csv.field_size_limit(default)
     assert len(rows) == 2
